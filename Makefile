@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: check test test-fast test-resilience test-chaos test-check test-cluster test-matrix-pooled test-server coverage bench-smoke bench-commit bench-server bench
+.PHONY: check test test-fast test-resilience test-chaos test-check test-cluster test-matrix-pooled test-server coverage bench-smoke bench-commit bench-server bench-e2e-smoke bench
 
 ## check: what CI runs -- tier-1 tests plus a ~10s benchmark smoke.
 check: test bench-smoke
@@ -109,6 +109,13 @@ bench-commit:
 ## per-tenant goodput spread.
 bench-server:
 	$(PYTHON) benchmarks/bench_server_throughput.py --seed $(BENCH_SEED)
+
+## bench-e2e-smoke: the end-to-end benchmark's self-check -- every
+## workload of bench/run.py for a fraction of a second, untraced and
+## traced (closure, shapes, correctness), then the benchmark's own tests.
+bench-e2e-smoke:
+	$(PYTHON) bench/run.py --smoke
+	$(PYTHON) -m pytest bench -q
 
 ## bench: regenerate every paper table/figure (slow).
 bench:

@@ -8,7 +8,8 @@ connection it speaks the framed-record protocol of
 - ``ping`` -> ``pong`` (liveness probe, used by spawners);
 - ``vote`` -> ``vote-reply``: the daemon is one voter of the
   majority-consensus 0-1 semaphore (section 3.4, Thomas 1979); its
-  per-decision grant is irrevocable for the daemon's lifetime, and a
+  per-decision grant is irrevocable (the executor votes on one decision
+  id per block; the voter forgets only the oldest of thousands), and a
   SIGKILLed daemon simply stops answering -- the quorum arithmetic of
   :class:`~repro.cluster.semaphore.ClusterMajoritySemaphore` absorbs it;
 - ``ship``: one arm shipment.  The daemon restores the shipped parent
@@ -60,6 +61,11 @@ from repro.process.primitives import ProcessManager
 #: How long a stopping daemon waits for in-flight arm threads.
 _STOP_GRACE = 2.0
 
+#: Decisions the voter remembers (oldest forgotten first).  Every block
+#: is its own decision, so a daemon would otherwise grow by one grant per
+#: block for life; a few thousand dwarfs the blocks in flight at once.
+_VOTER_MEMORY = 4096
+
 
 class WorkerDaemon:
     """One cluster worker: arm executor + consensus voter on a socket."""
@@ -90,7 +96,7 @@ class WorkerDaemon:
         death.  In-process daemons (tests) emulate the crash at
         connection grain instead of killing the host process."""
 
-        self.voter = ConsensusNode(node_id)
+        self.voter = ConsensusNode(node_id, max_decisions=_VOTER_MEMORY)
         self.host = host
         self.port = port
         self._key = load_secret(secret)

@@ -37,8 +37,10 @@ image.  The chaos suite asserts exactly that.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import random
+import secrets
 import threading
 import time
 from dataclasses import dataclass, field
@@ -149,6 +151,12 @@ class ClusterExecutor:
             PageStore()
         )
         self.home = "home"
+        self.home_id = f"{self.home}-{secrets.token_hex(6)}"
+        """Names this executor to the daemons' voters: two home nodes
+        racing on the same daemons must never share a decision id."""
+        self._runs = itertools.count(1)
+        self.last_decision: Optional[str] = None
+        """Decision id the latest consensus ``run()`` voted on."""
 
     def new_parent(self, space_size: int = 64 * 1024) -> SimProcess:
         """A fresh parent world on the home node."""
@@ -281,8 +289,14 @@ class ClusterExecutor:
 
         winner_msg: Optional[dict] = None
         winner_assignment: Optional[_Assignment] = None
-        semaphore = None
+        semaphore = decision = None
         if self.use_consensus:
+            # One decision per run(): the voters' grants are sticky, so
+            # a constant id would let only the first block of a daemon's
+            # life reach a majority.  Retries and respawned arms of this
+            # block vote on the same id -- still at most one commits.
+            decision = f"{self.home_id}/{next(self._runs)}"
+            self.last_decision = decision
             # The voting population is the live rotation.  With the
             # membership table fully dark (every member dead, statics
             # buried with them) fall back to the static list rather
@@ -326,7 +340,8 @@ class ClusterExecutor:
                             ok, reason = False, "consensus-unavailable"
                         else:
                             ok, reason = self._consensus_round(
-                                semaphore, assignment, timeline, clock
+                                semaphore, decision, assignment,
+                                timeline, clock,
                             )
                         consensus_starved = (
                             consensus_starved or reason == "consensus-unavailable"
@@ -731,11 +746,11 @@ class ClusterExecutor:
         return True, ""
 
     def _consensus_round(
-        self, semaphore, assignment, timeline, clock
+        self, semaphore, decision, assignment, timeline, clock
     ) -> Tuple[bool, str]:
         requester = f"arm-{assignment.index}-epoch-{assignment.epoch}"
         try:
-            granted = semaphore.try_acquire("block", requester)
+            granted = semaphore.try_acquire(decision, requester)
         except ConsensusUnavailable as exc:
             timeline.append((clock(), f"consensus unavailable: {exc}"))
             return False, "consensus-unavailable"

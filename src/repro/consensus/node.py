@@ -5,6 +5,12 @@ voted for some requester it never votes for another.  Crash and recovery
 are modelled explicitly so the benchmarks can inject failures; a crashed
 node simply does not answer, and a recovered node remembers its grants
 (they were durable, as in Thomas's database-resident locks).
+
+A long-lived voter (a cluster daemon sees one decision per block) can
+bound what it remembers with ``max_decisions``: the oldest decisions are
+forgotten first.  That is safe as long as the bound far exceeds the
+number of decisions in flight at once -- a forgotten decision could be
+granted again, so only decisions long since settled may age out.
 """
 
 from __future__ import annotations
@@ -17,10 +23,17 @@ from repro.errors import ConsensusUnavailable
 class ConsensusNode:
     """One replica of the synchronization state."""
 
-    def __init__(self, node_id: str) -> None:
+    def __init__(
+        self, node_id: str, max_decisions: Optional[int] = None
+    ) -> None:
+        if max_decisions is not None and max_decisions < 1:
+            raise ValueError("a voter must remember at least one decision")
         self.node_id = node_id
         self.up = True
+        self.max_decisions = max_decisions
         self._grants: Dict[Hashable, Hashable] = {}
+        """Decision -> requester, in the order the grants were made."""
+
         self.votes_cast = 0
         self.requests_seen = 0
 
@@ -49,6 +62,11 @@ class ConsensusNode:
         self.requests_seen += 1
         granted_to = self._grants.get(decision_id)
         if granted_to is None:
+            if (
+                self.max_decisions is not None
+                and len(self._grants) >= self.max_decisions
+            ):
+                del self._grants[next(iter(self._grants))]
             self._grants[decision_id] = requester
             self.votes_cast += 1
             return True

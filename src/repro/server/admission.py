@@ -147,6 +147,19 @@ class DeficitRoundRobin:
     # ------------------------------------------------------------------
     # scheduling
 
+    def lightest_head(self) -> Optional[int]:
+        """Weight of the lightest queued head; ``None`` when empty.
+
+        A pure query, O(active tenants): it touches no deficit, not the
+        ring and not ``depth``.  ``take(budget)`` returns a non-empty
+        batch iff ``budget >= lightest_head()``, so a caller that waits
+        for that condition never takes in vain.
+        """
+        return min(
+            (self._queues[tenant][0].weight for tenant in self._ring),
+            default=None,
+        )
+
     def take(
         self,
         budget: int,

@@ -182,6 +182,8 @@ class RaceServer:
                 f"not {self.config.backend!r}"
             )
         self.metrics = self.config.metrics or MetricsRegistry()
+        self._wakeups = self.metrics.counter("server_dispatch_wakeups_total")
+        self._empty_takes = self.metrics.counter("server_empty_takes_total")
         self._drr = DeficitRoundRobin(
             quantum=self.config.quantum,
             max_queue_per_tenant=self.config.max_queue_per_tenant,
@@ -303,6 +305,8 @@ class RaceServer:
             removed = self._drr.cancel(ticket.seq)
             if removed:
                 self.metrics.gauge("server_queue_depth").set(self._drr.depth)
+                # The block queued behind a withdrawn head may fit now.
+                self._wakeup.notify()
                 self._idle.notify_all()
         if removed:
             ticket._cancel()
@@ -332,16 +336,31 @@ class RaceServer:
     # ------------------------------------------------------------------
     # scheduling
 
+    def _head_fits(self) -> bool:
+        """The dispatcher's wake-up predicate (call with the lock held):
+        something is queued and the free arm budget covers the lightest
+        head -- exactly when ``take`` returns a non-empty batch."""
+        lightest = self._drr.lightest_head()
+        return lightest is not None and (
+            self.config.max_inflight_arms - self._inflight_arms >= lightest
+        )
+
     def _dispatch_loop(self) -> None:
+        """Sleep until a block fits, take one batch, hand it to workers.
+
+        Relies on: every transition that can make ``_head_fits`` true --
+        ``submit``, a worker finishing, ``cancel``, drain/shutdown --
+        notifying ``_wakeup`` under ``_lock``.  Guarantees: no ``take``
+        while nothing changed.  The wait's timeout is a lost-wakeup
+        backstop only.
+        """
         while True:
             with self._lock:
-                while not self._stopping and (
-                    self._drr.depth == 0
-                    or self._inflight_arms >= self.config.max_inflight_arms
-                ):
+                while not self._head_fits():
+                    if self._stopping and self._drr.depth == 0:
+                        return
                     self._wakeup.wait(timeout=0.1)
-                if self._stopping and self._drr.depth == 0:
-                    return
+                    self._wakeups.inc()
                 budget = self.config.max_inflight_arms - self._inflight_arms
                 quantum_grants: List[tuple] = []
                 batch = self._drr.take(
@@ -356,6 +375,9 @@ class RaceServer:
                     self._inflight_arms
                 )
             if not batch:
+                # ``_head_fits`` held, so this breaks the DRR invariant;
+                # counted so a spin shows on a live server.
+                self._empty_takes.inc()
                 continue
             tracer = _active_tracer()
             if tracer.enabled:
@@ -396,8 +418,17 @@ class RaceServer:
         return get_backend(self.config.backend)
 
     def _run_one(self, submission: _Submission) -> None:
+        """Race one block in a world of its own that dies with the ticket.
+
+        The request's executor brings its own ``ProcessManager``; the
+        parent is created here (never inside ``run``) so that it can be
+        exited once the ticket has resolved.  Exiting drops the frames
+        adopted from the winner's shm slab, and the slab is unlinked
+        then rather than at interpreter exit.
+        """
         ticket = submission.ticket
         ticket.status = "running"
+        executor = parent = None
         try:
             executor = ConcurrentExecutor(
                 backend=self._make_backend(),
@@ -405,7 +436,7 @@ class RaceServer:
                 seed=submission.seed,
                 **self.config.executor_kwargs,
             )
-            parent = executor.new_parent() if submission.capture_space else None
+            parent = executor.new_parent()
             alternatives = (
                 submission.alternatives
                 if submission.alternatives is not None
@@ -418,7 +449,7 @@ class RaceServer:
             else:
                 ticket.value = result.value
                 ticket.winner = result.winner.name
-            if parent is not None:
+            if submission.capture_space:
                 ticket.space_bytes = parent.space.read(0, parent.space.size)
                 ticket.variables = {
                     name: parent.space.get(name)
@@ -433,6 +464,8 @@ class RaceServer:
                 f"tenant.{ticket.tenant}.latency_seconds",
                 buckets=_LATENCY_BUCKETS,
             ).observe(ticket.latency or 0.0)
+            if parent is not None:
+                executor.manager.exit(parent, notify=False)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -490,6 +523,8 @@ class RaceServer:
                 "inflight_blocks": self._inflight_blocks,
                 "tenants_queued": self._drr.tenants(),
                 "closed": self._closed,
+                "dispatch_wakeups": int(self._wakeups.value),
+                "empty_takes": int(self._empty_takes.value),
             }
         if self._pool is not None:
             stats["pool"] = {

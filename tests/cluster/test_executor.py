@@ -232,9 +232,44 @@ class TestConsensus:
         assert parent.space.get("result") == 42
         # The winner's requester holds a sticky majority on the daemons.
         grants = sum(
-            1 for d in daemons if d.voter.granted_to("block") is not None
+            1 for d in daemons
+            if d.voter.granted_to(executor.last_decision) is not None
         )
         assert grants >= 2
+        parent.space.release()
+
+    def test_consecutive_blocks_each_win_their_own_majority(self, cluster):
+        """Voters keep their grants for life, so every block must vote
+        on a decision id of its own: with a constant id only the first
+        block of a daemon's life could reach a majority and every later
+        one sat out the race timeout before a serial replay."""
+        daemons, endpoints = cluster
+        executor = make_executor(endpoints, use_consensus=True)
+        decisions = []
+        for _ in range(3):
+            parent = executor.new_parent()
+            parent.space.put("shared", "base")
+            began = time.monotonic()
+            with tracing() as tracer:
+                result = executor.run(one_success_block(), parent=parent)
+            assert time.monotonic() - began < 2.0
+            assert result.winner.name == "the-answer"
+            assert parent.space.get("result") == 42
+            assert _ev.DEGRADE not in [e.kind for e in tracer.events]
+            decisions.append(executor.last_decision)
+            grants = sum(
+                1 for d in daemons
+                if d.voter.granted_to(executor.last_decision) is not None
+            )
+            assert grants >= 2
+            parent.space.release()
+        assert len(set(decisions)) == 3
+        # A second home node on the same daemons votes under its own ids.
+        other = make_executor(endpoints, use_consensus=True)
+        parent = other.new_parent()
+        result = other.run(one_success_block(), parent=parent)
+        assert result.winner.name == "the-answer"
+        assert other.last_decision not in decisions
         parent.space.release()
 
     def test_minority_of_dead_voters_does_not_block_commit(self, cluster):

@@ -15,7 +15,11 @@ all.  The contract:
   never exceeds its budget in total arms;
 - **no starvation**: when submissions stop, a bounded number of ``take``
   rounds drains *everything* that was admitted -- no item waits forever
-  behind hotter tenants.
+  behind hotter tenants;
+- **no take in vain**: ``take(b)`` is non-empty exactly when ``b`` covers
+  ``lightest_head()`` -- the predicate the server's dispatcher sleeps on
+  -- and that query is pure: it never moves a deficit, the ring or
+  ``depth``.
 """
 
 import math
@@ -91,7 +95,14 @@ class AdmissionMachine(RuleBasedStateMachine):
 
     @rule(budget=st.integers(1, MAX_WEIGHT + 3))
     def take(self, budget):
+        lightest = self.drr.lightest_head()
         batch = self.drr.take(budget)
+        # The dispatcher's wake-up predicate is exact: a take comes back
+        # empty-handed iff no queued head fits the budget.
+        assert bool(batch) == (lightest is not None and budget >= lightest), (
+            f"take({budget}) returned {len(batch)} items with lightest "
+            f"head {lightest}"
+        )
         used = sum(item.weight for item in batch)
         assert used <= budget, f"batch overshot its budget: {used}>{budget}"
         for item in batch:
@@ -108,6 +119,22 @@ class AdmissionMachine(RuleBasedStateMachine):
             assert item.weight == head_weight
 
     # -- invariants ----------------------------------------------------
+
+    def _scheduler_state(self):
+        return (
+            dict(self.drr._deficit), self.drr.tenants(), self.drr.depth,
+            {t: self.drr.tenant_depth(t) for t in TENANTS},
+        )
+
+    @invariant()
+    def lightest_head_is_pure_and_right(self):
+        before = self._scheduler_state()
+        lightest = self.drr.lightest_head()
+        assert self._scheduler_state() == before, (
+            "lightest_head() mutated the scheduler"
+        )
+        heads = [q[0][1] for q in self.reference.values() if q]
+        assert lightest == (min(heads) if heads else None)
 
     @invariant()
     def accounting_matches_reference(self):

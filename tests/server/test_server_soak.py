@@ -10,6 +10,15 @@ its :class:`~repro.core.sequential.SequentialExecutor` reference -- and
 the run must leak nothing (no threads, no children; /dev/shm is audited
 session-wide by ``shm_leak_audit``).
 
+"Which arm survives" presumes one does.  Two rolling kills can take out
+both pooled arms of one block when the host stalls -- a worker killed
+while parked is leased dead-on-arrival, a starved server thread opens
+the second arm's lease tens of milliseconds after the first -- and an
+unsupervised block whose every arm was assassinated fails by design.  So
+the server races under a :class:`~repro.resilience.Supervisor`: each
+attempt is the same unsupervised race, and only a block that lost every
+arm abnormally is raced again.
+
 The full soak is ``slow``; ``TestSoakSmoke`` is the fast-lane variant
 with a handful of blocks and a single assassination.
 """
@@ -25,6 +34,7 @@ import pytest
 from repro.core.alternative import Alternative
 from repro.core.sequential import SequentialExecutor
 from repro.process.pool import WorldPool
+from repro.resilience.supervisor import Supervisor
 from repro.server import RaceServer, ServerConfig
 
 pytestmark = [
@@ -84,6 +94,7 @@ def _run_soak(tenants, blocks_per_tenant, kills, kill_interval):
         max_inflight_arms=6,
         quantum=2,
         pool=pool,
+        executor_kwargs={"supervisor": Supervisor(max_retries=3)},
     )
     # CI sweeps the kill schedule across seeds (make test-server
     # REPRO_SERVER_SEED=N); any schedule must leave results untouched.

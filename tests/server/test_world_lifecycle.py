@@ -1,0 +1,129 @@
+"""A request's world dies with its ticket.
+
+Every served block runs on its own ``ConcurrentExecutor`` with its own
+``ProcessManager``; ``RaceServer._run_one`` creates the parent and exits
+it once the ticket has resolved.  On the pooled process backend that
+exit is what drops the frames adopted from the winner's shm slab, so the
+slab is unlinked while the server is still serving -- not by
+``cleanup_all_slabs()`` at interpreter exit.  The audit here is therefore
+taken *before* shutdown: after N blocks the process owns exactly the
+slabs it owned before the server existed and ``/dev/shm`` holds no new
+segment, for winners, for blocks whose every arm fails, and for a block
+whose pool worker is SIGKILLed mid-race.
+"""
+
+import os
+import signal
+import time
+
+import pytest
+
+from repro.core.alternative import Alternative
+from repro.pages.shm import live_slab_count, orphaned_segments, shm_available
+from repro.process.pool import WorldPool
+from repro.server import RaceServer, ServerConfig
+
+pytestmark = [
+    pytest.mark.subprocess,
+    pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork"),
+    pytest.mark.skipif(not shm_available(), reason="requires POSIX shm"),
+]
+
+BLOCKS = 12
+
+
+class _Writes:
+    """Picklable arm body: dirty a page, then win or fail."""
+
+    def __init__(self, value, seconds=0.0, fail=False):
+        self.value = value
+        self.seconds = seconds
+        self.fail = fail
+
+    def __call__(self, ctx):
+        ctx.put("answer", self.value)
+        if self.seconds:
+            ctx.sleep(self.seconds)
+        if self.fail:
+            ctx.fail("refuses")
+        return self.value
+
+
+def _block(tag, arms=2, **kwargs):
+    return [
+        Alternative(f"{tag}-arm{i}", body=_Writes(tag, **kwargs))
+        for i in range(arms)
+    ]
+
+
+@pytest.fixture
+def audited_server():
+    """A pooled process server plus the audit to run before shutdown."""
+    slabs_before = live_slab_count()
+    segments_before = set(orphaned_segments())
+    pool = WorldPool(size=4)
+    server = RaceServer(ServerConfig(
+        backend="process", workers=2, max_inflight_arms=4, pool=pool,
+    ))
+
+    def audit():
+        # ``drain`` returns once the last worker has left ``_run_one``,
+        # i.e. after the last parent was exited; nothing has run
+        # ``cleanup_all_slabs`` and the interpreter is very much alive.
+        assert server.drain(timeout=60.0)
+        assert live_slab_count() == slabs_before
+        assert set(orphaned_segments()) - segments_before == set()
+
+    try:
+        yield server, pool, audit
+    finally:
+        server.shutdown()
+        pool.shutdown()
+
+
+class TestWorldDiesWithItsTicket:
+    def test_winners_leave_no_slab_behind(self, audited_server):
+        server, _pool, audit = audited_server
+        tickets = [
+            server.submit(f"tenant-{i % 3}", _block(f"w{i}", 2 + i % 2),
+                          capture_space=bool(i % 2))
+            for i in range(BLOCKS)
+        ]
+        for i, ticket in enumerate(tickets):
+            assert ticket.result(timeout=60.0) == f"w{i}"
+            if i % 2:
+                # Captured before the parent was exited.
+                assert ticket.variables == {"answer": f"w{i}"}
+        assert server.stats()["pool"]["leases"] > 0
+        audit()
+
+    def test_all_arms_fail_leaves_no_slab_behind(self, audited_server):
+        server, _pool, audit = audited_server
+        tickets = [
+            server.submit("tenant", _block(f"f{i}", fail=True))
+            for i in range(BLOCKS)
+        ]
+        for ticket in tickets:
+            assert ticket.wait(timeout=60.0)
+            assert ticket.error == "AltBlockFailure"
+        audit()
+
+    def test_worker_sigkilled_mid_block_leaves_no_slab_behind(
+        self, audited_server
+    ):
+        server, pool, audit = audited_server
+        ticket = server.submit("tenant", _block("k", arms=2, seconds=0.4))
+        deadline = time.monotonic() + 10.0
+        while pool.inflight < 2:
+            assert time.monotonic() < deadline, "arms never leased"
+            time.sleep(0.005)
+        victim = next(w.pid for w in pool._workers if w.busy)
+        os.kill(victim, signal.SIGKILL)
+        # Whichever arm survives (or is re-run) wins with the same value.
+        assert ticket.result(timeout=60.0) == "k"
+        later = [
+            server.submit("tenant", _block(f"after{i}")) for i in range(3)
+        ]
+        for i, after in enumerate(later):
+            assert after.result(timeout=60.0) == f"after{i}"
+        audit()
