@@ -61,11 +61,6 @@ from repro.process.primitives import ProcessManager
 #: How long a stopping daemon waits for in-flight arm threads.
 _STOP_GRACE = 2.0
 
-#: Decisions the voter remembers (oldest forgotten first).  Every block
-#: is its own decision, so a daemon would otherwise grow by one grant per
-#: block for life; a few thousand dwarfs the blocks in flight at once.
-_VOTER_MEMORY = 4096
-
 
 class WorkerDaemon:
     """One cluster worker: arm executor + consensus voter on a socket."""
@@ -96,7 +91,7 @@ class WorkerDaemon:
         death.  In-process daemons (tests) emulate the crash at
         connection grain instead of killing the host process."""
 
-        self.voter = ConsensusNode(node_id, max_decisions=_VOTER_MEMORY)
+        self.voter = ConsensusNode(node_id)
         self.host = host
         self.port = port
         self._key = load_secret(secret)

@@ -155,8 +155,6 @@ class ClusterExecutor:
         """Names this executor to the daemons' voters: two home nodes
         racing on the same daemons must never share a decision id."""
         self._runs = itertools.count(1)
-        self.last_decision: Optional[str] = None
-        """Decision id the latest consensus ``run()`` voted on."""
 
     def new_parent(self, space_size: int = 64 * 1024) -> SimProcess:
         """A fresh parent world on the home node."""
@@ -296,7 +294,6 @@ class ClusterExecutor:
             # life reach a majority.  Retries and respawned arms of this
             # block vote on the same id -- still at most one commits.
             decision = f"{self.home_id}/{next(self._runs)}"
-            self.last_decision = decision
             # The voting population is the live rotation.  With the
             # membership table fully dark (every member dead, statics
             # buried with them) fall back to the static list rather

@@ -6,11 +6,11 @@ are modelled explicitly so the benchmarks can inject failures; a crashed
 node simply does not answer, and a recovered node remembers its grants
 (they were durable, as in Thomas's database-resident locks).
 
-A long-lived voter (a cluster daemon sees one decision per block) can
-bound what it remembers with ``max_decisions``: the oldest decisions are
-forgotten first.  That is safe as long as the bound far exceeds the
-number of decisions in flight at once -- a forgotten decision could be
-granted again, so only decisions long since settled may age out.
+A voter remembers its latest ``MAX_DECISIONS`` decisions and forgets the
+oldest first, so a long-lived one (a cluster daemon sees one decision per
+block) does not grow for life.  That is safe as long as the bound far
+exceeds the number of decisions in flight at once -- a forgotten decision
+could be granted again, so only decisions long since settled may age out.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ from typing import Dict, Hashable, Optional
 
 from repro.errors import ConsensusUnavailable
 
+#: Decisions a voter remembers (oldest forgotten first).
+MAX_DECISIONS = 4096
+
 
 class ConsensusNode:
     """One replica of the synchronization state."""
 
-    def __init__(
-        self, node_id: str, max_decisions: Optional[int] = None
-    ) -> None:
-        if max_decisions is not None and max_decisions < 1:
-            raise ValueError("a voter must remember at least one decision")
+    def __init__(self, node_id: str) -> None:
         self.node_id = node_id
         self.up = True
-        self.max_decisions = max_decisions
         self._grants: Dict[Hashable, Hashable] = {}
         """Decision -> requester, in the order the grants were made."""
 
@@ -62,10 +60,7 @@ class ConsensusNode:
         self.requests_seen += 1
         granted_to = self._grants.get(decision_id)
         if granted_to is None:
-            if (
-                self.max_decisions is not None
-                and len(self._grants) >= self.max_decisions
-            ):
+            if len(self._grants) >= MAX_DECISIONS:
                 del self._grants[next(iter(self._grants))]
             self._grants[decision_id] = requester
             self.votes_cast += 1

@@ -465,7 +465,14 @@ class RaceServer:
                 buckets=_LATENCY_BUCKETS,
             ).observe(ticket.latency or 0.0)
             if parent is not None:
-                executor.manager.exit(parent, notify=False)
+                try:
+                    executor.manager.exit(parent, notify=False)
+                except Exception:  # noqa: BLE001 - the ticket has resolved
+                    # A failed release must not take the worker thread
+                    # with it; counted, since nothing else reports it.
+                    self.metrics.counter(
+                        "server_world_release_errors_total"
+                    ).inc()
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -156,8 +156,9 @@ class TestNode:
         assert node.requests_seen == 2
         assert node.votes_cast == 1
 
-    def test_bounded_memory_forgets_oldest_first(self):
-        node = ConsensusNode("n0", max_decisions=3)
+    def test_bounded_memory_forgets_oldest_first(self, monkeypatch):
+        monkeypatch.setattr("repro.consensus.node.MAX_DECISIONS", 3)
+        node = ConsensusNode("n0")
         for decision in ("d1", "d2", "d3"):
             assert node.request_vote(decision, "a") is True
         assert node.request_vote("d1", "b") is False  # still remembered
@@ -166,7 +167,3 @@ class TestNode:
         assert node.granted_to("d2") == "a"
         assert node.granted_to("d4") == "a"
         assert len(node._grants) == 3
-
-    def test_memory_bound_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ConsensusNode("n0", max_decisions=0)

@@ -182,6 +182,33 @@ class TestLifecycle:
         with pytest.raises(SubmissionRejected):
             server.submit("t", _block())
 
+    def test_failed_world_release_does_not_kill_the_worker(self, monkeypatch):
+        """The ticket resolves before its parent is exited; an exit that
+        raises is counted and the lone worker thread keeps serving."""
+        from repro.process.primitives import ProcessManager
+
+        real_exit = ProcessManager.exit
+        released = []
+
+        def flaky_exit(self, process, notify=True):
+            if not notify:  # the server's release of a request's parent
+                released.append(process)
+                if len(released) == 1:
+                    raise RuntimeError("release failed")
+            return real_exit(self, process, notify=notify)
+
+        monkeypatch.setattr(ProcessManager, "exit", flaky_exit)
+        config = ServerConfig(backend="serial", workers=1)
+        with RaceServer(config) as server:
+            for value in ("first", "second"):
+                ticket = server.submit("t", _block(value))
+                assert ticket.result(timeout=10.0) == value
+            errors = server.metrics.counter(
+                "server_world_release_errors_total"
+            )
+            assert errors.value == 1
+        assert len(released) == 2
+
     def test_process_backend_owns_a_pool(self):
         import os
 

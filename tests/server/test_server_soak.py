@@ -10,14 +10,14 @@ its :class:`~repro.core.sequential.SequentialExecutor` reference -- and
 the run must leak nothing (no threads, no children; /dev/shm is audited
 session-wide by ``shm_leak_audit``).
 
-"Which arm survives" presumes one does.  Two rolling kills can take out
-both pooled arms of one block when the host stalls -- a worker killed
-while parked is leased dead-on-arrival, a starved server thread opens
-the second arm's lease tens of milliseconds after the first -- and an
-unsupervised block whose every arm was assassinated fails by design.  So
-the server races under a :class:`~repro.resilience.Supervisor`: each
-attempt is the same unsupervised race, and only a block that lost every
-arm abnormally is raced again.
+"Which arm survives" presumes one does, and an unsupervised block whose
+every arm was assassinated fails by design.  A schedule paced by the
+clock alone cannot promise a survivor: on a stalled host (a fork from a
+large test process holds the GIL for tens of milliseconds) a 40 ms block
+stretches past the kill interval and two kills take both of its pooled
+arms.  So the assassin allows each block one assassination: before it
+kills again, every block that was running when its last victim died has
+resolved.  On a host that keeps up, that never delays a kill.
 
 The full soak is ``slow``; ``TestSoakSmoke`` is the fast-lane variant
 with a handful of blocks and a single assassination.
@@ -34,7 +34,6 @@ import pytest
 from repro.core.alternative import Alternative
 from repro.core.sequential import SequentialExecutor
 from repro.process.pool import WorldPool
-from repro.resilience.supervisor import Supervisor
 from repro.server import RaceServer, ServerConfig
 
 pytestmark = [
@@ -84,6 +83,19 @@ def _reference_outcome(block):
     }
 
 
+def _await_death(pid):
+    """Wait until ``pid`` is dead without reaping it (the pool does)."""
+    while True:
+        try:
+            if os.waitid(
+                os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG
+            ):
+                return
+        except ChildProcessError:
+            return  # dead and already reaped
+        time.sleep(0.001)
+
+
 def _run_soak(tenants, blocks_per_tenant, kills, kill_interval):
     """Stream the workload through a pooled server under rolling kills."""
     thread_baseline = threading.active_count()
@@ -94,7 +106,6 @@ def _run_soak(tenants, blocks_per_tenant, kills, kill_interval):
         max_inflight_arms=6,
         quantum=2,
         pool=pool,
-        executor_kwargs={"supervisor": Supervisor(max_retries=3)},
     )
     # CI sweeps the kill schedule across seeds (make test-server
     # REPRO_SERVER_SEED=N); any schedule must leave results untouched.
@@ -103,9 +114,12 @@ def _run_soak(tenants, blocks_per_tenant, kills, kill_interval):
     kill_count = [0]
 
     def assassin():
+        exposed = []  # blocks that may have lost an arm to the last kill
         for _ in range(kills):
             if stop_chaos.wait(timeout=kill_interval):
                 return
+            for ticket in exposed:
+                ticket.wait(timeout=120.0)
             pids = pool.worker_pids()
             if not pids:
                 continue
@@ -114,7 +128,14 @@ def _run_soak(tenants, blocks_per_tenant, kills, kill_interval):
                 os.kill(victim, signal.SIGKILL)
                 kill_count[0] += 1
             except ProcessLookupError:
-                pass
+                continue
+            # Once the victim is dead a lease on it fails over to a
+            # fork, so only a block already running can hold it.
+            _await_death(victim)
+            exposed = [
+                ticket for ticket in list(tickets.values())
+                if ticket.status == "running"
+            ]
 
     chaos = threading.Thread(target=assassin, daemon=True)
     expectations = {}
