@@ -75,6 +75,9 @@ test-check:
 ## test-matrix-pooled: the cross-backend equivalence matrix with the
 ## pre-warmed world pool enabled -- the pooled process backend (and the
 ## pool-oblivious SimBackend) must still agree with the serial oracle.
+## test_world_pool.py carries the arena's own battery (TestArena: one
+## evolving parent against serial block for block, two stores sharing a
+## pool, rotation, a worker killed after publish, the inline fallback).
 test-matrix-pooled:
 	REPRO_WORLD_POOL=1 $(PYTHON) -m pytest \
 		tests/obs/test_equivalence_matrix.py tests/process/test_world_pool.py -q
@@ -113,8 +116,18 @@ bench-server:
 ## bench-e2e-smoke: the end-to-end benchmark's self-check -- every
 ## workload of bench/run.py for a fraction of a second, untraced and
 ## traced (closure, shapes, correctness), then the benchmark's own tests.
+## Between the two, one gate on the record: a pooled lease publishes what
+## differs, so the traced solo-snapshot lease copies < 16 pages (it was
+## 256, the whole parent per arm).  A count, not a timing: it holds on a
+## shared CI runner.
+SMOKE_RECORD ?= bench/out/smoke-gate.json
 bench-e2e-smoke:
-	$(PYTHON) bench/run.py --smoke
+	$(PYTHON) bench/run.py --smoke --out $(SMOKE_RECORD)
+	$(PYTHON) -c "import json, sys; \
+	pages = json.load(open('$(SMOKE_RECORD)'))['summary']['solo-snapshot']\
+	['process.pool.snapshot_pages_per_lease']['median']; \
+	print('solo-snapshot process.pool.snapshot_pages_per_lease =', pages, '(gate: < 16)'); \
+	sys.exit(pages >= 16)"
 	$(PYTHON) -m pytest bench -q
 
 ## bench: regenerate every paper table/figure (slow).

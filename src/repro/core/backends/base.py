@@ -163,6 +163,11 @@ class BackendRace:
     events: List[Tuple[float, str]] = field(default_factory=list)
     """Timeline events (relative seconds, label) for Figure-2 rendering."""
 
+    setup_seconds: float = 0.0
+    """Seconds from ``run_arms`` entry until the last arm was leased or
+    forked -- the backend's share of section 4.1's *setup* overhead (0
+    for backends that launch nothing)."""
+
     page_transport: Optional[str] = None
     """The page-shipback transport this race resolved to (``"shm"`` or
     ``"pipe"`` for the fork backend, ``None`` for in-process backends)."""

@@ -360,6 +360,7 @@ class ProcessBackend(ExecutionBackend):
                 pids[task.index] = pid
                 pipes[task.index] = read_fd
                 _register_orphan(pid, scope)
+            launched = time.perf_counter() - start
             race = self._collect(
                 tasks, pids, pipes, start, timeout, seen, slabs,
                 persistent, leases, clean_leases, collect_all,
@@ -398,6 +399,7 @@ class ProcessBackend(ExecutionBackend):
             self._race_pids = {}
             self._race_seen = set()
         race.page_transport = "shm" if use_shm else "pipe"
+        race.setup_seconds = launched
         self._annotate_exit_statuses(race, seen, statuses)
         return race
 

@@ -675,7 +675,7 @@ class ConcurrentExecutor:
         timeline.append((resume_at, "parent resumes"))
         timeline.sort(key=lambda event: event[0])
         overhead = OverheadBreakdown(
-            setup=spawn_done,
+            setup=spawn_done + race.setup_seconds,
             runtime=self.cost_model.page_copy_time(
                 winner_outcome.pages_written
             ),
@@ -874,7 +874,7 @@ class ConcurrentExecutor:
         timeline.append((resume_at, "parent resumes (maximal step)"))
         timeline.sort(key=lambda event: event[0])
         overhead = OverheadBreakdown(
-            setup=spawn_done,
+            setup=spawn_done + race.setup_seconds,
             runtime=self.cost_model.page_copy_time(
                 outcomes[winner_index].pages_written
             ),

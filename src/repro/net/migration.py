@@ -90,7 +90,6 @@ def migrate(
     # Retire the original silently; its predicates stay open, carried by
     # the moved copy.
     src_manager.exit(process, notify=False)
-    del src_manager.processes[original_pid]
 
     return MigrationResult(
         process=moved,

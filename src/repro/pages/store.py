@@ -15,10 +15,13 @@ a frame just to slice it.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.pages.page import DEFAULT_PAGE_SIZE, zero_page
+
+_store_uids = itertools.count(1)
 
 
 class PageStore:
@@ -35,6 +38,12 @@ class PageStore:
         if page_size <= 0:
             raise ValueError("page size must be positive")
         self.page_size = page_size
+        self.uid = next(_store_uids)
+        """Unique among this process's stores and never reused.  Frame
+        ids are never reused either, and frames are immutable, so
+        ``(uid, frame id)`` names one page image for good -- what lets
+        the world pool publish a frame to its workers exactly once."""
+
         self._frames: Dict[int, object] = {}
         self._refcounts: Dict[int, int] = {}
         self._external: Dict[int, Optional[Callable[[], None]]] = {}
@@ -168,6 +177,38 @@ class PageStore:
                 raise KeyError(f"no such frame: {frame_id}")
             self._refcounts[frame_id] += count
 
+    def incref_many(self, counts: Mapping[int, int]) -> None:
+        """Add ``counts[frame]`` references to every frame named.
+
+        The batched form of :meth:`incref` for whole-table operations
+        (fork, a pooled worker building an arm's table): one lock
+        acquisition however many frames, and validate-then-mutate -- an
+        unknown frame or a count below one raises with *no* count
+        changed.
+        """
+        refcounts = self._refcounts
+        with self._lock:
+            for frame_id, count in counts.items():
+                if frame_id not in refcounts:
+                    raise KeyError(f"no such frame: {frame_id}")
+                if count < 1:
+                    raise ValueError("must add at least one reference")
+            for frame_id, count in counts.items():
+                refcounts[frame_id] += count
+
+    def _reclaim(self, frame_id: int) -> Optional[Callable[[], None]]:
+        """Forget a drained frame (lock held); returns its release callback."""
+        del self._refcounts[frame_id]
+        data = self._frames.pop(frame_id)
+        if self._zero_frame == frame_id:
+            self._zero_frame = None
+        if frame_id not in self._external:
+            return None
+        on_release = self._external.pop(frame_id)
+        if isinstance(data, memoryview):
+            data.release()
+        return on_release
+
     def decref(self, frame_id: int) -> None:
         """Drop a reference, reclaiming the frame at zero."""
         on_release = None
@@ -176,14 +217,7 @@ class PageStore:
             if count is None:
                 raise KeyError(f"no such frame: {frame_id}")
             if count == 1:
-                del self._refcounts[frame_id]
-                data = self._frames.pop(frame_id)
-                if self._zero_frame == frame_id:
-                    self._zero_frame = None
-                if frame_id in self._external:
-                    on_release = self._external.pop(frame_id)
-                    if isinstance(data, memoryview):
-                        data.release()
+                on_release = self._reclaim(frame_id)
             else:
                 self._refcounts[frame_id] = count - 1
         if on_release is not None:
@@ -191,32 +225,36 @@ class PageStore:
             # must not re-enter the store under our lock.
             on_release()
 
-    def decref_many(self, frame_ids) -> None:
-        """Drop one reference from each frame under one lock acquisition.
+    def decref_many(self, counts: Mapping[int, int]) -> None:
+        """Drop ``counts[frame]`` references from every frame named.
 
-        The batched form of :meth:`decref` for multi-page pointer swaps;
-        release callbacks of reclaimed external frames run after the
-        lock is dropped, in frame order.
+        The batched form of :meth:`decref` (table release, adopt, the
+        multi-page pointer swap): one lock acquisition, and
+        validate-then-mutate -- an unknown frame, or a drop larger than
+        the frame's count, raises with *no* count changed.  Release
+        callbacks of reclaimed external frames run after the lock is
+        dropped, once per frame, in the mapping's order.
         """
+        refcounts = self._refcounts
         callbacks = []
         with self._lock:
-            for frame_id in frame_ids:
-                count = self._refcounts.get(frame_id)
-                if count is None:
+            for frame_id, count in counts.items():
+                held = refcounts.get(frame_id)
+                if held is None:
                     raise KeyError(f"no such frame: {frame_id}")
-                if count == 1:
-                    del self._refcounts[frame_id]
-                    data = self._frames.pop(frame_id)
-                    if self._zero_frame == frame_id:
-                        self._zero_frame = None
-                    if frame_id in self._external:
-                        on_release = self._external.pop(frame_id)
-                        if isinstance(data, memoryview):
-                            data.release()
-                        if on_release is not None:
-                            callbacks.append(on_release)
-                else:
-                    self._refcounts[frame_id] = count - 1
+                if not 1 <= count <= held:
+                    raise ValueError(
+                        f"cannot drop {count} of frame {frame_id}'s "
+                        f"{held} references"
+                    )
+            for frame_id, count in counts.items():
+                left = refcounts[frame_id] - count
+                if left:
+                    refcounts[frame_id] = left
+                    continue
+                on_release = self._reclaim(frame_id)
+                if on_release is not None:
+                    callbacks.append(on_release)
         for on_release in callbacks:
             on_release()
 

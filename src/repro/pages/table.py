@@ -15,6 +15,7 @@ is the important independent variable' for the overhead model.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterator
 
 from repro.errors import PageFault
@@ -74,6 +75,10 @@ class PageTable:
             return self._entries[vpn]
         except KeyError:
             raise PageFault(f"page {vpn} is not mapped") from None
+
+    def items(self):
+        """A live view of ``(vpn, frame id)`` for every mapped page."""
+        return self._entries.items()
 
     def mapped_pages(self) -> Iterator[int]:
         """Iterate mapped virtual page numbers in ascending order."""
@@ -175,7 +180,7 @@ class PageTable:
                 released.append(old_frame)
             dirty.add(vpn)
         if released:
-            self.store.decref_many(released)
+            self.store.decref_many(Counter(released))
 
     # ------------------------------------------------------------------
     # fork / dirty accounting
@@ -184,12 +189,13 @@ class PageTable:
         """A child table sharing every frame with this one (COW).
 
         This is 'page map inheritance from the parent' -- O(mapped pages)
-        bookkeeping, no data copies.
+        bookkeeping, no data copies, and one store-lock acquisition: the
+        references are taken per *distinct* frame, not per page.
         """
         child = PageTable(self.store)
         child._entries = dict(self._entries)
-        for frame in self._entries.values():
-            self.store.incref(frame)
+        if child._entries:
+            self.store.incref_many(Counter(child._entries.values()))
         return child
 
     def clear_dirty(self) -> None:
@@ -221,8 +227,8 @@ class PageTable:
 
     def release(self) -> None:
         """Drop every frame reference (process exit or elimination)."""
-        for frame in self._entries.values():
-            self.store.decref(frame)
+        if self._entries:
+            self.store.decref_many(Counter(self._entries.values()))
         self._entries = {}
         self._dirty = set()
 
@@ -241,8 +247,8 @@ class PageTable:
         """
         if other.store is not self.store:
             raise ValueError("cannot adopt a table from a different store")
-        for frame in self._entries.values():
-            self.store.decref(frame)
+        if self._entries:
+            self.store.decref_many(Counter(self._entries.values()))
         self._entries = other._entries
         if "adopt-replace-dirty" in _TEST_MUTATIONS:
             # Test-only regression seed: the pre-fix behaviour that

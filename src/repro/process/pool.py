@@ -13,12 +13,36 @@ A lease travels over the worker's control pipe as a length-prefixed
 pickle; the result comes back over the worker's *persistent* result pipe
 in the exact wire format a freshly forked child would use
 (:mod:`repro.core.backends.wire`), so the collecting loop cannot tell a
-pooled arm from a forked one.  Dirty pages ride the same zero-copy
-shared-memory slab fabric (:mod:`repro.pages.shm`) when available: the
-parent writes the snapshot's non-zero pages into the arm's slab, the
-worker rebuilds its private world from those slots, runs the body, and
-overwrites the slots with its dirty pages -- page images cross the
-control pipe only when shared memory is off.
+pooled arm from a forked one.  Dirty pages come home through the arm's
+response slab (:mod:`repro.pages.shm`), as a forked child's do.
+
+The racing world goes *out* the way the paper's does (section 3.3): as a
+copy-on-write view of one parent image, not a copy per arm.  The pool
+owns an append-only shared-memory **arena** -- one
+:class:`~repro.pages.shm.ShmSlab`, created by the first lease that has a
+non-zero page to show -- and an index ``(store uid, frame id) -> slot``.
+A lease copies into the arena only the frames it has not published
+before and sends the worker the arena's name plus the slot of each
+non-zero page; the worker keeps its arena mapping and one page store across
+leases, adopts each slot it is shown once as an external frame, builds
+the arm's page table from those frame ids, and copies a page only when
+the body writes it.  At steady state a lease therefore costs what
+*differs* from the last one, and page images cross the control pipe
+only when shared memory is off (or the arm has no response slab).
+Three invariants make that safe, each held by one party:
+
+- **slots are write-once** (the pool): a slot is written before any
+  lease names it and never again, so a worker's cached frame for a slot
+  cannot go stale;
+- **frame ids are never reused** (:class:`~repro.pages.store.PageStore`;
+  store uids neither): frames being immutable, an index entry names one
+  page image for as long as the arena lives;
+- **a lease pins its arena until settled** (the lease ledger): a full
+  arena is retired whole and replaced, and a retired arena is unlinked
+  by whoever drops its last pin -- :meth:`WorldPool.finish`, a fallback
+  inside :meth:`WorldPool.lease`, or
+  :meth:`WorldPool.reclaim_abandoned`.  The live arena is unlinked by
+  :meth:`WorldPool.shutdown`; a worker only ever unmaps.
 
 Failure discipline matches direct forks exactly:
 
@@ -50,6 +74,7 @@ import signal
 import struct
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -69,6 +94,12 @@ _LEN = struct.Struct("!I")
 """Control-pipe framing: 4-byte length prefix, then a pickled message."""
 
 DEFAULT_POOL_SIZE = 2
+
+ARENA_MIN_SLOTS = 1024
+"""Slots in the smallest arena the pool creates.  A segment's pages are
+backed only once written, so room to spare costs address space, not
+memory; an arena that fills is replaced by one twice the demand that
+overflowed it."""
 
 
 def _read_exact(fd: int, count: int) -> Optional[bytes]:
@@ -104,11 +135,41 @@ class _LeaseRecord:
     never be parked or killed on behalf of a lease it was not granted.
     """
 
-    __slots__ = ("worker", "granted_at")
+    __slots__ = ("worker", "granted_at", "arena")
 
     def __init__(self, worker: "_Worker", granted_at: float) -> None:
         self.worker = worker
         self.granted_at = granted_at
+        self.arena: Optional[_Arena] = None
+        """The arena this lease's worker reads, pinned until settled."""
+
+
+class _Arena:
+    """Parent-side state of one arena segment (guarded by the pool lock)."""
+
+    __slots__ = ("slab", "index", "used", "pins")
+
+    def __init__(self, slab: ShmSlab) -> None:
+        self.slab = slab
+        self.index: Dict[Tuple[int, int], int] = {}
+        """``(store uid, frame id) -> slot`` for every published frame."""
+
+        self.used = 0
+        self.pins = 0
+        """Unsettled leases whose workers read this arena."""
+
+    def slots_of(self, uid: int, frames) -> List[Optional[int]]:
+        """Each frame's slot, ``None`` where it is not published yet."""
+        lookup = self.index.get
+        return [lookup((uid, frame)) for frame in frames]
+
+    def append(self, uid: int, frame: int, image) -> None:
+        """Publish one page image in the next free slot."""
+        self.slab.write_slot(self.used, image)
+        # Indexed only once written: a slot that a lease can name is
+        # never written again.
+        self.index[(uid, frame)] = self.used
+        self.used += 1
 
 
 class _Worker:
@@ -144,6 +205,13 @@ class WorldPool:
         """Lease attempts that fell back to a direct fork (diagnostics)."""
 
         self.respawns = 0
+        self._arena: Optional[_Arena] = None
+        self.pages_published = 0
+        """Page images ever copied into an arena (cumulative)."""
+
+        self.arena_rotations = 0
+        """Arenas retired because the next lease did not fit."""
+
         for _ in range(size):
             self._workers.append(self._spawn())
         atexit.register(self.shutdown)
@@ -277,23 +345,26 @@ class WorldPool:
             self._settle(epoch, recycle=True)
             self.fallbacks += 1
             return None
-        snapshot_pairs: List[Tuple[int, int]] = []
-        snapshot_inline: Dict[int, bytes] = {}
         zero_frame = space.store.zero_frame_id
-        nonzero = [
-            vpn
-            for vpn in range(space.num_pages)
-            if space.table.frame_of(vpn) != zero_frame
+        num_pages = space.num_pages
+        live = [
+            entry
+            for entry in space.table.items()
+            if entry[1] != zero_frame and entry[0] < num_pages
         ]
-        if slab is not None and len(nonzero) <= slab.slots:
-            # The arm's response slab doubles as the snapshot carrier:
-            # the worker reads its world out of these slots, then
-            # overwrites them with its dirty pages on the way back.
-            for slot, vpn in enumerate(nonzero):
-                slab.write_slot(slot, space.table.read_page_view(vpn))
-                snapshot_pairs.append((vpn, slot))
-        else:
-            for vpn in nonzero:
+        vpns, frames = zip(*live) if live else ((), ())
+        arena: Optional[_Arena] = None
+        slots: List[int] = []
+        snapshot_inline: Dict[int, bytes] = {}
+        published = 0
+        if live and slab is not None:
+            # A response slab means shared memory works for this arm, so
+            # its world goes out through the arena too.
+            arena, slots, published = self._publish(
+                epoch, space.store, frames
+            )
+        if arena is None:
+            for vpn in vpns:
                 snapshot_inline[vpn] = space.table.read_page(vpn)
         message = {
             "kind": "lease",
@@ -304,7 +375,11 @@ class WorldPool:
             "rng_seed": task.rng_seed,
             "space_size": space.size,
             "page_size": space.page_size,
-            "snapshot_pairs": snapshot_pairs,
+            "arena": None if arena is None else (
+                arena.slab.name, arena.slab.slots, arena.slab.slot_size
+            ),
+            "snapshot_vpns": vpns if slots else (),
+            "snapshot_slots": slots,
             "snapshot_inline": snapshot_inline,
             "slab_name": None if slab is None else slab.name,
             "slab_slots": None if slab is None else slab.slots,
@@ -338,7 +413,8 @@ class WorldPool:
                 name=task.name,
                 worker_pid=worker.pid,
                 epoch=epoch,
-                snapshot_pages=len(nonzero),
+                snapshot_pages=len(live),
+                published_pages=published,
                 transport="shm" if slab is not None else "pipe",
             )
         return Lease(
@@ -348,17 +424,94 @@ class WorldPool:
             epoch=epoch,
         )
 
-    def _settle(self, epoch: int, recycle: bool) -> Optional[int]:
-        """Close out one lease exactly once; ``None`` if already settled.
+    def _publish(
+        self, epoch: int, store: PageStore, frames: Tuple[int, ...]
+    ) -> Tuple[Optional[_Arena], List[int], int]:
+        """Make every frame in ``frames`` readable in the live arena.
 
-        Popping the ledger entry under the lock makes settlement
-        idempotent and race-free: of any number of concurrent callers
-        (two executors finishing, a reclaim sweep, a fallback path in
-        ``lease`` itself), exactly one wins the pop and touches the
-        worker; the rest see an already-settled epoch and do nothing.
+        Frames the arena already holds cost one index lookup; the rest
+        are copied into fresh slots.  An arena the lease does not fit in
+        (full, or cut for another page size) is retired and replaced
+        first.  Returns the arena, now pinned by the lease, with each
+        frame's slot and the number of pages copied -- or
+        ``(None, [], 0)`` when no arena can be had, and the caller ships
+        inline.
+        """
+        uid = store.uid
+        published = 0
+        with self._lock:
+            record = self._active.get(epoch)
+            if record is None or self._closed:
+                return None, [], 0
+            arena = self._arena
+            if arena is None or arena.slab.slot_size != store.page_size:
+                arena = self._replace_arena(store.page_size, frames)
+            slots = [] if arena is None else arena.slots_of(uid, frames)
+            if None in slots:
+                fresh = {
+                    frame
+                    for frame, slot in zip(frames, slots)
+                    if slot is None
+                }
+                if arena.used + len(fresh) > arena.slab.slots:
+                    arena = self._replace_arena(store.page_size, frames)
+                    fresh = set(frames)
+                if arena is not None:
+                    for frame in fresh:
+                        arena.append(uid, frame, store.view(frame))
+                    published = len(fresh)
+                    slots = arena.slots_of(uid, frames)
+            if arena is None:
+                return None, [], 0
+            arena.pins += 1
+            record.arena = arena
+            self.pages_published += published
+            return arena, slots, published
+
+    def _replace_arena(
+        self, page_size: int, frames: Tuple[int, ...]
+    ) -> Optional[_Arena]:
+        """Retire the live arena, if any, for one sized from the demand
+        (lock held); ``None`` when shared memory refuses."""
+        retired, self._arena = self._arena, None
+        if retired is not None:
+            self.arena_rotations += 1
+            if not retired.pins:
+                retired.slab.dispose()
+        try:
+            slab = ShmSlab.create(
+                max(ARENA_MIN_SLOTS, 2 * len(set(frames))), page_size
+            )
+        except Exception:  # /dev/shm full, platform refusal
+            return None
+        self._arena = _Arena(slab)
+        return self._arena
+
+    def _close_lease(self, epoch: int) -> Optional[_LeaseRecord]:
+        """Pop one ledger entry and drop its arena pin, exactly once.
+
+        ``None`` means the epoch was already settled.  Popping under the
+        lock makes settlement idempotent and race-free: of any number of
+        concurrent callers (two executors finishing, a reclaim sweep, a
+        fallback path in ``lease`` itself), exactly one wins the pop and
+        touches the worker; the rest do nothing.  The same winner drops
+        the lease's pin, and unlinks the arena if it was retired and
+        this was its last reader.
         """
         with self._lock:
             record = self._active.pop(epoch, None)
+            if record is None:
+                return None
+            arena = record.arena
+            if arena is not None:
+                arena.pins -= 1
+                if not arena.pins and arena is not self._arena:
+                    arena.slab.dispose()
+        return record
+
+    def _settle(self, epoch: int, recycle: bool) -> Optional[int]:
+        """Close out one lease; ``None`` if already settled."""
+        record = self._close_lease(epoch)
         if record is None:
             return None
         if recycle:
@@ -386,8 +539,7 @@ class WorldPool:
         """
         statuses: Dict[int, Optional[int]] = {}
         for index, lease in leases.items():
-            with self._lock:
-                record = self._active.pop(lease.epoch, None)
+            record = self._close_lease(lease.epoch)
             if record is None:
                 continue  # already settled elsewhere: idempotent
             worker = record.worker
@@ -441,8 +593,7 @@ class WorldPool:
             ]
         reclaimed = 0
         for epoch in stale:
-            with self._lock:
-                record = self._active.pop(epoch, None)
+            record = self._close_lease(epoch)
             if record is None:
                 continue  # a late finish won the settlement race
             self._replace(record.worker)
@@ -473,7 +624,15 @@ class WorldPool:
         with self._lock:
             workers = list(self._workers)
             self._workers = []
+            # The live arena, and any retired one an unsettled lease
+            # still pins: nobody else is left to unlink them.
+            arenas = {record.arena for record in self._active.values()}
+            arenas.add(self._arena)
+            arenas.discard(None)
+            self._arena = None
             self._active.clear()
+        for arena in arenas:
+            arena.slab.dispose()
         goodbye = pickle.dumps({"kind": "exit"})
         for worker in workers:
             try:
@@ -511,7 +670,9 @@ class WorldPool:
     def __repr__(self) -> str:
         return (
             f"WorldPool(size={self.size}, parked={self.parked}, "
-            f"leases={self.leases_granted}, respawns={self.respawns})"
+            f"leases={self.leases_granted}, respawns={self.respawns}, "
+            f"published={self.pages_published}, "
+            f"rotations={self.arena_rotations})"
         )
 
 
@@ -519,8 +680,87 @@ class WorldPool:
 # worker side (runs in the forked pool process; exits via os._exit only)
 
 
+class _WorkerWorld:
+    """What a pooled worker keeps from one lease to the next.
+
+    The arena mapping, one :class:`PageStore`, and the frame each arena
+    slot was adopted as.  Slots are write-once and arena names are never
+    reused, so a cached frame stays right for as long as the worker
+    stays bound to that arena; binding to another name drops the cached
+    frames and the old mapping.  The worker never unlinks anything.
+    """
+
+    def __init__(self) -> None:
+        self.store: Optional[PageStore] = None
+        self.arena: Optional[ShmSlab] = None
+        self.frames: Dict[int, int] = {}
+        """Arena slot -> the external frame adopted over it."""
+
+    def unbind(self) -> None:
+        """Drop the cached frames, then the arena mapping under them."""
+        if self.frames:
+            self.store.decref_many(dict.fromkeys(self.frames.values(), 1))
+            self.frames = {}
+        if self.arena is not None:
+            self.arena.dispose()
+            self.arena = None
+
+    def build_space(self, message: dict) -> AddressSpace:
+        """The lease's racing world, with a clean dirty set so shipback
+        carries exactly what the body writes.
+
+        Pages the lease names by arena slot are mapped, not copied: one
+        batched incref on frames adopted when first shown, every vpn
+        checked against the space and every new slot against the arena.
+        ``write_page`` copies such a page on first write, as it does for
+        any shared frame.
+        """
+        page_size = message["page_size"]
+        if self.store is None or self.store.page_size != page_size:
+            self.unbind()
+            self.store = PageStore(page_size=page_size)
+        store = self.store
+        space = AddressSpace(store, message["space_size"])
+        try:
+            vpns, slots = message["snapshot_vpns"], message["snapshot_slots"]
+            if slots:
+                name, arena_slots, slot_size = message["arena"]
+                if self.arena is None or self.arena.name != name:
+                    self.unbind()
+                    self.arena = ShmSlab.attach(name, arena_slots, slot_size)
+                if len(vpns) != len(slots):
+                    raise ValueError(
+                        f"lease names {len(vpns)} pages but {len(slots)} slots"
+                    )
+                if min(vpns) < 0 or max(vpns) >= space.num_pages:
+                    raise ValueError(
+                        f"lease maps a page outside a space of "
+                        f"{space.num_pages} pages"
+                    )
+                known = self.frames
+                mapped = []
+                for slot in slots:
+                    frame = known.get(slot)
+                    if frame is None:
+                        # slot_view refuses a slot outside the arena.
+                        frame = known[slot] = store.adopt_external(
+                            self.arena.slot_view(slot)
+                        )
+                    mapped.append(frame)
+                store.incref_many(Counter(mapped))
+                space.table.set_frames(zip(vpns, mapped))
+            for vpn, data in message["snapshot_inline"].items():
+                space.table.map_page(vpn, data)
+        except BaseException:
+            space.release()  # the store outlives this lease
+            raise
+        space.table.clear_dirty()
+        return space
+
+
 def _worker_main(ctrl_fd: int, result_fd: int) -> None:
     current: Dict[str, Optional[CancellationToken]] = {"token": None}
+    world = _WorkerWorld()
 
     def on_sigterm(signum, frame):
         token = current["token"]
@@ -544,11 +784,11 @@ def _worker_main(ctrl_fd: int, result_fd: int) -> None:
             os._exit(wire.EXIT_SHIP_FAILED)
         if message.get("kind") == "exit":
             os._exit(0)
-        _serve_lease(message, result_fd, current)
+        _serve_lease(message, result_fd, current, world)
 
 
 def _serve_lease(
-    message: dict, result_fd: int, current: dict
+    message: dict, result_fd: int, current: dict, world: _WorkerWorld
 ) -> None:
     """Run one leased arm and ship its record; may never return (faults)."""
     from repro.core.alternative import AltContext
@@ -579,22 +819,13 @@ def _serve_lease(
                 os._exit(wire.EXIT_HANG)
             elif kind == "raise":
                 raise FaultInjected(fault_detail)
-        # Rebuild the racing world from the lease's snapshot: a fresh
-        # store, the snapshot's non-zero pages, and a clean dirty set so
-        # shipback carries exactly what the body writes.
-        store = PageStore(page_size=message["page_size"])
-        space = AddressSpace(store, message["space_size"])
+        space = world.build_space(message)
         if message["slab_name"] is not None:
             slab = ShmSlab.attach(
                 message["slab_name"],
                 message["slab_slots"],
                 message["slab_slot_size"],
             )
-        for vpn, slot in message["snapshot_pairs"]:
-            space.table.map_page(vpn, slab.read_slot(slot))
-        for vpn, data in message["snapshot_inline"].items():
-            space.table.map_page(vpn, data)
-        space.table.clear_dirty()
         token = CancellationToken()
         current["token"] = token
         context = AltContext(
@@ -634,6 +865,8 @@ def _serve_lease(
         os._exit(exit_code)
     if slab is not None:
         slab.dispose()
+    if space is not None:
+        space.release()
 
 
 # ----------------------------------------------------------------------

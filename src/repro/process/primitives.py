@@ -81,7 +81,19 @@ class ProcessManager:
         self._pids = itertools.count(1)
         self._group_ids = itertools.count(1)
         self.processes: Dict[int, SimProcess] = {}
+        """Live processes by pid.  A terminated process is dropped: an
+        alternative when its group is reaped, anything else in
+        :meth:`exit` -- a long-lived manager holds what is running, not
+        everything that ever ran."""
+
         self.groups: Dict[int, AltGroup] = {}
+        """Groups not yet reaped: open ones, and closed ones whose
+        losers still await (asynchronous) elimination."""
+
+        self._open_groups: Dict[int, AltGroup] = {}
+        """The open group of each ``WAITING`` parent, by parent pid (a
+        parent blocks in ``alt_spawn``, so it has at most one)."""
+
         self._listeners: List[StatusListener] = []
         self._elimination_hooks: Dict[int, Callable[[], None]] = {}
         # Overhead counters (inputs to the cost model).
@@ -186,6 +198,7 @@ class ProcessManager:
             group.child_pids.append(pid)
             children.append(child)
         self.groups[group.group_id] = group
+        self._open_groups[parent.pid] = group
         parent.transition(ProcessState.WAITING)
         return children
 
@@ -202,11 +215,12 @@ class ProcessManager:
         """
         if child.group_id is None:
             raise ProcessStateError(f"process {child.pid} is not an alternative")
-        group = self.groups[child.group_id]
+        # State before group: a terminal child's group may be reaped.
         if child.state != ProcessState.RUNNABLE:
             raise ProcessStateError(
                 f"process {child.pid} is {child.state.value}; cannot sync"
             )
+        group = self.groups[child.group_id]
         if not guard_ok:
             self._abort_child(group, child)
             return False
@@ -232,12 +246,11 @@ class ProcessManager:
         """Explicitly abort a child (its guard or body failed)."""
         if child.group_id is None:
             raise ProcessStateError(f"process {child.pid} is not an alternative")
-        group = self.groups[child.group_id]
         if child.state != ProcessState.RUNNABLE:
             raise ProcessStateError(
                 f"process {child.pid} is {child.state.value}; cannot fail"
             )
-        self._abort_child(group, child)
+        self._abort_child(self.groups[child.group_id], child)
 
     # ------------------------------------------------------------------
     # parent-side wait
@@ -266,7 +279,7 @@ class ProcessManager:
         group = self._group_of_parent(parent)
         if group.winner_pid is None:
             if group.all_failed:
-                group.closed = True
+                self._close(group)
                 parent.transition(ProcessState.RUNNABLE)
                 raise AltBlockFailure(
                     f"all {len(group.child_pids)} alternatives failed"
@@ -274,7 +287,7 @@ class ProcessManager:
             if timed_out:
                 self._eliminate_losers(group, winner_pid=None)
                 self._drain_pending(group)
-                group.closed = True
+                self._close(group)
                 parent.transition(ProcessState.RUNNABLE)
                 raise AltTimeout(
                     "alt_wait timed out with no successful alternative"
@@ -292,7 +305,7 @@ class ProcessManager:
         self._eliminate_losers(group, winner_pid=winner.pid)
         if elimination is EliminationMode.SYNCHRONOUS:
             self._drain_pending(group)
-        group.closed = True
+        self._close(group)
         parent.transition(ProcessState.RUNNABLE)
         return winner
 
@@ -368,26 +381,44 @@ class ProcessManager:
             child.space.release()
         self._eliminate_losers(group, winner_pid=primary.pid)
         self._drain_pending(group)
-        group.closed = True
+        self._close(group)
         parent.transition(ProcessState.RUNNABLE)
         return primary
 
     def _group_of_parent(self, parent: SimProcess) -> AltGroup:
-        candidates = [
-            g
-            for g in self.groups.values()
-            if g.parent_pid == parent.pid and not g.closed
-        ]
-        if not candidates:
+        group = self._open_groups.get(parent.pid)
+        if group is None:
             raise ProcessStateError(
                 f"process {parent.pid} has no open alternative group"
             )
-        return candidates[-1]
+        return group
+
+    def _close(self, group: AltGroup) -> None:
+        """The parent's wait has concluded the block."""
+        group.closed = True
+        del self._open_groups[group.parent_pid]
+        self._reap(group)
+
+    def _reap(self, group: AltGroup) -> None:
+        """Forget a concluded group and its terminated children.
+
+        Nothing can reach them again: the parent has resumed, and a late
+        ``alt_sync`` / ``fail`` on a terminal child is refused on its
+        state alone.  A group with losers still queued for elimination
+        stays until :meth:`drain_eliminations` has dealt with them.
+        """
+        if not group.closed or group.pending_elimination:
+            return
+        for pid in group.child_pids:
+            process = self.processes.get(pid)
+            if process is not None and process.is_terminal:
+                del self.processes[pid]
+        del self.groups[group.group_id]
 
     def _eliminate_losers(self, group: AltGroup, winner_pid: Optional[int]) -> None:
         for pid in group.child_pids:
-            process = self.processes[pid]
-            if pid == winner_pid or process.is_terminal:
+            process = self.processes.get(pid)  # None: exited or migrated
+            if process is None or pid == winner_pid or process.is_terminal:
                 continue
             group.pending_elimination.append(pid)
 
@@ -395,9 +426,9 @@ class ProcessManager:
         """Actually terminate siblings queued for elimination."""
         drained = 0
         for pid in group.pending_elimination:
-            process = self.processes[pid]
+            process = self.processes.get(pid)
             self._deliver_elimination(pid)
-            if process.is_terminal:
+            if process is None or process.is_terminal:
                 continue
             process.transition(ProcessState.ELIMINATED)
             process.space.release()
@@ -408,8 +439,17 @@ class ProcessManager:
         return drained
 
     def drain_eliminations(self, group_id: int) -> int:
-        """Perform deferred (asynchronous) sibling elimination."""
-        return self._drain_pending(self.groups[group_id])
+        """Perform deferred (asynchronous) sibling elimination.
+
+        Returns the number of siblings terminated: 0 for a group with
+        nothing left to eliminate, which includes one already reaped.
+        """
+        group = self.groups.get(group_id)
+        if group is None:
+            return 0
+        drained = self._drain_pending(group)
+        self._reap(group)
+        return drained
 
     # ------------------------------------------------------------------
     # normal exit
@@ -423,5 +463,6 @@ class ProcessManager:
         """
         process.transition(ProcessState.EXITED)
         process.space.release()
+        self.processes.pop(process.pid, None)
         if notify:
             self._notify(process.pid, True)

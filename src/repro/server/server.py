@@ -538,6 +538,8 @@ class RaceServer:
                 "leases": self._pool.leases_granted,
                 "fallbacks": self._pool.fallbacks,
                 "respawns": self._pool.respawns,
+                "published_pages": self._pool.pages_published,
+                "arena_rotations": self._pool.arena_rotations,
                 "parked": self._pool.parked,
                 "inflight": self._pool.inflight,
             }

@@ -7,6 +7,8 @@ never outlive the process (the ``atexit`` sweep covers crashes between
 create and dispose).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import PageApplyError
@@ -232,7 +234,7 @@ class TestBatchedStorePrimitives:
         assert [bytes(store.read(f)) for f in frames] == [
             b"aaaa", b"bbbb", b"cccc",
         ]
-        store.decref_many(frames)
+        store.decref_many(Counter(frames))
         assert len(released) == 3
         assert store.live_frames == 0
 
@@ -246,9 +248,9 @@ class TestBatchedStorePrimitives:
         store = PageStore(page_size=4)
         frame = store.allocate(b"xyzw")
         store.incref(frame)
-        store.decref_many([frame])
+        store.decref_many({frame: 1})
         assert store.refcount(frame) == 1
-        store.decref_many([frame])
+        store.decref_many({frame: 1})
         assert store.refcount(frame) == 0
 
     def test_set_frames_swaps_many_pointers_at_once(self):

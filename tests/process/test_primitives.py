@@ -9,7 +9,7 @@ from repro.errors import (
     TooLate,
 )
 from repro.process.primitives import EliminationMode, ProcessManager
-from repro.process.process import ProcessState
+from repro.process.process import ProcessState, SimProcess
 
 
 @pytest.fixture
@@ -162,6 +162,20 @@ class TestSyncAndWait:
             manager.alt_sync(children[0])
 
 
+    def test_late_calls_on_a_reaped_group_are_state_errors(
+        self, manager, parent
+    ):
+        children = manager.alt_spawn(parent, 2)
+        manager.alt_sync(children[0])
+        manager.alt_wait(parent)
+        assert children[0].group_id not in manager.groups
+        for child in children:
+            with pytest.raises(ProcessStateError):
+                manager.fail(child)
+            with pytest.raises(ProcessStateError):
+                manager.alt_sync(child)
+
+
 class TestStatusNotifications:
     def test_listeners_hear_outcomes(self, manager, parent):
         events = []
@@ -199,6 +213,31 @@ class TestMemoryHygiene:
         manager.alt_wait(parent)
         # All loser frames must have been released.
         assert store.live_frames == baseline
+
+    @pytest.mark.parametrize("mode", list(EliminationMode))
+    def test_concluded_blocks_leave_nothing_behind(self, manager, mode):
+        """A long-lived manager holds what is running, not what ever ran."""
+        root = manager.create_initial(space_size=4096)
+        processes, groups = len(manager.processes), len(manager.groups)
+        frames = manager.store.live_frames
+        for _ in range(500):
+            parent = manager.register(
+                SimProcess(pid=manager.allocate_pid(), space=root.space.fork())
+            )
+            children = manager.alt_spawn(parent, 3)
+            manager.fail(children[2])
+            manager.alt_sync(children[0])
+            manager.alt_wait(parent, elimination=mode)
+            group_id = children[0].group_id
+            if mode is EliminationMode.ASYNCHRONOUS:
+                assert group_id in manager.groups  # a loser still pending
+                assert manager.drain_eliminations(group_id) == 1
+            assert children[1].state == ProcessState.ELIMINATED
+            assert manager.drain_eliminations(group_id) == 0  # reaped
+            manager.exit(parent)
+        assert len(manager.processes) == processes
+        assert len(manager.groups) == groups
+        assert manager.store.live_frames == frames
 
     def test_exit_releases_space(self, manager):
         process = manager.create_initial(space_size=1024)
