@@ -138,6 +138,7 @@ def demo_main(args: argparse.Namespace) -> int:
     workers = [
         spawn_worker(f"w{i}", join=join, secret=secret) for i in range(3)
     ]
+    executor = None
     try:
         for worker in workers:
             print(f"      {worker}")
@@ -222,6 +223,8 @@ def demo_main(args: argparse.Namespace) -> int:
         router2.cleanup()
         return 0 if (agree and rejoined) else 1
     finally:
+        if executor is not None:
+            executor.close()
         members.stop()
         for worker in workers:
             if worker.alive:

@@ -4,20 +4,29 @@
 DistributedAltExecutor` with the simulated substrate swapped out for
 sockets and wall clocks:
 
-- the parent image is checkpointed once and *actually shipped* (section
-  4.1: "in the distributed case we must actually copy state for a remote
-  child") to each worker daemon in a framed ``ship`` record;
+- the home keeps **one authenticated session per worker endpoint**,
+  dialled by the first block that needs it and kept across blocks; a
+  block costs a daemon one small ``ship`` record per arm on a wire that
+  already exists, not a connect and a handshake;
+- the parent's state is *actually shipped* (section 4.1: "in the
+  distributed case we must actually copy state for a remote child"),
+  but once: the page table is walked once per block into ``(store uid,
+  vpns, frame ids)`` and a ``ship`` record carries that table plus the
+  bytes of only those frames the session has not been shown.  Frames
+  are immutable and a store never reuses a frame id, so "this session
+  has been shown ``(uid, frame id)``" holds for the session's life;
 - the remote child's dirty pages come home in its ``result`` record and
   are written into the parent's storage before the parent resumes;
-- leases are renewed by real heartbeat records on the ship connection;
-  the warden's deadlines are wall-clock instants, and an expired lease
+- leases are renewed by real heartbeat records on the session; the
+  warden's deadlines are wall-clock instants, and an expired lease
   triggers a respawn on the next endpoint under a fresh incarnation
-  epoch, with the stale connection left open on purpose: a
+  epoch, with the stale ship left registered on purpose: a
   healed-partition zombie's late winner shipment must *arrive* so the
   epoch fence can reject it at commit (the observable form of the
   section 3.4 at-most-once argument);
-- sibling elimination is a ``cancel`` record -- a termination message
-  with genuine network latency, naturally asynchronous;
+- sibling elimination is a ``cancel`` record naming the ship -- a
+  termination message with genuine network latency, naturally
+  asynchronous;
 - synchronization is either first-finisher-commits at home or a
   :class:`~repro.cluster.semaphore.ClusterMajoritySemaphore` round
   across the daemons' voters (``use_consensus=True``);
@@ -25,6 +34,28 @@ sockets and wall clocks:
   consensus starved below quorum -- the block degrades to a serial
   replay on the home node with faults suppressed, the same last resort
   as the simulated path.
+
+The session's three invariants (:class:`_Session`), and who closes what:
+
+1. *Ship ids are minted by the session and never reused.*  One receiver
+   thread per session routes ``hb`` / ``result`` records to the running
+   block by ship id.  Dismissing a ship unregisters it, so a record for
+   a dismissed ship -- a zombie's winner from a block long concluded --
+   finds nobody to deliver to and is only counted (``late_records``);
+   a stale incarnation of the *running* block stays registered, as
+   fence bait.
+2. *A session names only frames it has shipped on that same
+   connection.*  The shown-set lives and dies with the connection; a
+   fresh dial starts empty and ships everything it names.
+3. *A lapse or an unknown frame ends the session, never resyncs it.*  A
+   lease that lapses *retires* its session: no new ships, closed by the
+   home when its last ship is dismissed, and the next block probes the
+   endpoint with a fresh dial.  A daemon handed a frame id it lacks (the
+   carrying record was lost or overtaken) closes the connection; the
+   home sees every ship on it drop and answers with the respawn ladder.
+   A session whose shown-set would pass the daemon's frame bound, or
+   that is asked for another page size, is retired the same way.  There
+   is no NAK and no reset message.
 
 Determinism caveat, stated honestly: on a real wire the *interleaving*
 is the kernel's, so unlike the simulated executor the timeline here is
@@ -43,13 +74,14 @@ import random
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.cluster import daemon as _daemon
 from repro.cluster.auth import AuthError, dial_handshake, load_secret
 from repro.cluster.membership import MembershipTable
 from repro.cluster.semaphore import ClusterMajoritySemaphore
-from repro.cluster.stream import RecordStream, StreamClosed, connect
+from repro.cluster.stream import StreamClosed, connect
 from repro.core.alternative import Alternative
 from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
 from repro.core.selection import OrderedPolicy
@@ -81,6 +113,137 @@ class WorkerEndpoint:
         return f"{self.name}@{self.host}:{self.port}"
 
 
+class _World(NamedTuple):
+    """The parent's non-zero pages, walked once per block."""
+
+    store: PageStore
+    space_size: int
+    vpns: Tuple[int, ...]
+    frames: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, space) -> "_World":
+        return cls(space.store, space.size, *space.nonzero_frames())
+
+
+class _Session:
+    """One authenticated stream to one endpoint, shared by every ship
+    on it (the three invariants are in the module docstring).
+
+    The main thread ships, dismisses and retires; the receiver thread
+    routes.  ``_lock`` guards what both touch: the ship registry and
+    the two end-of-life flags.
+    """
+
+    def __init__(self, endpoint: WorkerEndpoint, stream,
+                 page_size: int) -> None:
+        self.endpoint = endpoint
+        self.stream = stream
+        self.page_size = page_size
+        self.known: Set[Tuple[int, int]] = set()
+        """``(store uid, frame id)`` of every frame shipped on this
+        connection; main thread only."""
+        self.retired = False
+        """No new ships; closed when the last one is dismissed."""
+        self.lost = False
+        """The receiver saw the connection end."""
+        self._ships: Dict[int, Optional[tuple]] = {}
+        """ship id -> ``(assignment, events)`` while the ship may still
+        be heard from, ``None`` once its one result has been routed."""
+        self._ids = itertools.count(1)
+        self._lock = threading.Lock()
+
+    def unseen(self, world: _World) -> List[int]:
+        """The frames of ``world`` this connection has not been shown."""
+        uid, known = world.store.uid, self.known
+        return [
+            frame for frame in dict.fromkeys(world.frames)
+            if (uid, frame) not in known
+        ]
+
+    def fits(self, world: _World, unseen: List[int]) -> bool:
+        """A first ship always fits: a parent larger than the bound
+        gets a session to itself."""
+        return self.page_size == world.store.page_size and (
+            not self.known
+            or len(self.known) + len(unseen) <= _daemon.SESSION_FRAME_BOUND
+        )
+
+    def ship(self, assignment: "_Assignment", events, header: dict,
+             world: _World, unseen: List[int]) -> bool:
+        """Register the ship, then send it; ``False`` when it never left."""
+        with self._lock:
+            if self.lost or self.retired:
+                return False
+            ship = assignment.ship = next(self._ids)
+            self._ships[ship] = (assignment, events)
+        store, uid = world.store, world.store.uid
+        pages = {}
+        for frame in unseen:
+            data = store.read(frame)
+            pages[frame] = data if isinstance(data, bytes) else bytes(data)
+        # Shown the moment it is sent: if the record is lost on the way
+        # the next ship naming these frames poisons the session, which
+        # is the protocol's answer, not a resend.
+        self.known.update((uid, frame) for frame in unseen)
+        if self.stream.send(dict(
+            header,
+            ship=ship,
+            store=uid,
+            page_size=store.page_size,
+            space_size=world.space_size,
+            vpns=world.vpns,
+            frames=world.frames,
+            pages=pages,
+        )):
+            return True
+        with self._lock:
+            self._ships.pop(ship, None)
+        return False
+
+    def route(self, msg: dict) -> bool:
+        """Hand one ``hb`` / ``result`` to whoever registered its ship;
+        ``False`` when nobody (any longer) did."""
+        ship = msg.get("ship")
+        with self._lock:
+            entry = self._ships.get(ship)
+            if entry is None:
+                return False
+            if msg["kind"] == "result":
+                self._ships[ship] = None  # one result per ship
+        assignment, events = entry
+        events.put((msg["kind"], assignment, msg))
+        return True
+
+    def lose(self) -> List[tuple]:
+        """The connection ended: the ``(assignment, events)`` of every
+        ship still waiting on it."""
+        with self._lock:
+            self.lost = True
+            return [entry for entry in self._ships.values() if entry]
+
+    def retire(self) -> bool:
+        """No new ships from now on; ``False`` if already retired."""
+        with self._lock:
+            if self.retired:
+                return False
+            self.retired = True
+            idle = not self._ships
+        if idle:
+            self.stream.close()
+        return True
+
+    def dismiss(self, ship: int, cancel: bool) -> None:
+        """End one ship: optional ``cancel`` record, then deafness."""
+        if cancel:
+            self.stream.send({"kind": "cancel", "ship": ship})
+        with self._lock:
+            self._ships.pop(ship, None)
+            idle = not self._ships
+        if self.retired and idle:
+            self.stream.close()
+
+
 @dataclass
 class _Assignment:
     """One incarnation of one arm shipped to one endpoint."""
@@ -90,17 +253,19 @@ class _Assignment:
     endpoint: WorkerEndpoint
     epoch: int
     lease: Lease
-    stream: RecordStream
+    session: _Session
     started: float
     """Wall instant (relative to block entry) the shipment left home."""
 
+    ship: int = 0
+    """The id the session minted for this shipment."""
+
     stale: bool = False
     """The warden gave up on this incarnation (lease lapsed or the
-    connection dropped).  The stream stays open so a zombie's late
+    connection dropped).  The ship stays registered so a zombie's late
     result still arrives -- and gets fenced."""
 
     finished: bool = False
-    thread: Optional[threading.Thread] = None
 
 
 class ClusterExecutor:
@@ -155,6 +320,43 @@ class ClusterExecutor:
         """Names this executor to the daemons' voters: two home nodes
         racing on the same daemons must never share a decision id."""
         self._runs = itertools.count(1)
+        self._sessions: Dict[str, _Session] = {}
+        """The live session per ``str(endpoint)``: dialled by the first
+        block that ships there, dropped when lost or retired."""
+        self._lock = threading.Lock()
+        """Guards ``_sessions`` and ``late_records``, which the
+        sessions' receiver threads touch too."""
+        self.dials = 0
+        self.ships = 0
+        self.pages_shipped = 0
+        self.sessions_retired = 0
+        self.late_records = 0
+
+    def close(self) -> None:
+        """Hang every session up (idempotent; a later ``run`` re-dials)."""
+        with self._lock:
+            sessions = list(self._sessions.values())
+            self._sessions.clear()
+        for session in sessions:
+            session.stream.close()
+
+    def __enter__(self) -> "ClusterExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def stats(self) -> Dict[str, int]:
+        """Cumulative wire counters plus the live session count."""
+        with self._lock:
+            return {
+                "dials": self.dials,
+                "ships": self.ships,
+                "pages_shipped": self.pages_shipped,
+                "sessions": len(self._sessions),
+                "sessions_retired": self.sessions_retired,
+                "late_records": self.late_records,
+            }
 
     def new_parent(self, space_size: int = 64 * 1024) -> SimProcess:
         """A fresh parent world on the home node."""
@@ -268,7 +470,7 @@ class ClusterExecutor:
             AltOutcome(index=i, name=a.name, status="untried")
             for i, a in enumerate(alternatives)
         ]
-        image = parent.space.read(0, parent.space.size)
+        world = _World.of(parent.space)
         events: "queue.Queue" = queue.Queue()
         live: List[_Assignment] = []     # lease still governs these
         stale: List[_Assignment] = []    # kept open for zombie fencing
@@ -279,7 +481,7 @@ class ClusterExecutor:
 
         for index, arm in enumerate(alternatives):
             assignment = self._ship(
-                index, arm, image, parent.space.size, tried, attempts,
+                index, arm, world, tried, attempts,
                 dead, outcomes, timeline, events, clock, block,
             )
             if assignment is not None:
@@ -373,7 +575,7 @@ class ClusterExecutor:
                         live = [a for a in live if a is not assignment]
                         stale.append(assignment)
                         replacement = self._respawn(
-                            assignment, image, parent.space.size, tried,
+                            assignment, world, tried,
                             attempts, dead, outcomes, timeline, events,
                             clock, block,
                         )
@@ -394,9 +596,12 @@ class ClusterExecutor:
                         f"(epoch {assignment.epoch})",
                     ))
                     live = [a for a in live if a is not assignment]
-                    stale.append(assignment)  # stream stays open: fence bait
+                    stale.append(assignment)  # stays registered: fence bait
+                    # ...but its session takes no new ships: the next
+                    # one probes this endpoint with a fresh dial.
+                    self._retire(assignment.session)
                     replacement = self._respawn(
-                        assignment, image, parent.space.size, tried,
+                        assignment, world, tried,
                         attempts, dead, outcomes, timeline, events,
                         clock, block,
                     )
@@ -443,6 +648,7 @@ class ClusterExecutor:
                 pages=int(winner_msg.get("pages_written") or 0),
                 sim_time=now,
                 epoch=winner_assignment.epoch,
+                ship=winner_assignment.ship,
             )
         outcome = outcomes[index]
         outcome.status = "won"
@@ -501,11 +707,10 @@ class ClusterExecutor:
     # shipping
 
     def _ship(
-        self, index, arm, image, space_size, tried, attempts, dead,
+        self, index, arm, world, tried, attempts, dead,
         outcomes, timeline, events, clock, block,
     ) -> Optional[_Assignment]:
         """Ship one incarnation of ``arm``; None when no endpoint works."""
-        tracer = _active_tracer()
         while True:
             endpoint = self._pick_endpoint(index, tried[index], dead)
             if endpoint is None:
@@ -515,92 +720,127 @@ class ClusterExecutor:
                     (clock(), f"{arm.name}: no reachable worker node")
                 )
                 return None
-            try:
-                stream = connect(
-                    endpoint.host, endpoint.port,
-                    timeout=self.connect_timeout,
-                    name=f"{arm.name}->{endpoint.name}",
-                )
-                stream = dial_handshake(
-                    stream, self._key, timeout=self.connect_timeout
-                )
-            except (OSError, StreamClosed, AuthError) as exc:
-                tried[index].append(str(endpoint))
-                dead.add(str(endpoint))
-                self._note_endpoint_failure(endpoint, f"dial: {exc}")
-                timeline.append(
-                    (clock(),
-                     f"{arm.name}: ship to {endpoint.name} failed ({exc})")
-                )
-                continue
+            with self._lock:
+                session = self._sessions.get(str(endpoint))
+            if session is not None:
+                unseen = session.unseen(world)
+                if not session.fits(world, unseen):
+                    self._retire(session)
+                    session = None
+            if session is None:
+                try:
+                    session = self._dial(endpoint, world, block)
+                except (OSError, StreamClosed, AuthError) as exc:
+                    tried[index].append(str(endpoint))
+                    dead.add(str(endpoint))
+                    self._note_endpoint_failure(endpoint, f"dial: {exc}")
+                    timeline.append(
+                        (clock(),
+                         f"{arm.name}: ship to {endpoint.name} failed ({exc})")
+                    )
+                    continue
+                unseen = session.unseen(world)
             started = clock()
             lease = self.warden.table.grant(
                 endpoint.name, index, at=started,
                 interval=self.warden.lease_interval,
                 timeout=self.warden.lease_timeout,
             )
-            shipped = stream.send({
-                "kind": "ship",
-                "alt": arm,
-                "arm": index,
-                "epoch": lease.epoch,
-                "seed": self.seed,
-                "name": arm.name,
-                "image": image,
-                "space_size": space_size,
-                "hb_interval": self.warden.lease_interval,
-                "crash_after": self._crash_after(index),
-            })
-            if not shipped:
-                lease.expire(clock())
-                stream.close()
-                tried[index].append(str(endpoint))
-                dead.add(str(endpoint))
-                self._note_endpoint_failure(endpoint, "ship-send-failed")
-                continue
-            self._note_endpoint_success(endpoint)
-            # Half-open sends later in the conversation (heartbeats from
-            # our side, cancels) feed the same health plumbing.
-            underlying = getattr(stream, "stream", stream)
-            underlying.on_send_failure = (
-                lambda _s, detail, ep=endpoint:
-                    self._note_endpoint_failure(ep, detail)
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.CONN_OPEN,
-                    block=block,
-                    arm=index,
-                    name=endpoint.name,
-                    peer=f"{endpoint.host}:{endpoint.port}",
-                    epoch=lease.epoch,
-                )
-            timeline.append(
-                (started, f"ship {arm.name} onto {endpoint.name} "
-                          f"(epoch {lease.epoch})")
-            )
-            outcomes[index].started_at = started
             assignment = _Assignment(
                 index=index,
                 arm=arm,
                 endpoint=endpoint,
                 epoch=lease.epoch,
                 lease=lease,
-                stream=stream,
+                session=session,
                 started=started,
             )
-            receiver = threading.Thread(
-                target=self._receive,
-                args=(assignment, events),
-                name=f"recv-{arm.name}-e{lease.epoch}",
-                daemon=True,
+            shipped = session.ship(assignment, events, {
+                "kind": "ship",
+                "alt": arm,
+                "arm": index,
+                "epoch": lease.epoch,
+                "seed": self.seed,
+                "name": arm.name,
+                "hb_interval": self.warden.lease_interval,
+                "crash_after": self._crash_after(index),
+            }, world, unseen)
+            if not shipped:
+                # Stale, so that a drop the receiver may already have
+                # queued for it is not answered with a second respawn.
+                assignment.stale = True
+                lease.expire(clock())
+                self._forget(session)
+                session.stream.close()
+                tried[index].append(str(endpoint))
+                dead.add(str(endpoint))
+                self._note_endpoint_failure(endpoint, "ship-send-failed")
+                continue
+            self.ships += 1
+            self.pages_shipped += len(unseen)
+            self._note_endpoint_success(endpoint)
+            timeline.append(
+                (started, f"ship {arm.name} onto {endpoint.name} "
+                          f"(epoch {lease.epoch}, ship {assignment.ship})")
             )
-            receiver.start()
-            assignment.thread = receiver
+            outcomes[index].started_at = started
             return assignment
 
+    def _dial(self, endpoint: WorkerEndpoint, world: _World,
+              block) -> _Session:
+        """A fresh authenticated session to ``endpoint``, receiver
+        running; raises what ``connect`` / ``dial_handshake`` raise."""
+        stream = connect(
+            endpoint.host, endpoint.port,
+            timeout=self.connect_timeout,
+            name=f"{self.home}->{endpoint.name}",
+        )
+        stream = dial_handshake(
+            stream, self._key, timeout=self.connect_timeout
+        )
+        # Half-open sends later in the conversation (ships, cancels)
+        # feed the same health plumbing as a failed dial.
+        underlying = getattr(stream, "stream", stream)
+        underlying.on_send_failure = (
+            lambda _s, detail, ep=endpoint:
+                self._note_endpoint_failure(ep, detail)
+        )
+        session = _Session(endpoint, stream, world.store.page_size)
+        with self._lock:
+            self._sessions[str(endpoint)] = session
+            self.dials += 1
+        tracer = _active_tracer()
+        if tracer.enabled:
+            tracer.emit(
+                _ev.CONN_OPEN,
+                block=block,
+                name=endpoint.name,
+                peer=f"{endpoint.host}:{endpoint.port}",
+                endpoint=str(endpoint),
+            )
+        # A daemon thread: nobody is obliged to call close().
+        threading.Thread(
+            target=self._pump,
+            args=(session,),
+            name=f"session-{endpoint.name}",
+            daemon=True,
+        ).start()
+        return session
+
+    def _forget(self, session: _Session) -> None:
+        """Drop ``session`` from the table if it is still the one there."""
+        key = str(session.endpoint)
+        with self._lock:
+            if self._sessions.get(key) is session:
+                del self._sessions[key]
+
+    def _retire(self, session: _Session) -> None:
+        self._forget(session)
+        if session.retire():
+            self.sessions_retired += 1
+
     def _respawn(
-        self, lapsed: _Assignment, image, space_size, tried, attempts,
+        self, lapsed: _Assignment, world, tried, attempts,
         dead, outcomes, timeline, events, clock, block,
     ) -> Optional[_Assignment]:
         """A fresh incarnation on the next endpoint, if respawns remain."""
@@ -622,11 +862,12 @@ class ClusterExecutor:
                 name=lapsed.arm.name,
                 dead_worker=lapsed.endpoint.name,
                 dead_epoch=lapsed.epoch,
+                dead_ship=lapsed.ship,
                 epoch=lapsed.epoch + 1,
                 at=clock(),
             )
         return self._ship(
-            index, lapsed.arm, image, space_size, tried, attempts,
+            index, lapsed.arm, world, tried, attempts,
             dead, outcomes, timeline, events, clock, block,
         )
 
@@ -671,24 +912,23 @@ class ClusterExecutor:
     # ------------------------------------------------------------------
     # the receiver side
 
-    def _receive(self, assignment: _Assignment, events) -> None:
-        """Pump one assignment's stream into the main event queue."""
+    def _pump(self, session: _Session) -> None:
+        """One session's receiver: route its records to the running
+        block by ship id, for as long as the connection lives."""
         while True:
             try:
-                msg = assignment.stream.recv(timeout=0.25)
+                msg = session.stream.recv()
             except StreamClosed as exc:
-                events.put(("drop", assignment, exc))
-                return
-            if msg is None:
-                if assignment.stream.closed:
-                    return
-                continue
-            kind = msg.get("kind")
-            if kind == "hb":
-                events.put(("hb", assignment, msg))
-            elif kind == "result":
-                events.put(("result", assignment, msg))
-                return
+                ended = exc
+                break
+            if msg.get("kind") in ("hb", "result") and not session.route(msg):
+                with self._lock:
+                    self.late_records += 1
+        waiting = session.lose()
+        self._forget(session)
+        session.stream.close()
+        for assignment, events in waiting:
+            events.put(("drop", assignment, ended))
 
     def _on_heartbeat(self, assignment, msg, now) -> None:
         # A duplicated or reordered heartbeat is harmless: renew() keeps
@@ -713,6 +953,7 @@ class ClusterExecutor:
                 arm=assignment.index,
                 name=assignment.endpoint.name,
                 epoch=assignment.epoch,
+                ship=assignment.ship,
                 torn=bool(getattr(exc, "torn", False)),
                 detail=str(exc),
             )
@@ -779,6 +1020,7 @@ class ClusterExecutor:
                     name=name,
                     reason="stale-epoch-fence",
                     epoch=assignment.epoch,
+                    ship=assignment.ship,
                 )
         elif reason == "arm-failed":
             outcomes[assignment.index].status = "failed"
@@ -797,12 +1039,9 @@ class ClusterExecutor:
             )
 
     def _dismiss(self, assignment: _Assignment, cancel: bool) -> None:
-        """End one conversation: optional cancel record, then close."""
-        if cancel:
-            assignment.stream.send({"kind": "cancel"})
-        assignment.stream.close()
-        if assignment.thread is not None:
-            assignment.thread.join(timeout=1.0)
+        """End one shipment: optional cancel record, then nobody is
+        listening for its ship id any more."""
+        assignment.session.dismiss(assignment.ship, cancel)
 
     @staticmethod
     def _apply_pages(parent: SimProcess, dirty: Dict[int, bytes]) -> None:
@@ -873,7 +1112,10 @@ class ClusterExecutor:
         )
 
     def __repr__(self) -> str:
+        counters = ", ".join(
+            f"{name}={value}" for name, value in self.stats().items()
+        )
         return (
             f"ClusterExecutor(endpoints={len(self.endpoints)}, "
-            f"seed={self.seed}, consensus={self.use_consensus})"
+            f"seed={self.seed}, consensus={self.use_consensus}, {counters})"
         )

@@ -23,8 +23,10 @@ socket instead of a pipe.  The hardening mirrors the pipe path:
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
+import time
 from typing import Callable, Optional, Tuple
 
 from repro.core.backends import wire
@@ -157,6 +159,26 @@ class RecordStream:
             except Exception:  # pragma: no cover - observer must not kill send
                 pass
 
+    def _wait_readable(self, timeout: float) -> bool:
+        """True once the socket has bytes (or EOF) to read, False when
+        ``timeout`` seconds pass first.
+
+        The wait is a ``poll`` on the descriptor, never
+        ``socket.settimeout``: a socket's timeout also governs a
+        ``sendall`` another thread has in flight on it, so a reader
+        polling at 10 ms used to cut a large concurrent send short with
+        half a frame on the wire.  The socket stays blocking for good.
+        """
+        poller = select.poll()
+        try:
+            poller.register(self._sock.fileno(), select.POLLIN)
+            return bool(poller.poll(max(0.0, timeout) * 1000.0))
+        except (OSError, ValueError):
+            # close() raced us from another thread; same as a dead peer.
+            raise StreamClosed(
+                "stream closed concurrently", torn=False
+            ) from None
+
     def recv(self, timeout: Optional[float] = None) -> Optional[dict]:
         """The next record, or ``None`` when ``timeout`` elapses first.
 
@@ -169,16 +191,13 @@ class RecordStream:
             return self._ready.pop(0)
         if self.closed:
             raise StreamClosed("stream already closed", torn=False)
-        try:
-            self._sock.settimeout(timeout)
-        except OSError:
-            # close() raced us from another thread; same as a dead peer.
-            raise StreamClosed("stream closed concurrently", torn=False) from None
+        deadline = None if timeout is None else time.monotonic() + timeout
         while not self._ready:
+            if deadline is not None and not self._wait_readable(
+                    deadline - time.monotonic()):
+                return None
             try:
                 data = self._sock.recv(_CHUNK)
-            except socket.timeout:
-                return None
             except (ConnectionError, OSError) as exc:
                 raise StreamClosed(
                     f"connection lost: {exc}", torn=self._reader.pending
@@ -207,14 +226,10 @@ class RecordStream:
         """
         if self.closed:
             raise StreamClosed("stream already closed", torn=False)
-        try:
-            self._sock.settimeout(timeout)
-        except OSError:
-            raise StreamClosed("stream closed concurrently", torn=False) from None
+        if timeout is not None and not self._wait_readable(timeout):
+            return None
         try:
             return self._sock.recv(_CHUNK)
-        except socket.timeout:
-            return None
         except (ConnectionError, OSError) as exc:
             raise StreamClosed(f"connection lost: {exc}", torn=False) from None
 

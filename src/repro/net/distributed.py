@@ -130,10 +130,12 @@ class DistributedAltExecutor:
         ``(name, host, port)`` tuples) naming live
         :class:`~repro.cluster.daemon.WorkerDaemon` processes.  The
         returned :class:`~repro.cluster.executor.ClusterExecutor` keeps
-        this class's contract -- shipped parent images, dirty-page
-        commit, leases with epoch fencing, degrade-to-serial -- with the
-        simulated wire swapped for sockets and the simulated clock for a
-        wall clock.
+        this class's contract -- parent state shipped to the remote
+        child (there: once per session, by frame id, only the frames a
+        daemon has not been shown), dirty-page commit, leases with epoch
+        fencing, degrade-to-serial -- with the simulated wire swapped for
+        sockets and the simulated clock for a wall clock.  It holds one
+        connection per daemon; ``close()`` it when done.
         """
         from repro.cluster.executor import ClusterExecutor, WorkerEndpoint
 

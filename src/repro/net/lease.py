@@ -141,11 +141,20 @@ class Lease:
 
 
 class LeaseTable:
-    """The home node's book of every lease it ever granted."""
+    """The home node's book of the leases of the current race.
+
+    A settled race is forgotten: the first :meth:`grant` after a
+    :meth:`settle` starts ``leases`` afresh, so a long-lived executor's
+    ``settle`` and ``all_settled`` stay O(arms) however many blocks it
+    has raced.  The incarnation epochs are kept for good -- an arm's
+    epoch never repeats across races, which is what the fence at
+    winner-commit relies on.
+    """
 
     def __init__(self) -> None:
         self.leases: List[Lease] = []
         self._epochs: Dict[int, int] = {}
+        self._settled = False
 
     def grant(
         self,
@@ -156,6 +165,11 @@ class LeaseTable:
         timeout: float,
     ) -> Lease:
         """Grant a fresh incarnation of ``arm`` on ``worker``."""
+        if self._settled:
+            # A fresh list, not ``clear()``: whoever kept the settled
+            # race's list keeps reading that race.
+            self.leases = []
+            self._settled = False
         epoch = self._epochs.get(arm, 0) + 1
         self._epochs[arm] = epoch
         lease = Lease(
@@ -198,6 +212,7 @@ class LeaseTable:
                 lease.commit(at)
             else:
                 lease.eliminate(at)
+        self._settled = True
 
 
 @dataclass

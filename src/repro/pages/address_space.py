@@ -21,6 +21,7 @@ compacted in place only when an append would overflow the space.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.check.runtime import checkpoint as _check_checkpoint
@@ -254,6 +255,47 @@ class AddressSpace:
         if child.size != self.size:
             raise ValueError("cannot adopt a space of a different size")
         self.table.adopt(child.table)
+        self._invalidate_vars()
+
+    def nonzero_frames(self) -> Tuple[tuple, tuple]:
+        """``(vpns, frame ids)`` of every page not backed by the store's
+        shared zero frame: the part of this space another world has to
+        be *shown* (a pooled worker, a remote daemon) -- the rest it
+        zero-fills for itself.  One pass over the table, no page read.
+        """
+        zero_frame = self.store.zero_frame_id
+        num_pages = self.num_pages
+        live = [
+            entry
+            for entry in self.table.items()
+            if entry[1] != zero_frame and entry[0] < num_pages
+        ]
+        return tuple(zip(*live)) if live else ((), ())
+
+    def map_frames(self, vpns, frames) -> None:
+        """Map page ``vpns[i]`` onto live frame ``frames[i]`` of this
+        space's store, shared rather than copied.
+
+        How a worker -- pooled or remote -- builds an arm's world out of
+        frames it has been shown before: every vpn is checked against
+        the space, then one batched incref (which refuses an unknown
+        frame with no count changed) and one batched pointer pass.  A
+        write to such a page copies it first, as for any shared frame.
+        The pages are left marked dirty; a caller building a racing
+        world clears the table's dirty set when it is done.
+        """
+        if len(vpns) != len(frames):
+            raise ValueError(
+                f"{len(vpns)} pages named but {len(frames)} frames"
+            )
+        if not vpns:
+            return
+        if min(vpns) < 0 or max(vpns) >= self.num_pages:
+            raise ValueError(
+                f"page outside a space of {self.num_pages} pages"
+            )
+        self.store.incref_many(Counter(frames))
+        self.table.set_frames(zip(vpns, frames))
         self._invalidate_vars()
 
     def apply_pages(self, pages: Mapping[int, bytes]) -> None:

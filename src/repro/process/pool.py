@@ -74,7 +74,6 @@ import signal
 import struct
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -345,19 +344,12 @@ class WorldPool:
             self._settle(epoch, recycle=True)
             self.fallbacks += 1
             return None
-        zero_frame = space.store.zero_frame_id
-        num_pages = space.num_pages
-        live = [
-            entry
-            for entry in space.table.items()
-            if entry[1] != zero_frame and entry[0] < num_pages
-        ]
-        vpns, frames = zip(*live) if live else ((), ())
+        vpns, frames = space.nonzero_frames()
         arena: Optional[_Arena] = None
         slots: List[int] = []
         snapshot_inline: Dict[int, bytes] = {}
         published = 0
-        if live and slab is not None:
+        if vpns and slab is not None:
             # A response slab means shared memory works for this arm, so
             # its world goes out through the arena too.
             arena, slots, published = self._publish(
@@ -413,7 +405,7 @@ class WorldPool:
                 name=task.name,
                 worker_pid=worker.pid,
                 epoch=epoch,
-                snapshot_pages=len(live),
+                snapshot_pages=len(vpns),
                 published_pages=published,
                 transport="shm" if slab is not None else "pipe",
             )
@@ -728,15 +720,6 @@ class _WorkerWorld:
                 if self.arena is None or self.arena.name != name:
                     self.unbind()
                     self.arena = ShmSlab.attach(name, arena_slots, slot_size)
-                if len(vpns) != len(slots):
-                    raise ValueError(
-                        f"lease names {len(vpns)} pages but {len(slots)} slots"
-                    )
-                if min(vpns) < 0 or max(vpns) >= space.num_pages:
-                    raise ValueError(
-                        f"lease maps a page outside a space of "
-                        f"{space.num_pages} pages"
-                    )
                 known = self.frames
                 mapped = []
                 for slot in slots:
@@ -747,8 +730,7 @@ class _WorkerWorld:
                             self.arena.slot_view(slot)
                         )
                     mapped.append(frame)
-                store.incref_many(Counter(mapped))
-                space.table.set_frames(zip(vpns, mapped))
+                space.map_frames(vpns, mapped)
             for vpn, data in message["snapshot_inline"].items():
                 space.table.map_page(vpn, data)
         except BaseException:

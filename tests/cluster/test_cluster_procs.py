@@ -68,11 +68,16 @@ def serial_reference(seed, space_size=64 * 1024):
     return result, parent
 
 
+_executors = []
+
+
 @pytest.fixture
 def worker_trio():
     handles = [spawn_worker(f"w{i}") for i in range(3)]
     shm_before = set(orphaned_segments())
     yield handles
+    while _executors:
+        _executors.pop().close()
     for handle in handles:
         handle.stop()
         handle.cleanup()
@@ -91,7 +96,9 @@ def cluster_executor(handles, **kwargs):
         "warden",
         RaceWarden(lease_interval=0.05, lease_timeout=0.8, max_respawns=4),
     )
-    return ClusterExecutor(endpoints, **kwargs)
+    executor = ClusterExecutor(endpoints, **kwargs)
+    _executors.append(executor)
+    return executor
 
 
 class TestSigkillSurvival:

@@ -5,10 +5,13 @@ connection, only the process boundary is elided (the subprocess suite
 covers that).
 """
 
+import socket
+import threading
 import time
 
 import pytest
 
+from repro.cluster import daemon as daemon_module
 from repro.cluster.daemon import WorkerDaemon
 from repro.cluster.stream import StreamClosed, connect
 from repro.core.alternative import Alternative
@@ -56,30 +59,43 @@ def dial(daemon):
 
 
 def checkpoint_image(extra=None):
-    """A parent image with known contents, as the executor would ship."""
+    """A parent world with known contents, as the executor would ship
+    it: its page table by frame id plus the bytes of every frame named
+    (the first ship of a session has been shown nothing)."""
     manager = ProcessManager(PageStore())
     parent = manager.create_initial(space_size=64 * 1024)
     parent.space.put("base", "shipped")
     if extra:
         for key, value in extra.items():
             parent.space.put(key, value)
-    image = parent.space.read(0, parent.space.size)
+    space = parent.space
+    zero = space.store.zero_frame_id
+    live = [(vpn, frame) for vpn, frame in space.table.items()
+            if frame != zero]
+    image = {
+        "store": space.store.uid,
+        "page_size": space.page_size,
+        "space_size": space.size,
+        "vpns": tuple(vpn for vpn, _ in live),
+        "frames": tuple(frame for _, frame in live),
+        "pages": {frame: space.table.read_page(vpn) for vpn, frame in live},
+    }
     parent.space.release()
     return image
 
 
-def ship_msg(alt, image, arm=0, epoch=1, **overrides):
+def ship_msg(alt, image, arm=0, epoch=1, ship=1, **overrides):
     msg = {
         "kind": "ship",
+        "ship": ship,
         "alt": alt,
         "arm": arm,
         "epoch": epoch,
         "seed": 0,
         "name": alt.name,
-        "image": image,
-        "space_size": 64 * 1024,
         "hb_interval": 0.02,
     }
+    msg.update(image)
     msg.update(overrides)
     return msg
 
@@ -168,9 +184,19 @@ class TestArmExecution:
                 if msg is not None and msg["kind"] == "hb":
                     beats += 1
             assert beats >= 3
-            stream.send({"kind": "cancel"})
-            result, _ = await_result(stream)
-        assert result["value"] == "cancelled"
+            stream.send({"kind": "cancel", "ship": 1})
+            # The body sees its token and returns long before its 1 s
+            # is up -- and a cancelled ship is not answered: the home
+            # stopped listening for it when it sent the cancel.
+            deadline = time.monotonic() + 0.5
+            while daemon._inflight and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not daemon._inflight
+            while True:
+                msg = stream.recv(timeout=0.2)
+                if msg is None:
+                    break
+                assert msg["kind"] == "hb"  # one sent before the cancel
         assert daemon.arms_cancelled == 1
 
     def test_guard_failure_ships_ok_false(self, daemon):
@@ -235,3 +261,54 @@ class TestArmExecution:
 
 def _read_base(ctx):
     return ctx.get("base")
+
+
+class TestArmToken:
+    """A body's checkpoint is where its connection's reader gets in."""
+
+    @pytest.fixture
+    def pair(self):
+        near, far = socket.socketpair()
+        yield near, far
+        near.close()
+        far.close()
+
+    def test_quiet_connection_costs_a_checkpoint_no_wait(self, pair):
+        token = daemon_module._ArmToken(pair[0])
+        began = time.monotonic()
+        assert not any(token.cancelled for _ in range(500))
+        # 500 turns for the reader would have been half a second.
+        assert time.monotonic() - began < 0.25
+
+    def test_waiting_input_gets_the_reader_one_bounded_turn(self, pair):
+        token = daemon_module._ArmToken(pair[0])
+        pair[1].sendall(b"x")
+        began = time.monotonic()
+        assert token.cancelled is False  # nobody delivered a cancel
+        spent = time.monotonic() - began
+        assert 0.5 * daemon_module._READER_TURN <= spent < 0.25
+
+    def test_the_turn_ends_the_moment_the_cancel_is_delivered(
+            self, pair, monkeypatch):
+        monkeypatch.setattr(daemon_module, "_READER_TURN", 5.0)
+        token = daemon_module._ArmToken(pair[0])
+        pair[1].sendall(b"x")
+
+        def reader():
+            pair[0].recv(1)
+            token.cancel()
+
+        thread = threading.Thread(target=reader)
+        began = time.monotonic()
+        thread.start()
+        assert token.cancelled is True
+        assert time.monotonic() - began < 2.0
+        thread.join()
+
+    def test_a_connection_closed_under_the_arm_is_not_an_error(self, pair):
+        pair[0].close()
+        token = daemon_module._ArmToken(pair[0])
+        assert token.cancelled is False
+        token.cancel()
+        assert token.cancelled is True
+

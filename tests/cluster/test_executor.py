@@ -67,6 +67,9 @@ def serial_reference(seed, space_size=64 * 1024):
     return result, parent
 
 
+_executors = []
+
+
 @pytest.fixture
 def cluster():
     daemons = [WorkerDaemon(f"w{i}") for i in range(3)]
@@ -74,13 +77,17 @@ def cluster():
         WorkerEndpoint(d.node_id, *d.start()) for d in daemons
     ]
     yield daemons, endpoints
+    while _executors:
+        _executors.pop().close()  # hang the sessions up first
     for daemon in daemons:
         daemon.stop()
 
 
 def make_executor(endpoints, **kwargs):
     kwargs.setdefault("seed", 0)
-    return ClusterExecutor(endpoints, **kwargs)
+    executor = ClusterExecutor(endpoints, **kwargs)
+    _executors.append(executor)
+    return executor
 
 
 class TestCleanRace:

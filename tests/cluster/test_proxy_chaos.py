@@ -75,6 +75,7 @@ def run_impaired_race(scenario, seed):
     impair = CHAOS_SCENARIOS[scenario].wire(seed=seed)
     proxies = []
     endpoints = []
+    executor = None
     try:
         for daemon in daemons:
             upstream = daemon.start()
@@ -108,6 +109,8 @@ def run_impaired_race(scenario, seed):
             "events": [event.kind for event in tracer.events],
         }
     finally:
+        if executor is not None:
+            executor.close()
         for proxy in proxies:
             proxy.stop()
         for daemon in daemons:

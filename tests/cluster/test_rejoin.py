@@ -106,6 +106,7 @@ class TestInProcessRejoin:
             leases = executor.warden.table.leases
             assert leases and all(l.worker == "solo" for l in leases)
         finally:
+            executor.close()
             if second is not None:
                 second.stop()
             first.stop()
@@ -135,6 +136,7 @@ class TestInProcessRejoin:
             )
             assert result.winner.name == "only"
             assert parent.space.get("result") == 99
+            executor.close()
         finally:
             daemon.stop()
 
@@ -220,6 +222,7 @@ class TestSubprocessRejoin:
             assert parent.space.get("result") == 99
             leases = executor.warden.table.leases
             assert leases and all(l.worker == "rj0" for l in leases)
+            executor.close()
         finally:
             server.stop()
             for worker in workers:

@@ -7,6 +7,7 @@ parse a record out of the fragment, and never hang.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -261,3 +262,50 @@ class TestHalfOpen:
             assert seq == list(range(200))
         a.close()
         b.close()
+
+
+class TestReaderBesideWriter:
+    """A session's socket has one reader and several writers: the
+    reader's poll timeout must not govern a ``sendall`` in flight."""
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_polling_reader_does_not_cut_a_large_send_short(self, raw):
+        a, b = pair()
+        payload = {"blob": b"\xa5" * (16 * 1024 * 1024)}
+        stop = threading.Event()
+        polled = []
+
+        def poll():
+            # The daemon's reader loop: short timeouts, back to back, on
+            # the very socket the send below is blocked on.
+            while not stop.is_set():
+                try:
+                    polled.append(
+                        a.recv_bytes(timeout=0.01) if raw
+                        else a.recv(timeout=0.01)
+                    )
+                except StreamClosed:
+                    return
+
+        reader = threading.Thread(target=poll, daemon=True)
+        reader.start()
+        sent = []
+        sender = threading.Thread(
+            target=lambda: sent.append(a.send(payload)), daemon=True
+        )
+        sender.start()
+        time.sleep(0.3)  # the peer is slow to start reading
+        try:
+            got = b.recv(timeout=20.0)
+            sender.join(timeout=20.0)
+            assert not sender.is_alive()
+            assert sent == [True]
+            assert a.send_failures == 0
+            assert got == payload
+            assert set(polled) <= {None}
+        finally:
+            stop.set()
+            a.close()
+            b.close()
+            reader.join(timeout=2.0)
+        assert not reader.is_alive()

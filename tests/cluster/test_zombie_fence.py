@@ -56,9 +56,10 @@ class ScriptedZombie:
         assert ship["kind"] == "ship"
         epoch = ship["epoch"]
         arm = ship["arm"]
+        ship_id = ship["ship"]
         deadline = time.monotonic() + self.hb_for
         while time.monotonic() < deadline:
-            stream.send({"kind": "hb", "node": "zombie",
+            stream.send({"kind": "hb", "node": "zombie", "ship": ship_id,
                          "arm": arm, "epoch": epoch})
             time.sleep(0.03)
         # The partition: total silence, long past the lease timeout.
@@ -66,8 +67,9 @@ class ScriptedZombie:
         # Healed.  The zombie still believes it holds epoch `epoch` and
         # ships a "winner" -- poisoned state the fence must reject.
         self.late_send_ok = stream.send({
-            "kind": "result", "node": "zombie", "arm": arm,
-            "epoch": epoch, "ok": True, "value": self.poison_value,
+            "kind": "result", "node": "zombie", "ship": ship_id,
+            "arm": arm, "epoch": epoch, "ok": True,
+            "value": self.poison_value,
             "detail": "", "dirty_pages": {0: b"\xde\xad" * 8},
             "pages_written": 1, "duration": 0.0, "cancelled": False,
         })
@@ -101,6 +103,7 @@ def fenced_race():
         warden=RaceWarden(lease_interval=0.04, lease_timeout=0.2),
     )
     yield zombie, daemon, executor
+    executor.close()
     zombie.close()
     daemon.stop()
 
@@ -188,6 +191,7 @@ class TestZombieFence:
             assert executor.warden.table.all_settled
             parent.space.release()
         finally:
+            executor.close()
             zombie.close()
             daemon.stop()
 
