@@ -77,7 +77,16 @@ test-check:
 ## pool-oblivious SimBackend) must still agree with the serial oracle.
 ## test_world_pool.py carries the arena's own battery (TestArena: one
 ## evolving parent against serial block for block, two stores sharing a
-## pool, rotation, a worker killed after publish, the inline fallback).
+## pool, rotation, a worker killed after publish, the inline fallback)
+## and the response slabs' (TestResponseSlabs: fifty blocks on a handful
+## of segments, a winner's slab waiting for the world that adopted it, a
+## faulted arm's for the reaper, a nested pool, 16/1024/16-page spaces,
+## the bounded spare set, shutdown under a pin; plus the
+## lease/win/lose/kill/exit/shutdown state machine).  The default pool
+## has 2 workers, so every block wider than 2 crosses, in one race, the
+## reissued slab of a leased arm and the create-and-unlink slab of an arm
+## that fell back to a fork: the 13-block matrix staying byte-identical
+## here is the check on both.
 test-matrix-pooled:
 	REPRO_WORLD_POOL=1 $(PYTHON) -m pytest \
 		tests/obs/test_equivalence_matrix.py tests/process/test_world_pool.py -q
@@ -121,7 +130,12 @@ bench-server:
 ## 256, the whole parent per arm).  A clustered block rides sessions
 ## that already exist and names the parent's frames by id, so the traced
 ## cluster-race dials < 0.5 connections per block (it was 3) and moves
-## < 60 000 bytes per block (it was 214 474).  Counts, not timings: they
+## < 60 000 bytes per block (it was 214 474).  A pooled arm ships into a
+## slab its lease lends it -- one per worker, made by the first block
+## (in the untimed warm-up) and reissued when its last reader lets go --
+## so the traced solo-dirty creates < 1 slab per block (it was 3, one per
+## arm; the smoke run reads 0, and a reuse that went through
+## ShmSlab.create would read 3 again).  Counts, not timings: they
 ## hold on a shared CI runner.
 SMOKE_RECORD ?= bench/out/smoke-gate.json
 define SMOKE_GATE
@@ -131,6 +145,7 @@ gates = [
     ('solo-snapshot', 'process.pool.snapshot_pages_per_lease', 16),
     ('cluster-race', 'cluster.stream.connects_per_block', 0.5),
     ('cluster-race', 'cluster.stream.bytes_per_block', 60000),
+    ('solo-dirty', 'pages.shm.slabs_per_block', 1),
 ]
 failed = False
 for workload, metric, limit in gates:

@@ -74,7 +74,6 @@ import random
 import secrets as _secrets
 import select
 import signal
-import socket
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -84,7 +83,12 @@ from repro.core.alternative import AltContext, Alternative
 from repro.core.backends.base import CancellationToken
 from repro.core.sequential import _run_body
 from repro.cluster.auth import load_secret, serve_handshake
-from repro.cluster.stream import RecordStream, StreamClosed, listener
+from repro.cluster.stream import (
+    RecordStream,
+    StreamClosed,
+    close_listener,
+    listener,
+)
 from repro.errors import ConsensusUnavailable
 from repro.pages.address_space import AddressSpace
 from repro.pages.shm import cleanup_all_slabs, orphaned_segments
@@ -316,17 +320,7 @@ class WorkerDaemon:
         if self._announcer is not None:
             self._announcer.stop(leave=leave)
         if self._listener is not None:
-            # shutdown, then close: the accept thread blocked on this
-            # socket pins its description, so a bare close would keep
-            # the port bound -- and a successor could not restart on it.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            close_listener(self._listener)
         with self._inflight_lock:
             tokens = list(self._inflight.values())
             connections = list(self._connections)

@@ -48,7 +48,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.auth import load_secret, serve_handshake
-from repro.cluster.stream import RecordStream, StreamClosed, connect, listener
+from repro.cluster.stream import (
+    RecordStream,
+    StreamClosed,
+    close_listener,
+    connect,
+    listener,
+)
 from repro.obs import events as _ev
 from repro.obs.tracer import active as _active_tracer
 
@@ -390,6 +396,7 @@ class MembershipServer:
         self.sweep_interval = sweep_interval
         self._listener = None
         self._stopping = threading.Event()
+        self._loops: List[threading.Thread] = []
         self._threads: List[threading.Thread] = []
         self.frames_rejected = 0
         self.joins = 0
@@ -408,7 +415,7 @@ class MembershipServer:
         ):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
-            self._threads.append(thread)
+            self._loops.append(thread)
         return self.host, self.port
 
     def stop(self) -> None:
@@ -416,10 +423,11 @@ class MembershipServer:
             return
         self._stopping.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            close_listener(self._listener)
+            # The accept and sweep loops; handlers see the flag within
+            # their receive timeout.
+            for thread in self._loops:
+                thread.join(timeout=2.0)
 
     def __enter__(self) -> "MembershipServer":
         self.start()

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.backends import wire
 from repro.cluster import auth
-from repro.cluster.stream import listener
+from repro.cluster.stream import close_listener, listener
 from repro.resilience.chaos import WireImpairments
 
 #: Sub-frame read chunk; small enough that a partition window starting
@@ -123,6 +123,7 @@ class ImpairmentProxy:
         self._listener: Optional[socket.socket] = None
         self.host = host
         self.port = 0
+        self._accept: Optional[threading.Thread] = None
         self._threads: List[threading.Thread] = []
         self._conns: List[socket.socket] = []
         self._lock = threading.Lock()
@@ -134,21 +135,19 @@ class ImpairmentProxy:
     def start(self) -> Tuple[str, int]:
         """Bind, start accepting, and return the proxied address."""
         self._listener, self.host, self.port = listener(self._listen_host, 0)
-        accept = threading.Thread(
+        self._accept = threading.Thread(
             target=self._accept_loop, name=f"proxy-{self.link}", daemon=True
         )
-        accept.start()
-        self._threads.append(accept)
+        self._accept.start()
+        self._threads.append(self._accept)
         return self.host, self.port
 
     def stop(self) -> None:
         """Close the listener and every live relay."""
         self._stopped.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            close_listener(self._listener)
+            self._accept.join(timeout=2.0)
         with self._lock:
             conns, self._conns = self._conns, []
         for conn in conns:

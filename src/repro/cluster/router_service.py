@@ -31,7 +31,13 @@ import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cluster.auth import dial_handshake, load_secret, serve_handshake
-from repro.cluster.stream import RecordStream, StreamClosed, connect, listener
+from repro.cluster.stream import (
+    RecordStream,
+    StreamClosed,
+    close_listener,
+    connect,
+    listener,
+)
 from repro.errors import ReproError
 from repro.ipc.journal import JournalSink, RouterJournal, load_journal
 from repro.ipc.router import MessageRouter
@@ -72,6 +78,7 @@ class RouterDaemon:
         ``member-sync`` op -- so an operator (or a recovering home) can
         ask the router who the cluster believed was alive."""
         self._listener = None
+        self._accept: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._lock = threading.Lock()
         """Ops serialize: the router is single-threaded state behind a
@@ -112,10 +119,10 @@ class RouterDaemon:
 
     def start(self) -> Tuple[str, int]:
         self._listener, self.host, self.port = listener(self.host, self.port)
-        accept = threading.Thread(
+        self._accept = threading.Thread(
             target=self._accept_loop, name="router-daemon", daemon=True
         )
-        accept.start()
+        self._accept.start()
         return self.host, self.port
 
     def serve_forever(self) -> None:
@@ -129,10 +136,8 @@ class RouterDaemon:
             return
         self._stopping.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            close_listener(self._listener)
+            self._accept.join(timeout=2.0)
         journal = self.router.journal
         if journal is not None and journal.sink is not None:
             journal.sink.close()

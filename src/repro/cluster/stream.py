@@ -283,3 +283,21 @@ def listener(host: str = "127.0.0.1", port: int = 0) -> Tuple[socket.socket, str
     sock.listen(64)
     bound_host, bound_port = sock.getsockname()[:2]
     return sock, bound_host, bound_port
+
+
+def close_listener(sock: socket.socket) -> None:
+    """Stop listening and wake whoever is blocked in ``accept()``.
+
+    ``shutdown``, then ``close``: a thread blocked in ``accept`` pins
+    the socket's description, so a bare ``close`` neither wakes it (the
+    thread is leaked, one per service ever stopped) nor frees the port
+    for a successor.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass

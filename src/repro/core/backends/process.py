@@ -10,12 +10,15 @@ the rendezvous -- fastest-first at the wall clock.
 Dirty-state shipback has two transports:
 
 - **shm** (default where POSIX shared memory works): the parent maps one
-  :class:`~repro.pages.shm.ShmSlab` per arm before forking; the child
-  writes its dirty page images straight into slab slots (the mapping is
-  fork-inherited) and the pipe record carries only ``(page, slot)``
-  pairs.  Winner commit in the parent becomes a pointer swap
-  (``AddressSpace.apply_shm_pages``): slots are adopted as external
-  frames, no page image is ever pickled or copied.
+  :class:`~repro.pages.shm.ShmSlab` per forked arm before forking; the
+  child writes its dirty page images straight into slab slots (the
+  mapping is fork-inherited) and the pipe record carries only
+  ``(page, slot)`` pairs.  Winner commit in the parent becomes a pointer
+  swap (``AddressSpace.apply_shm_pages``): slots are adopted as external
+  frames, no page image is ever pickled or copied.  A pooled arm ships
+  the same way into a slab its lease lends it
+  (:attr:`~repro.process.pool.Lease.slab`), which the pool made once and
+  keeps.
 - **pipe**: the historical path -- dirty page images ride inside the
   pickled record.  Used when shared memory is unavailable, when slab
   creation fails, when an arm ships nothing page-sized, or when the
@@ -230,15 +233,13 @@ def build_result_record(
     record["cow_faults"] = space.cow_faults
     record["pages_written"] = space.pages_written
     if slab is not None and 0 < len(dirty) <= slab.slots:
+        read_page_view = space.table.read_page_view
         try:
-            pairs = []
-            for slot, vpn in enumerate(dirty):
-                slab.write_slot(slot, space.table.read_page_view(vpn))
-                pairs.append((vpn, slot))
+            slab.write_slots(0, [read_page_view(vpn) for vpn in dirty])
         except Exception:  # pragma: no cover - slab write failure
             pass
         else:
-            record["shm_pages"] = pairs
+            record["shm_pages"] = list(zip(dirty, range(len(dirty))))
             record["shm_slab"] = slab.name
             record["page_transport"] = "shm"
             return record
@@ -312,8 +313,26 @@ class ProcessBackend(ExecutionBackend):
         try:
             for task in tasks:
                 pre_fault, ship_fault, shm_fault = self._draw_faults(task.index)
+                arm_shm = use_shm and not shm_fault
+                lease = None
+                if self.pool is not None:
+                    lease = self.pool.lease(
+                        task,
+                        start,
+                        pre_fault=pre_fault,
+                        ship_fault=ship_fault,
+                        shm=arm_shm,
+                    )
+                # A pooled arm ships into the slab its lease lends it; only
+                # an arm that forks gets a slab of its own.
                 slab: Optional[ShmSlab] = None
-                if use_shm and not shm_fault:
+                if lease is not None:
+                    leases[task.index] = lease
+                    pids[task.index] = lease.pid
+                    pipes[task.index] = lease.result_fd
+                    persistent.add(lease.result_fd)
+                    slab = lease.slab
+                elif arm_shm:
                     slab = self._create_slab(task)
                 if slab is not None:
                     slabs[task.index] = slab
@@ -327,20 +346,7 @@ class ProcessBackend(ExecutionBackend):
                             slots=slab.slots,
                             bytes=slab.size,
                         )
-                lease = None
-                if self.pool is not None:
-                    lease = self.pool.lease(
-                        task,
-                        start,
-                        pre_fault=pre_fault,
-                        ship_fault=ship_fault,
-                        slab=slab,
-                    )
                 if lease is not None:
-                    leases[task.index] = lease
-                    pids[task.index] = lease.pid
-                    pipes[task.index] = lease.result_fd
-                    persistent.add(lease.result_fd)
                     continue
                 read_fd, write_fd = os.pipe()
                 pid = os.fork()
@@ -383,6 +389,8 @@ class ProcessBackend(ExecutionBackend):
             scope.live = False
             if self.pool is not None and leases:
                 statuses.update(self.pool.finish(leases, clean_leases))
+            # Only now, with every child reaped and every worker parked
+            # or replaced: a pooled slab let go of here may be lent again.
             for index, slab in slabs.items():
                 if race is not None:
                     try:
@@ -419,7 +427,8 @@ class ProcessBackend(ExecutionBackend):
 
     @staticmethod
     def _create_slab(task: ArmTask) -> Optional[ShmSlab]:
-        """One page-aligned slab sized to the arm's space (or ``None``).
+        """One page-aligned slab sized to a forked arm's space (or
+        ``None``), unlinked when the race and any commit are over.
 
         Any failure -- no space on the context, ``/dev/shm`` full,
         platform refusal -- degrades silently to the pipe transport.

@@ -349,8 +349,9 @@ class AddressSpace:
         is validated (and the ``page-apply-fail`` fault consulted) before
         any pointer moves, so a malformed shipment raises
         :class:`~repro.errors.PageApplyError` with the space untouched.
-        Each adopted frame retains the slab; the slab is unlinked only
-        when the last adopted frame's refcount drains.
+        Each adopted frame retains the slab, and the slab's owner gets
+        it back (a direct slab is unlinked, a pooled one returns to its
+        pool) only when the last adopted frame's refcount drains.
         """
         _check_checkpoint("page-shipback", None)
         injector = _active_injector()
@@ -385,7 +386,7 @@ class AddressSpace:
         try:
             frames = self.store.adopt_external_many(
                 [slab.slot_view(slot) for _, slot in pairs],
-                on_release=slab.release,
+                on_release=slab.release_many,
             )
         except BaseException:  # pragma: no cover - adoption cannot 1/2-fail
             slab.release_many(len(pairs))

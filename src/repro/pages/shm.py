@@ -4,10 +4,11 @@ The fork-based execution backend historically shipped a winning child's
 dirty pages back to the parent as pickled ``bytes`` over a pipe -- one
 copy into the pickle, one copy off the pipe, one copy into a fresh frame.
 A :class:`ShmSlab` removes all three: the parent allocates one
-page-aligned slab of ``multiprocessing.shared_memory`` per racing arm,
-the child writes its dirty page images straight into slab slots (the
-mapping is inherited through ``os.fork``; pre-warmed pool workers attach
-by name), and the pipe record shrinks to ``(page_no, slot)`` pairs.
+page-aligned slab of POSIX shared memory per forked arm (the world pool,
+one per worker, kept and lent to each lease), the child writes its dirty
+page images straight into slab slots (the mapping is inherited through
+``os.fork``; pre-warmed pool workers attach by name, once), and the
+pipe record shrinks to ``(page_no, slot)`` pairs.
 Winner commit in the parent is then a *pointer swap*: each shipped slot
 is adopted into the :class:`~repro.pages.store.PageStore` as an external
 frame (see ``PageStore.adopt_external``) and the parent's page-table
@@ -20,6 +21,11 @@ Lifetime is reference-counted and crash-hardened:
   one more, released when the frame's refcount drains;
 - :meth:`ShmSlab.dispose` drops the creation reference, so the segment
   is unlinked as soon as the last adopted frame lets go;
+- a slab that is to outlive one race (the world pool's response slabs)
+  is *lent*: :meth:`ShmSlab.lend` hands out a fresh handle on the same
+  mapping that holds one reference on its lender, and what the handle's
+  last release does is give that reference back -- the lender's owner,
+  not the borrower, decides when the segment goes;
 - every slab created by this process is tracked in a module registry and
   unlinked by an ``atexit`` hook, so a parent that dies between create
   and dispose leaks nothing;
@@ -184,11 +190,21 @@ class ShmSlab:
     refcount *is* shared-state in the parent and guarded by a lock.
     """
 
-    def __init__(self, shm, slots: int, slot_size: int, owner: bool) -> None:
+    def __init__(
+        self,
+        shm,
+        slots: int,
+        slot_size: int,
+        owner: bool,
+        lender: Optional["ShmSlab"] = None,
+    ) -> None:
         self._shm = shm
         self.slots = slots
         self.slot_size = slot_size
         self.owner = owner
+        self._lender = lender
+        """The slab whose mapping this handle borrows (see :meth:`lend`)."""
+
         self._lock = threading.Lock()
         self._refs = 1  # the creation (or attach) reference
         self._disposed = False
@@ -231,6 +247,31 @@ class ShmSlab:
             )
         return cls(shm, slots, slot_size, owner=False)
 
+    def lend(self, slots: int) -> "ShmSlab":
+        """A fresh handle presenting the first ``slots`` slots of this
+        slab's mapping, for one use of a slab that outlives it.
+
+        The handle has this slab's name and its own reference count: it
+        is retained, released and disposed like any slab, and holds one
+        reference on this one until its own count drains.  It unmaps
+        and unlinks nothing.  So ``refs`` of a lender reads one above
+        its owner's own claim for as long as anybody -- the borrower, a
+        frame adopted through the handle -- can still reach the mapping,
+        and a late ``dispose`` through a drained handle cannot touch a
+        later loan.  ``slots`` may be anything the mapping has room for;
+        whoever holds the handle is bound by it, not by the capacity
+        behind it.
+        """
+        if slots < 1 or slots * self.slot_size > self._shm.size:
+            raise ValueError(
+                f"cannot lend {slots} slots of {self.slot_size} bytes from "
+                f"a {self._shm.size}-byte slab"
+            )
+        self.retain()
+        return ShmSlab(
+            self._shm, slots, self.slot_size, owner=False, lender=self
+        )
+
     # ------------------------------------------------------------------
     # data access
 
@@ -256,6 +297,32 @@ class ShmSlab:
                 f"slot write of {len(data)} bytes; expected {self.slot_size}"
             )
         self._shm.buf[start:end] = data
+
+    def write_slots(self, first_slot: int, buffers) -> None:
+        """Copy ``buffers[i]`` into slot ``first_slot + i``.
+
+        The batched form of :meth:`write_slot` for a whole shipment (or
+        an arena publish): the run of slots and every buffer's length
+        are checked once, before the first byte moves, and the copies
+        run in one loop over one view.
+        """
+        size = self.slot_size
+        if first_slot < 0 or first_slot + len(buffers) > self.slots:
+            raise IndexError(
+                f"slots {first_slot}..{first_slot + len(buffers) - 1} "
+                f"outside slab of {self.slots} slots"
+            )
+        for data in buffers:
+            if len(data) != size:
+                raise ValueError(
+                    f"slot write of {len(data)} bytes; expected {size}"
+                )
+        buf = self._shm.buf
+        start = first_slot * size
+        for data in buffers:
+            end = start + size
+            buf[start:end] = data
+            start = end
 
     def slot_view(self, slot: int) -> memoryview:
         """A read-only zero-copy view of one slot's page image."""
@@ -308,6 +375,11 @@ class ShmSlab:
         self.release()
 
     def _destroy(self) -> None:
+        if self._lender is not None:
+            # A borrowed mapping: hand the reference back and leave the
+            # segment to its owner.
+            self._lender.release()
+            return
         name = self.name
         try:
             self._shm.close()

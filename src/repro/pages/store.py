@@ -46,7 +46,9 @@ class PageStore:
 
         self._frames: Dict[int, object] = {}
         self._refcounts: Dict[int, int] = {}
-        self._external: Dict[int, Optional[Callable[[], None]]] = {}
+        self._external: Dict[int, Optional[Callable[[int], None]]] = {}
+        """External frame -> ``on_release(count)``, or ``None``."""
+
         self._next_frame = 0
         self._lock = threading.RLock()
         self._zero_frame: Optional[int] = None
@@ -123,7 +125,9 @@ class PageStore:
             self._next_frame += 1
             self._frames[frame_id] = data
             self._refcounts[frame_id] = 1
-            self._external[frame_id] = on_release
+            self._external[frame_id] = (
+                None if on_release is None else lambda _count: on_release()
+            )
             self.total_allocations += 1
         return frame_id
 
@@ -133,8 +137,12 @@ class PageStore:
         The batched form of :meth:`adopt_external` for multi-page
         commits: per-frame lock round-trips are what dominates a
         pointer-swap commit once the page images themselves stop being
-        copied.  ``on_release`` (shared by every frame) runs once per
-        frame as each drains.
+        copied.  ``on_release`` is shared by every frame and takes a
+        count: it is called with how many of its frames one
+        :meth:`decref` or :meth:`decref_many` reclaimed, once per such
+        call, so a world that drains costs a slab one release however
+        many of its pages it held.  The counts add up to the number of
+        frames adopted.
         """
         for data in buffers:
             if len(data) != self.page_size:
@@ -196,7 +204,7 @@ class PageStore:
             for frame_id, count in counts.items():
                 refcounts[frame_id] += count
 
-    def _reclaim(self, frame_id: int) -> Optional[Callable[[], None]]:
+    def _reclaim(self, frame_id: int) -> Optional[Callable[[int], None]]:
         """Forget a drained frame (lock held); returns its release callback."""
         del self._refcounts[frame_id]
         data = self._frames.pop(frame_id)
@@ -223,7 +231,7 @@ class PageStore:
         if on_release is not None:
             # Outside the lock: the callback may release a slab, which
             # must not re-enter the store under our lock.
-            on_release()
+            on_release(1)
 
     def decref_many(self, counts: Mapping[int, int]) -> None:
         """Drop ``counts[frame]`` references from every frame named.
@@ -233,10 +241,12 @@ class PageStore:
         validate-then-mutate -- an unknown frame, or a drop larger than
         the frame's count, raises with *no* count changed.  Release
         callbacks of reclaimed external frames run after the lock is
-        dropped, once per frame, in the mapping's order.
+        dropped, in the mapping's order: once per frame, except that a
+        callback shared by many frames (:meth:`adopt_external_many`)
+        runs once, with how many of them were reclaimed.
         """
         refcounts = self._refcounts
-        callbacks = []
+        released: Dict[Callable[[int], None], int] = {}
         with self._lock:
             for frame_id, count in counts.items():
                 held = refcounts.get(frame_id)
@@ -254,9 +264,9 @@ class PageStore:
                     continue
                 on_release = self._reclaim(frame_id)
                 if on_release is not None:
-                    callbacks.append(on_release)
-        for on_release in callbacks:
-            on_release()
+                    released[on_release] = released.get(on_release, 0) + 1
+        for on_release, count in released.items():
+            on_release(count)
 
     def refcount(self, frame_id: int) -> int:
         """Current reference count (0 if the frame was reclaimed)."""

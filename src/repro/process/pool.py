@@ -13,8 +13,9 @@ A lease travels over the worker's control pipe as a length-prefixed
 pickle; the result comes back over the worker's *persistent* result pipe
 in the exact wire format a freshly forked child would use
 (:mod:`repro.core.backends.wire`), so the collecting loop cannot tell a
-pooled arm from a forked one.  Dirty pages come home through the arm's
-response slab (:mod:`repro.pages.shm`), as a forked child's do.
+pooled arm from a forked one.  Dirty pages come home through a response
+slab (:mod:`repro.pages.shm`), as a forked child's do -- but a pooled
+arm's slab is the pool's, handed out with the lease (:attr:`Lease.slab`).
 
 The racing world goes *out* the way the paper's does (section 3.3): as a
 copy-on-write view of one parent image, not a copy per arm.  The pool
@@ -29,7 +30,21 @@ the arm's page table from those frame ids, and copies a page only when
 the body writes it.  At steady state a lease therefore costs what
 *differs* from the last one, and page images cross the control pipe
 only when shared memory is off (or the arm has no response slab).
-Three invariants make that safe, each held by one party:
+
+The way *home* is the arena's twin.  The pool keeps one response slab
+per worker -- created by the first lease that needs one, sized to that
+arm's space, mapped once by the worker and kept mapped -- and lends it
+to each lease in turn (:meth:`~repro.pages.shm.ShmSlab.lend`): the
+handle on the lease presents exactly the slots the arm's space has, is
+retained by every frame the parent adopts from it, and gives its
+reference back when the last of them drains.  Nothing is created,
+attached or unlinked per arm; selection frees pointers, not segments.
+A slab that is still referenced when its worker is next leased (a
+winner's, while the world that adopted its pages lives) is set aside
+among at most :data:`RESPONSE_SPARE_SLABS` spares and the worker takes a
+free spare or a fresh slab; a spare set that overflows drops its oldest.
+
+Four invariants make this safe, each held by one party:
 
 - **slots are write-once** (the pool): a slot is written before any
   lease names it and never again, so a worker's cached frame for a slot
@@ -42,7 +57,26 @@ Three invariants make that safe, each held by one party:
   by whoever drops its last pin -- :meth:`WorldPool.finish`, a fallback
   inside :meth:`WorldPool.lease`, or
   :meth:`WorldPool.reclaim_abandoned`.  The live arena is unlinked by
-  :meth:`WorldPool.shutdown`; a worker only ever unmaps.
+  :meth:`WorldPool.shutdown`; a worker only ever unmaps;
+- **a response slab is named in a lease only while nobody but the pool
+  references it** (the pool): its reference count reads one -- no handle
+  from an earlier lease, no frame adopted through one -- and no process
+  can still write it, because a slab is bound to one worker and lent
+  only with that worker's leases, a worker is leased only when it is
+  parked clean or freshly spawned in place of one that was reaped
+  (which it inherits the slab from), and a slab leaves its worker for
+  the spare set only at such a moment.  Segment names are never reused
+  (:mod:`repro.pages.shm`), the handle's slot count is the space's, not
+  the segment's, and the parent adopts ``(page, slot)`` pairs only from
+  a record that echoes the lease's epoch and the slab's name.  All of
+  it is per process: a pool built in a forked child (a pooled worker, a
+  forked arm, a nested race inside an arm) starts with no slab.
+
+:meth:`WorldPool.shutdown` drops the pool's claim on every response slab
+it holds: one nobody else references is unlinked there and then, one
+still pinned by a live world is unlinked by that world's exit (the last
+``release`` of the last handle).  What a caller dropped without
+releasing is unlinked by the ``atexit`` hook of :mod:`repro.pages.shm`.
 
 Failure discipline matches direct forks exactly:
 
@@ -100,6 +134,13 @@ backed only once written, so room to spare costs address space, not
 memory; an arena that fills is replaced by one twice the demand that
 overflowed it."""
 
+RESPONSE_SPARE_SLABS = 2
+"""Response slabs the pool keeps beyond one per worker: slabs set aside
+while a live world pins them, reissued once it lets go.  Two covers a
+world per concurrent race on the served path's two race threads; a
+world that lives longer costs the pool's claim on the oldest spare, not
+an unbounded set."""
+
 
 def _read_exact(fd: int, count: int) -> Optional[bytes]:
     """Read exactly ``count`` bytes; ``None`` on EOF (parent died)."""
@@ -124,6 +165,10 @@ class Lease:
     pid: int
     result_fd: int
     epoch: int
+    slab: Optional[ShmSlab] = None
+    """The arm's response slab, lent for this lease alone; the holder
+    disposes it once the race is over, after :meth:`WorldPool.finish`.
+    ``None`` when the arm ships over the pipe."""
 
 
 class _LeaseRecord:
@@ -162,25 +207,28 @@ class _Arena:
         lookup = self.index.get
         return [lookup((uid, frame)) for frame in frames]
 
-    def append(self, uid: int, frame: int, image) -> None:
-        """Publish one page image in the next free slot."""
-        self.slab.write_slot(self.used, image)
+    def extend(self, uid: int, frames, images) -> None:
+        """Publish one page image per frame in the next free slots."""
+        self.slab.write_slots(self.used, images)
         # Indexed only once written: a slot that a lease can name is
         # never written again.
-        self.index[(uid, frame)] = self.used
-        self.used += 1
+        for frame in frames:
+            self.index[(uid, frame)] = self.used
+            self.used += 1
 
 
 class _Worker:
     """Parent-side handle on one pooled process."""
 
-    __slots__ = ("pid", "ctrl_fd", "result_fd", "busy")
+    __slots__ = ("pid", "ctrl_fd", "result_fd", "busy", "slab")
 
     def __init__(self, pid: int, ctrl_fd: int, result_fd: int) -> None:
         self.pid = pid
         self.ctrl_fd = ctrl_fd
         self.result_fd = result_fd
         self.busy = False
+        self.slab: Optional[ShmSlab] = None
+        """The response slab this worker keeps mapped (pool-owned)."""
 
 
 class WorldPool:
@@ -210,6 +258,14 @@ class WorldPool:
 
         self.arena_rotations = 0
         """Arenas retired because the next lease did not fit."""
+
+        self._spares: List[ShmSlab] = []
+        """Response slabs set aside while something still references
+        them, oldest first; at most :data:`RESPONSE_SPARE_SLABS`."""
+
+        self.response_slabs_created = 0
+        self.response_slabs_reused = 0
+        """Leases that were lent a slab the pool already had."""
 
         for _ in range(size):
             self._workers.append(self._spawn())
@@ -293,12 +349,27 @@ class WorldPool:
 
     def _replace(self, worker: _Worker) -> Optional[int]:
         status = self._discard(worker)
-        if not self._closed:
-            fresh = self._spawn()
-            with self._lock:
-                self._workers.append(fresh)
-            self.respawns += 1
+        self._respawn(worker)
         return status
+
+    def _respawn(self, reaped: _Worker) -> None:
+        """Put a fresh worker in a reaped one's place.
+
+        The newcomer inherits the response slab: nothing that could
+        write it is left, and whatever still reads it keeps it out of a
+        lease by its reference count.  A closed pool spawns nothing and
+        drops its claim instead.
+        """
+        slab, reaped.slab = reaped.slab, None
+        if self._closed:
+            if slab is not None:
+                slab.dispose()
+            return
+        fresh = self._spawn()
+        fresh.slab = slab
+        with self._lock:
+            self._workers.append(fresh)
+        self.respawns += 1
 
     def lease(
         self,
@@ -306,7 +377,7 @@ class WorldPool:
         start: float,
         pre_fault: Optional[Tuple] = None,
         ship_fault: Optional[Tuple] = None,
-        slab: Optional[ShmSlab] = None,
+        shm: bool = False,
     ) -> Optional[Lease]:
         """Hand one arm to a parked worker; ``None`` means fork instead.
 
@@ -314,6 +385,11 @@ class WorldPool:
         transparent: no free worker, an alternative that does not pickle,
         a context without a space, or an injected ``pool-worker-stale``
         fault.  The caller loses nothing but the amortization.
+
+        With ``shm`` the lease carries a response slab
+        (:attr:`Lease.slab`) and the arm's world goes out through the
+        arena; without it, or when shared memory refuses, pages travel
+        both ways on the pipes.
         """
         if self._closed:
             return None
@@ -326,10 +402,22 @@ class WorldPool:
         # can interleave here arbitrarily and still never double-lease a
         # worker or observe a granted-but-unregistered lease.
         with self._lock:
-            worker = next((w for w in self._workers if not w.busy), None)
-            if worker is None:
+            parked = [w for w in self._workers if not w.busy]
+            if not parked:
                 self.fallbacks += 1
                 return None
+            worker = parked[0]
+            if shm:
+                # A worker whose slab can go out again as it is spares
+                # the worker a new mapping and the pool a spare.
+                worker = next(
+                    (
+                        w for w in parked
+                        if self._lendable(w.slab, space.num_pages,
+                                          space.page_size)
+                    ),
+                    worker,
+                )
             worker.busy = True
             self._epoch += 1
             epoch = self._epoch
@@ -344,6 +432,13 @@ class WorldPool:
             self._settle(epoch, recycle=True)
             self.fallbacks += 1
             return None
+        slab: Optional[ShmSlab] = None
+        slab_reused = False
+        if shm and space.num_pages:
+            with self._lock:
+                slab, slab_reused = self._lend_slab(
+                    worker, space.num_pages, space.page_size
+                )
         vpns, frames = space.nonzero_frames()
         arena: Optional[_Arena] = None
         slots: List[int] = []
@@ -385,16 +480,12 @@ class WorldPool:
             blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             # Closures, local classes, live fds: not portable by value.
-            self._settle(epoch, recycle=False)
-            self.fallbacks += 1
-            return None
+            return self._fall_back(epoch, slab, recycle=False)
         try:
             if not wire.write_all(worker.ctrl_fd, _LEN.pack(len(blob)) + blob):
                 raise BrokenPipeError("pool worker hung up")
         except OSError:
-            self._settle(epoch, recycle=True)
-            self.fallbacks += 1
-            return None
+            return self._fall_back(epoch, slab, recycle=True)
         self.leases_granted += 1
         tracer = _active_tracer()
         if tracer.enabled:
@@ -408,13 +499,86 @@ class WorldPool:
                 snapshot_pages=len(vpns),
                 published_pages=published,
                 transport="shm" if slab is not None else "pipe",
+                slab_reused=slab_reused,
             )
         return Lease(
             index=task.index,
             pid=worker.pid,
             result_fd=worker.result_fd,
             epoch=epoch,
+            slab=slab,
         )
+
+    def _fall_back(
+        self, epoch: int, slab: Optional[ShmSlab], recycle: bool
+    ) -> None:
+        """Undo a lease that could not be sent: settle the worker, then
+        -- only then, nothing is left that could write it -- give the
+        slab back.  The caller forks the arm instead."""
+        self._settle(epoch, recycle)
+        if slab is not None:
+            slab.dispose()
+        self.fallbacks += 1
+
+    @staticmethod
+    def _fits(slab: ShmSlab, slots: int, slot_size: int) -> bool:
+        """Cut for this page size, with room for the space."""
+        return slab.slot_size == slot_size and slab.slots >= slots
+
+    @classmethod
+    def _lendable(
+        cls, slab: Optional[ShmSlab], slots: int, slot_size: int
+    ) -> bool:
+        """Whether ``slab`` can go out with a lease as it is: it fits
+        and nobody but the pool references it."""
+        return (
+            slab is not None
+            and cls._fits(slab, slots, slot_size)
+            and slab.refs == 1
+        )
+
+    def _lend_slab(
+        self, worker: _Worker, slots: int, slot_size: int
+    ) -> Tuple[Optional[ShmSlab], bool]:
+        """A handle on ``worker``'s response slab for one lease (lock
+        held; the worker is the caller's): ``(handle, reused)``, or
+        ``(None, False)`` when shared memory refuses and the arm ships
+        over the pipe.
+
+        The worker keeps the slab it has whenever that can go out again.
+        Otherwise the slab is set aside -- something still references
+        it, and it comes back through the spare set once released -- or,
+        cut for another geometry, dropped; the worker then takes the
+        first spare that can go out, or a fresh slab sized to the space.
+        """
+        held = worker.slab
+        if held is not None and not self._lendable(held, slots, slot_size):
+            if self._fits(held, slots, slot_size):
+                self._spares.append(held)
+                if len(self._spares) > RESPONSE_SPARE_SLABS:
+                    self._spares.pop(0).dispose()
+            else:
+                held.dispose()
+            held = None
+        if held is None:
+            held = worker.slab = next(
+                (
+                    spare for spare in self._spares
+                    if self._lendable(spare, slots, slot_size)
+                ),
+                None,
+            )
+            if held is not None:
+                self._spares.remove(held)
+        if held is not None:
+            self.response_slabs_reused += 1
+            return held.lend(slots), True
+        try:
+            worker.slab = ShmSlab.create(slots, slot_size)
+        except Exception:  # /dev/shm full, platform refusal
+            return None, False
+        self.response_slabs_created += 1
+        return worker.slab.lend(slots), False
 
     def _publish(
         self, epoch: int, store: PageStore, frames: Tuple[int, ...]
@@ -449,8 +613,9 @@ class WorldPool:
                     arena = self._replace_arena(store.page_size, frames)
                     fresh = set(frames)
                 if arena is not None:
-                    for frame in fresh:
-                        arena.append(uid, frame, store.view(frame))
+                    arena.extend(
+                        uid, fresh, [store.view(frame) for frame in fresh]
+                    )
                     published = len(fresh)
                     slots = arena.slots_of(uid, frames)
             if arena is None:
@@ -553,11 +718,7 @@ class WorldPool:
                 with self._lock:
                     if worker in self._workers:
                         self._workers.remove(worker)
-                if not self._closed:
-                    fresh = self._spawn()
-                    with self._lock:
-                        self._workers.append(fresh)
-                    self.respawns += 1
+                self._respawn(worker)
                 continue
             if index in clean:
                 with self._lock:
@@ -608,6 +769,17 @@ class WorldPool:
         with self._lock:
             return [worker.pid for worker in self._workers]
 
+    def owned_slabs(self) -> List[ShmSlab]:
+        """The segments the pool holds a claim on right now: the live
+        arena, each worker's response slab, the spares (leak audits).
+        One whose ``refs`` reads 1 is referenced by the pool alone."""
+        with self._lock:
+            slabs = [w.slab for w in self._workers if w.slab is not None]
+            slabs += self._spares
+            if self._arena is not None:
+                slabs.append(self._arena.slab)
+        return slabs
+
     def shutdown(self) -> None:
         """Stop every worker (idempotent; also runs at interpreter exit)."""
         if self._closed:
@@ -623,8 +795,14 @@ class WorldPool:
             arenas.discard(None)
             self._arena = None
             self._active.clear()
+            slabs, self._spares = self._spares, []
+            slabs += [w.slab for w in workers if w.slab is not None]
         for arena in arenas:
             arena.slab.dispose()
+        for slab in slabs:
+            # The pool's claim only: a slab a live world still pins is
+            # unlinked when that world lets go.
+            slab.dispose()
         goodbye = pickle.dumps({"kind": "exit"})
         for worker in workers:
             try:
@@ -664,7 +842,9 @@ class WorldPool:
             f"WorldPool(size={self.size}, parked={self.parked}, "
             f"leases={self.leases_granted}, respawns={self.respawns}, "
             f"published={self.pages_published}, "
-            f"rotations={self.arena_rotations})"
+            f"rotations={self.arena_rotations}, "
+            f"response_slabs_created={self.response_slabs_created}, "
+            f"response_slabs_reused={self.response_slabs_reused})"
         )
 
 
@@ -679,7 +859,9 @@ class _WorkerWorld:
     slot was adopted as.  Slots are write-once and arena names are never
     reused, so a cached frame stays right for as long as the worker
     stays bound to that arena; binding to another name drops the cached
-    frames and the old mapping.  The worker never unlinks anything.
+    frames and the old mapping.  And the mapping of the one response
+    slab the pool binds to this worker, replaced only when a lease names
+    another.  The worker never unlinks anything.
     """
 
     def __init__(self) -> None:
@@ -687,6 +869,23 @@ class _WorkerWorld:
         self.arena: Optional[ShmSlab] = None
         self.frames: Dict[int, int] = {}
         """Arena slot -> the external frame adopted over it."""
+
+        self.response: Optional[ShmSlab] = None
+
+    def response_slab(self, name: str, slots: int, slot_size: int) -> ShmSlab:
+        """This lease's handle on the response slab it names.
+
+        The mapping is made by the first lease that names the slab and
+        kept; every lease gets its own handle of exactly ``slots`` slots
+        on it, checked against the segment's size each time.
+        """
+        held = self.response
+        if held is None or held.name != name or held.slot_size != slot_size:
+            if held is not None:
+                self.response = None
+                held.dispose()
+            held = self.response = ShmSlab.attach(name, slots, slot_size)
+        return held.lend(slots)
 
     def unbind(self) -> None:
         """Drop the cached frames, then the arena mapping under them."""
@@ -803,7 +1002,7 @@ def _serve_lease(
                 raise FaultInjected(fault_detail)
         space = world.build_space(message)
         if message["slab_name"] is not None:
-            slab = ShmSlab.attach(
+            slab = world.response_slab(
                 message["slab_name"],
                 message["slab_slots"],
                 message["slab_slot_size"],

@@ -423,8 +423,9 @@ class RaceServer:
         The request's executor brings its own ``ProcessManager``; the
         parent is created here (never inside ``run``) so that it can be
         exited once the ticket has resolved.  Exiting drops the frames
-        adopted from the winner's shm slab, and the slab is unlinked
-        then rather than at interpreter exit.
+        adopted from the winner's shm slab, and the slab goes back to
+        the pool then (a forked arm's own is unlinked) rather than
+        staying pinned until interpreter exit.
         """
         ticket = submission.ticket
         ticket.status = "running"
@@ -540,6 +541,8 @@ class RaceServer:
                 "respawns": self._pool.respawns,
                 "published_pages": self._pool.pages_published,
                 "arena_rotations": self._pool.arena_rotations,
+                "response_slabs_created": self._pool.response_slabs_created,
+                "response_slabs_reused": self._pool.response_slabs_reused,
                 "parked": self._pool.parked,
                 "inflight": self._pool.inflight,
             }

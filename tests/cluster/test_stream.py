@@ -309,3 +309,54 @@ class TestReaderBesideWriter:
             b.close()
             reader.join(timeout=2.0)
         assert not reader.is_alive()
+
+
+class TestStoppedServicesLeaveNoThread:
+    """``stop()`` wakes the accept loop (``close_listener``) and joins
+    it: closing a listening socket alone leaves ``accept()`` blocked and
+    one thread behind per service ever stopped."""
+
+    @staticmethod
+    def assert_threads_return_to(before):
+        deadline = time.monotonic() + 2.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
+
+    def test_impairment_proxy(self):
+        from repro.cluster.proxy import ImpairmentProxy
+
+        upstream, host, port = listener()
+        before = threading.active_count()
+        try:
+            proxy = ImpairmentProxy((host, port))
+            address = proxy.start()
+            assert threading.active_count() > before
+            client = socket.create_connection(address, timeout=2.0)
+            served, _ = upstream.accept()  # one relay, two pump threads
+            proxy.stop()
+            client.close()
+            served.close()
+            self.assert_threads_return_to(before)
+        finally:
+            upstream.close()
+
+    def test_membership_server(self):
+        from repro.cluster.membership import MembershipServer
+
+        before = threading.active_count()
+        server = MembershipServer()
+        server.start()
+        assert threading.active_count() == before + 2  # accept and sweep
+        server.stop()
+        self.assert_threads_return_to(before)
+
+    def test_router_daemon(self, tmp_path):
+        from repro.cluster.router_service import RouterDaemon
+
+        before = threading.active_count()
+        daemon = RouterDaemon(str(tmp_path / "router.journal"))
+        daemon.start()
+        assert threading.active_count() == before + 1
+        daemon.stop()
+        self.assert_threads_return_to(before)

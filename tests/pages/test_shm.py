@@ -73,6 +73,27 @@ class TestSlabBasics:
         finally:
             slab.dispose()
 
+    def test_write_slots_checks_the_run_before_the_first_byte_moves(self):
+        slab = ShmSlab.create(slots=4, slot_size=PAGE)
+        try:
+            images = [bytes([fill]) * PAGE for fill in (1, 2, 3)]
+            slab.write_slots(1, [memoryview(image) for image in images])
+            assert [slab.read_slot(slot) for slot in (1, 2, 3)] == images
+            assert slab.read_slot(0) == bytes(PAGE)
+            slab.write_slots(0, [])  # an empty run is a no-op
+            for first, run, error in (
+                (2, images, IndexError),  # runs off the end
+                (-1, images[:1], IndexError),
+                (0, [images[0], b"short"], ValueError),  # one bad length
+            ):
+                with pytest.raises(error):
+                    slab.write_slots(first, run)
+            # Refused whole: not one slot of a bad run was written.
+            assert slab.read_slot(0) == bytes(PAGE)
+            assert [slab.read_slot(slot) for slot in (1, 2, 3)] == images
+        finally:
+            slab.dispose()
+
     def test_create_rejects_degenerate_geometry(self):
         with pytest.raises(ValueError):
             ShmSlab.create(slots=0, slot_size=PAGE)
@@ -142,6 +163,53 @@ class TestSlabLifetime:
         assert not slab.closed
         slab.release_many(1)
         assert slab.closed
+
+    def test_a_lent_handle_is_bound_by_its_slots_and_unlinks_nothing(self):
+        slab = ShmSlab.create(slots=8, slot_size=PAGE)
+        try:
+            lent = slab.lend(2)
+            assert (lent.name, lent.slots, lent.size) == (slab.name, 2, 2 * PAGE)
+            assert (slab.refs, lent.refs) == (2, 1)
+            lent.write_slot(1, b"k" * PAGE)
+            assert slab.read_slot(1) == b"k" * PAGE  # one mapping
+            with pytest.raises(IndexError):
+                lent.write_slot(2, b"k" * PAGE)
+            with pytest.raises(IndexError):
+                lent.slot_view(2)
+            # Frames adopted through the handle keep the lender referenced
+            # past the handle's dispose, and give it back when they drain.
+            space = make_space(pages=2)
+            space.apply_shm_pages(ShmShipment(lent, pairs=[(0, 1)]))
+            lent.dispose()
+            lent.dispose()  # idempotent: cannot touch a later loan
+            assert (slab.refs, lent.closed) == (2, False)
+            space.release()
+            assert lent.closed and not slab.closed
+            assert slab.refs == 1
+            assert slab.name in orphaned_segments()
+            with pytest.raises(RuntimeError):
+                lent.retain()
+            # The next loan is a new handle on the same bytes.
+            second = slab.lend(8)
+            assert second.read_slot(1) == b"k" * PAGE
+            lent.dispose()
+            assert slab.refs == 2
+            second.dispose()
+            with pytest.raises(ValueError):
+                slab.lend(9)
+            with pytest.raises(ValueError):
+                slab.lend(0)
+        finally:
+            slab.dispose()
+        assert slab.closed and slab.name not in orphaned_segments()
+
+    def test_a_lender_disposed_under_a_loan_dies_with_the_loan(self):
+        slab = ShmSlab.create(slots=2, slot_size=PAGE)
+        lent = slab.lend(1)
+        slab.dispose()  # the owner's claim goes first
+        assert not slab.closed and slab.name in orphaned_segments()
+        lent.dispose()
+        assert slab.closed and slab.name not in orphaned_segments()
 
     def test_retain_after_close_raises(self):
         slab = ShmSlab.create(slots=1, slot_size=PAGE)
@@ -227,15 +295,18 @@ class TestBatchedStorePrimitives:
         released = []
         frames = store.adopt_external_many(
             [b"aaaa", b"bbbb", b"cccc"],
-            on_release=lambda: released.append(True),
+            on_release=released.append,
         )
         assert frames == sorted(frames)
         assert all(store.is_external(f) for f in frames)
         assert [bytes(store.read(f)) for f in frames] == [
             b"aaaa", b"bbbb", b"cccc",
         ]
-        store.decref_many(Counter(frames))
-        assert len(released) == 3
+        store.decref(frames[1])
+        assert released == [1]
+        # The shared callback runs once per batch, with the batch's count.
+        store.decref_many(Counter([frames[0], frames[2]]))
+        assert released == [1, 2]
         assert store.live_frames == 0
 
     def test_adopt_external_many_validates_before_adopting(self):

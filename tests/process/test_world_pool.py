@@ -9,22 +9,48 @@ lease cannot be transparent.
 
 import hashlib
 import os
+import random
+import select
 import signal
+import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    consumes,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.core.alternative import Alternative
+from repro.core.alternative import AltContext, Alternative
 from repro.core.backends import ProcessBackend, SerialBackend, get_backend
+from repro.core.backends import wire
+from repro.core.backends.base import ArmTask, CancellationToken
 from repro.core.concurrent import ConcurrentExecutor
+from repro.core.selection import OrderedPolicy
+from repro.core.sequential import SequentialExecutor
+from repro.errors import PageApplyError
 from repro.obs.blocks import CANONICAL_BLOCKS, get_block
+from repro.pages.address_space import AddressSpace
 from repro.pages.shm import (
     SLAB_PREFIX,
+    ShmShipment,
     ShmSlab,
     orphaned_segments,
     shm_available,
 )
+from repro.pages.store import PageStore
 from repro.process import pool as pool_module
-from repro.process.pool import WorldPool, shutdown_default_pool
+from repro.process.pool import (
+    RESPONSE_SPARE_SLABS,
+    WorldPool,
+    shutdown_default_pool,
+)
 from repro.resilience import FaultInjector, injected
 
 pytestmark = [
@@ -55,6 +81,34 @@ def sleeper_block():
         Alternative("quick", body=_Sleeper("quick", 0.01, "Q")),
         Alternative("slow", body=_Sleeper("slow", 0.3, "S")),
     ]
+
+
+def quick_block():
+    """The same race with a loser that takes the cooperative kill early."""
+    return [
+        Alternative("quick", body=_Sleeper("quick", 0.0, "Q")),
+        Alternative("slow", body=_Sleeper("slow", 0.05, "S")),
+    ]
+
+
+def own_segments():
+    """This process's segments (a neighbour's run has another pid)."""
+    return set(orphaned_segments(f"{SLAB_PREFIX}_{os.getpid()}_"))
+
+
+def new_segments(before):
+    return own_segments() - before
+
+
+def assert_only_the_pools_own(pool, before):
+    """The leak audit between blocks: what this process has added to
+    ``/dev/shm`` is exactly what the pool holds (arena and response
+    slabs), each referenced by the pool alone.  Returns the names."""
+    owned = pool.owned_slabs()
+    assert [slab.refs for slab in owned] == [1] * len(owned)
+    names = {slab.name for slab in owned}
+    assert new_segments(before) == names
+    return names
 
 
 @pytest.fixture
@@ -152,8 +206,9 @@ class TestPoolFallbacks:
 
 class TestPoolCrashDiscipline:
     def test_sigkilled_worker_respawns_and_leaks_no_segments(self, pool):
-        """Satellite: a SIGKILLed pooled worker leaves /dev/shm clean."""
-        before = set(orphaned_segments())
+        """Satellite: a SIGKILLed pooled worker leaves /dev/shm holding
+        the pool's own slabs and nothing else, however long it serves."""
+        before = own_segments()
         executor = ConcurrentExecutor(
             backend=ProcessBackend(kill_grace=0.5, pool=pool)
         )
@@ -161,7 +216,7 @@ class TestPoolCrashDiscipline:
         injector = FaultInjector(seed=0).arm_sigkill(arms=[0], times=1)
         with injected(injector):
             result = executor.run(sleeper_block(), parent=parent)
-        # The surviving arm won; the dead worker's slab was disposed.
+        # The surviving arm won; the dead worker's slab went to its heir.
         assert result.value == "S"
         assert result.winner.name == "slow"
         assert pool.respawns >= 1
@@ -171,10 +226,17 @@ class TestPoolCrashDiscipline:
         second = executor.run(sleeper_block(), parent=second_parent)
         assert second.value == "Q"
         # Releasing the parent spaces drops the last pins on any slab the
-        # winners committed from; nothing may remain in /dev/shm.
+        # winners committed from.
         parent.space.release()
         second_parent.space.release()
-        assert set(orphaned_segments()) == before
+        held = assert_only_the_pools_own(pool, before)
+        for _ in range(20):  # ten times the blocks, the same segments
+            later = executor.new_parent()
+            assert executor.run(quick_block(), parent=later).value == "Q"
+            later.space.release()
+        assert assert_only_the_pools_own(pool, before) == held
+        pool.shutdown()
+        assert own_segments() == before
 
     def test_shutdown_terminates_every_worker(self):
         pool = WorldPool(size=3)
@@ -252,17 +314,21 @@ def preload(parent, tag, pages=REGION_PAGES):
     return parent
 
 
-def observe(result, parent):
-    """Everything a caller can see of one concluded block."""
-    space = parent.space
+def page_digest(space):
     digest = hashlib.sha256()
     for vpn in range(space.num_pages):
         digest.update(space.table.read_page(vpn))
+    return digest.hexdigest()
+
+
+def observe(result, parent):
+    """Everything a caller can see of one concluded block."""
+    space = parent.space
     return (
         result.value,
         result.winner.name,
         {name: space.get(name) for name in space.names()},
-        digest.hexdigest(),
+        page_digest(space),
     )
 
 
@@ -274,15 +340,6 @@ def pooled_executor(pool):
 
 def serial_executor():
     return ConcurrentExecutor(backend=SerialBackend(), space_size=SPACE)
-
-
-def own_segments():
-    """This process's segments (a neighbour's run has another pid)."""
-    return set(orphaned_segments(f"{SLAB_PREFIX}_{os.getpid()}_"))
-
-
-def new_segments(before):
-    return own_segments() - before
 
 
 @pytest.mark.skipif(not shm_available(), reason="no shared memory")
@@ -361,7 +418,10 @@ class TestArena:
         for parent in parents:
             # Drops the frames adopted from the winners' response slabs.
             parent.space.release()
-        assert len(new_segments(segments)) == 1  # the live arena
+        # The live arena and the response slabs; no retired arena.
+        assert pool._arena.slab.name in assert_only_the_pools_own(
+            pool, segments
+        )
         pool.shutdown()
         assert new_segments(segments) == set()
 
@@ -388,7 +448,10 @@ class TestArena:
         assert observe(third, parent) == observe(expected, reference)
         assert pool.parked == pool.size
         parent.space.release()
-        assert len(new_segments(segments)) == 1  # the arena, nothing else
+        # The arena and the response slabs, nothing of the dead worker's.
+        assert pool._arena.slab.name in assert_only_the_pools_own(
+            pool, segments
+        )
         pool.shutdown()
         assert new_segments(segments) == set()
 
@@ -486,6 +549,558 @@ class TestWorkerWorld:
             world.unbind()
         finally:
             other.dispose()
+
+
+# ----------------------------------------------------------------------
+# response slabs: mapped once, lent per lease, reissued when drained
+
+PAGE = 4096
+
+
+class _Rewrite:
+    """Picklable arm: each block overwrites the *same* pages, so the
+    parent lets go of the previous winner's slab when it adopts the next
+    one's (``_Step`` stamps a fresh page per block and pins them all)."""
+
+    def __init__(self, name, seconds):
+        self.name = name
+        self.seconds = seconds
+
+    def __call__(self, ctx):
+        step = ctx.get("step", 0)
+        ctx.sleep(self.seconds)
+        ctx.put("step", step + 1)
+        ctx.space.write(
+            STEP_PAGE * ctx.space.page_size, f"{self.name}@{step}".encode()
+        )
+        return (self.name, step)
+
+
+def rewrite_block():
+    return [
+        Alternative("quick", body=_Rewrite("quick", 0.0)),
+        Alternative("slow", body=_Rewrite("slow", 0.05)),
+    ]
+
+
+class _DiesShipping:
+    """A value whose pickling SIGKILLs the process: the arm dies inside
+    ``write_record``, after its dirty pages went into the slab."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _WritesThenReturns:
+    def __init__(self, value, seconds=0.0):
+        self.value = value
+        self.seconds = seconds
+
+    def __call__(self, ctx):
+        ctx.space.write(0, b"dirty")
+        ctx.sleep(self.seconds)
+        return self.value
+
+
+class _WritesThenDiesShipping:
+    def __call__(self, ctx):
+        ctx.space.write(0, b"dirty")
+        return _DiesShipping()  # made here: the lease must still pickle
+
+
+class _NestedPooledRace:
+    """Picklable arm: inside the pooled worker, build a pool of its own,
+    race one block on it, and report what that pool started with."""
+
+    def __call__(self, ctx):
+        inner = WorldPool(size=1)
+        try:
+            began_with = [slab.name for slab in inner.owned_slabs()]
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=0.5, pool=inner),
+                space_size=SPACE,
+            )
+            parent = executor.new_parent()
+            result = executor.run(
+                [Alternative("inner", body=_WritesThenReturns("deep"))],
+                parent=parent,
+            )
+            report = {
+                "pid": os.getpid(),
+                "value": result.value,
+                "transport": result.page_transport,
+                "began_with": began_with,
+                "lent": [slab.name for slab in inner.owned_slabs()],
+                "created": inner.response_slabs_created,
+                "reused": inner.response_slabs_reused,
+            }
+            parent.space.release()
+        finally:
+            inner.shutdown()
+        ctx.put("nested", report["value"])
+        return report
+
+
+def handmade_task(space, body, index=0):
+    """A real ArmTask without an executor: enough for ``pool.lease``."""
+    name = f"arm-{index}"
+    context = AltContext(
+        space, rng=random.Random(index), alt_index=index + 1, name=name,
+        process=None, token=CancellationToken(),
+    )
+    return ArmTask(
+        index=index, name=name, run=lambda: (True, index, ""),
+        context=context, alternative=Alternative(name, body=body),
+        rng_seed=index,
+    )
+
+
+def collect(lease, timeout=10.0):
+    """The one record a leased worker ships, read off its result pipe."""
+    reader = wire.RecordReader()
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([lease.result_fd], [], [], 0.1)
+        if ready:
+            records = reader.feed(os.read(lease.result_fd, 65536))
+            if records:
+                assert not reader.pending and not reader.corrupt
+                return records[0]
+    raise AssertionError("the leased worker never shipped a record")
+
+
+def record_leases(pool, monkeypatch):
+    """Every lease the pool grants from here on, as ``(arm index, lease)``."""
+    granted = []
+    lease = pool.lease
+
+    def recording(task, *args, **kwargs):
+        got = lease(task, *args, **kwargs)
+        if got is not None:
+            granted.append((task.index, got))
+        return got
+
+    monkeypatch.setattr(pool, "lease", recording)
+    return granted
+
+
+def response_segments(pool, before):
+    arena = pool._arena.slab.name if pool._arena is not None else None
+    return new_segments(before) - {arena}
+
+
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+class TestResponseSlabs:
+    """The fourth invariant: a response slab is named in a lease only
+    while nobody but the pool references it."""
+
+    def test_fifty_blocks_reuse_a_handful_of_segments(self, pool):
+        """(a) One evolving parent, block for block against the
+        sequential construct; segments do not grow with blocks."""
+        segments = own_segments()
+        pooled = pooled_executor(pool)
+        sequential = SequentialExecutor(
+            policy=OrderedPolicy(), space_size=SPACE
+        )
+        parent = preload(pooled.new_parent(), "inherited", pages=4)
+        reference = preload(sequential.new_parent(), "inherited", pages=4)
+        for block in range(50):
+            result = pooled.run(rewrite_block(), parent=parent)
+            expected = sequential.run(rewrite_block(), parent=reference)
+            assert observe(result, parent) == observe(expected, reference)
+            assert result.value == ("quick", block)
+            assert result.page_transport == "shm"
+            assert len(response_segments(pool, segments)) <= pool.size + 1
+        assert pool.fallbacks == 0
+        assert pool.response_slabs_created == len(
+            response_segments(pool, segments)
+        ) <= pool.size + 1
+        assert (
+            pool.response_slabs_created + pool.response_slabs_reused
+            == pool.leases_granted == 100
+        )
+        assert "response_slabs_reused=" in repr(pool)
+
+    def test_a_winners_slab_waits_for_the_world_that_adopted_it(
+        self, pool, monkeypatch
+    ):
+        """(b) Not reissued while the adopting parent lives; reissued
+        after it exits."""
+        granted = record_leases(pool, monkeypatch)
+        executor = pooled_executor(pool)
+        first = executor.new_parent()
+        won = executor.run(rewrite_block(), parent=first)
+        pinned = next(
+            lease.slab.name for index, lease in granted
+            if index == won.winner.index
+        )
+        digest = page_digest(first.space)
+        del granted[:]
+        for _ in range(3):
+            other = executor.new_parent()
+            executor.run(rewrite_block(), parent=other)
+            other.space.release()
+        assert len(granted) == 6
+        assert pinned not in {lease.slab.name for _, lease in granted}
+        assert page_digest(first.space) == digest
+        first.space.release()
+        # The slab waits among the spares; a worker whose own slab is
+        # pinned in turn takes it.
+        del granted[:]
+        keeper = executor.new_parent()
+        executor.run(rewrite_block(), parent=keeper)
+        executor.run(rewrite_block(), parent=executor.new_parent())
+        assert pinned in {lease.slab.name for _, lease in granted}
+        # The same block from the same start: the keeper reads what the
+        # first parent read, whoever was lent which slab since.
+        assert page_digest(keeper.space) == digest
+
+    @pytest.mark.parametrize("fault", ["dies-shipping", "truncate", "hang"])
+    def test_a_faulted_arms_slab_waits_for_the_reaper(
+        self, pool, monkeypatch, fault
+    ):
+        """(c) Out of circulation until the worker that could still
+        write it is reaped; nothing left after shutdown."""
+        segments = own_segments()
+        granted = record_leases(pool, monkeypatch)
+        executor = pooled_executor(pool)
+        parent = executor.new_parent()
+        victim = (
+            _WritesThenDiesShipping() if fault == "dies-shipping"
+            else _WritesThenReturns("V")
+        )
+        block = [
+            Alternative("victim", body=victim),
+            Alternative("slow", body=_WritesThenReturns("S", 0.2)),
+        ]
+        refs_at_reap = []
+        waitpid = os.waitpid
+
+        def spying(pid, options):
+            for index, lease in granted:
+                if index == 0 and lease.pid == pid:
+                    refs_at_reap.append(
+                        next(
+                            w.slab.refs for w in pool._workers
+                            if w.pid == pid
+                        )
+                    )
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", spying)
+        injector = FaultInjector(seed=0)
+        if fault == "truncate":
+            injector.pipe_truncate(arms=[0], times=1)
+        elif fault == "hang":
+            injector.arm_hang(arms=[0], times=1, duration=30.0)
+        with injected(injector):
+            result = executor.run(block, parent=parent)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        assert result.value == "S"
+        assert pool.respawns == 1
+        # Whenever the pool tried to reap the victim, its slab was still
+        # somebody else's too: no lease could have named it.
+        assert refs_at_reap and min(refs_at_reap) > 1
+        lost = granted[0][1]
+        assert lost.pid not in pool.worker_pids()
+        assert lost.slab.closed
+        heir = next(
+            w for w in pool._workers if w.slab.name == lost.slab.name
+        )
+        assert heir.slab.refs == 1
+        second = executor.new_parent()
+        again = executor.run(block[1:], parent=second)
+        assert again.value == "S"
+        assert granted[-1][1].slab.name == lost.slab.name
+        pool.shutdown()
+        # Only what the two live parents adopted is still there.
+        assert len(new_segments(segments)) == 2
+        parent.space.release()
+        second.space.release()
+        assert new_segments(segments) == set()
+
+    def test_a_nested_pool_starts_with_no_slab(self, pool):
+        """(d) A pool built inside an arm shares nothing with ours."""
+        executor = pooled_executor(pool)
+        pinning = executor.new_parent()
+        executor.run(rewrite_block(), parent=pinning)
+        executor.run(rewrite_block(), parent=executor.new_parent())
+        assert pool._spares  # ours has slabs now, one of them set aside
+        # Workers forked *now* inherit this pool, slabs and all, as a
+        # forked arm or a nested race would.
+        for worker in list(pool._workers):
+            pool._replace(worker)
+        ours = {slab.name for slab in pool.owned_slabs()}
+        assert len(ours) == 3
+        parent = executor.new_parent()
+        result = executor.run(
+            [Alternative("nested", body=_NestedPooledRace())], parent=parent
+        )
+        report = result.value
+        assert report["pid"] in pool.worker_pids()
+        assert report["value"] == "deep" and report["transport"] == "shm"
+        assert report["began_with"] == []
+        assert (report["created"], report["reused"]) == (1, 0)
+        assert len(report["lent"]) == 1 and not ours & set(report["lent"])
+        assert report["lent"][0].startswith(
+            f"{SLAB_PREFIX}_{report['pid']}_"
+        )
+        # The arm's pool unlinked what it made.
+        assert orphaned_segments(f"{SLAB_PREFIX}_{report['pid']}_") == []
+        assert parent.space.get("nested") == "deep"
+
+    def test_a_lease_presents_the_spaces_slots_not_the_segments(self):
+        """(e) 16, 1024 and 16 pages in turn on one worker."""
+        pool = WorldPool(size=1)
+        try:
+            names = []
+            for pages in (16, 1024, 16):
+                space = AddressSpace(PageStore(PAGE), pages * PAGE)
+                task = handmade_task(space.fork(), _WritesThenReturns("ok"))
+                lease = pool.lease(task, time.perf_counter(), shm=True)
+                names.append(lease.slab.name)
+                assert lease.slab.slots == pages
+                assert lease.slab.size == pages * PAGE
+                record = collect(lease)
+                assert record["pool_epoch"] == lease.epoch
+                assert record["shm_slab"] == lease.slab.name
+                assert record["shm_pages"] == [(0, 0)]
+                pool.finish({0: lease}, {0})
+                # A forged record naming a slot past the space: refused,
+                # however much room the segment behind the handle has.
+                with pytest.raises(PageApplyError):
+                    space.apply_shm_pages(
+                        ShmShipment(lease.slab, pairs=[(0, pages)])
+                    )
+                with pytest.raises(IndexError):
+                    lease.slab.write_slot(pages, bytes(PAGE))
+                space.apply_shm_pages(
+                    ShmShipment(lease.slab, pairs=record["shm_pages"])
+                )
+                assert space.read(0, 5) == b"dirty"
+                lease.slab.dispose()
+                task.context.space.release()
+                space.release()
+            # Too small, replaced; roomy enough, kept.
+            assert names[0] != names[1] == names[2]
+            assert pool.response_slabs_created == 2
+            assert pool.response_slabs_reused == 1
+            (kept,) = pool.owned_slabs()
+            assert (kept.slots, kept.refs) == (1024, 1)
+        finally:
+            pool.shutdown()
+
+    def test_worlds_that_outlive_the_spare_set_cost_a_claim_not_a_leak(self):
+        """More pinned slabs than spares: the oldest is left to the world
+        that pins it, and the pool's own set stays at its bound."""
+        segments = own_segments()
+        pool = WorldPool(size=1)
+        try:
+            executor = pooled_executor(pool)
+            block = [Alternative("only", body=_Rewrite("only", 0.0))]
+            parents = [
+                executor.new_parent() for _ in range(RESPONSE_SPARE_SLABS + 3)
+            ]
+            digests = []
+            for parent in parents:
+                executor.run(block, parent=parent)
+                digests.append(page_digest(parent.space))
+            bound = pool.size + RESPONSE_SPARE_SLABS
+            assert len(pool.owned_slabs()) == bound
+            assert pool.response_slabs_created == len(parents)
+            assert len(new_segments(segments)) == len(parents)
+            assert [page_digest(p.space) for p in parents] == digests
+            for parent in parents:
+                parent.space.release()
+            assert len(assert_only_the_pools_own(pool, segments)) == bound
+        finally:
+            pool.shutdown()
+        assert new_segments(segments) == set()
+
+    def test_shutdown_leaves_a_pinned_slab_to_the_world_that_pins_it(
+        self, pool, monkeypatch
+    ):
+        """(f) The pool drops its claim; the parent's exit unlinks."""
+        segments = own_segments()
+        granted = record_leases(pool, monkeypatch)
+        executor = pooled_executor(pool)
+        parent = executor.new_parent()
+        won = executor.run(rewrite_block(), parent=parent)
+        pinned = next(
+            lease.slab.name for index, lease in granted
+            if index == won.winner.index
+        )
+        digest = page_digest(parent.space)
+        assert len(new_segments(segments)) == 2
+        pool.shutdown()
+        assert new_segments(segments) == {pinned}
+        assert page_digest(parent.space) == digest
+        assert parent.space.get("step") == 1
+        parent.space.release()
+        assert new_segments(segments) == set()
+
+
+class ResponseSlabMachine(RuleBasedStateMachine):
+    """Lease / win / lose / kill / exit-parent / shutdown in any order
+    on a real pool: *never issued while pinned*, *names never reused*,
+    *segments <= bound + pinned*."""
+
+    PAGES = 16
+    leases = Bundle("leases")
+    parents = Bundle("parents")
+
+    def __init__(self):
+        super().__init__()
+        self.baseline = own_segments()
+        self.pool = WorldPool(size=2)
+        self.closed = False
+        self.outstanding = 0
+        self.handles = []  # every handle a lease ever carried
+        self.spaces = []
+        self.arenas = set()
+        self.seen, self.gone = set(), set()
+
+    def teardown(self):
+        for space in self.spaces:
+            space.release()
+        for handle in self.handles:
+            handle.dispose()
+        self.pool.shutdown()
+        assert own_segments() == self.baseline
+
+    # -- what the test holds ---------------------------------------------
+
+    def referenced(self):
+        """Names of slabs something outside the pool still references."""
+        return {h.name for h in self.handles if not h.closed}
+
+    def settle(self, lease, clean):
+        self.pool.finish({lease.index: lease}, {lease.index} if clean else set())
+        self.outstanding -= 1
+        lease.world.release()
+        self.spaces.remove(lease.world)
+
+    # -- rules -------------------------------------------------------------
+
+    @initialize(target=parents)
+    def first_parent(self):
+        return self.new_parent()
+
+    @rule(target=parents)
+    def new_parent(self):
+        space = AddressSpace(PageStore(PAGE), self.PAGES * PAGE)
+        self.spaces.append(space)
+        return space
+
+    @precondition(lambda self: not self.closed and self.outstanding < 2)
+    @rule(target=leases, parent=parents, page=st.integers(0, 3))
+    def lease(self, parent, page):
+        world = parent.fork()
+        self.spaces.append(world)
+        body = _WritesPage(page, stamp=len(self.handles))
+        lease = self.pool.lease(
+            handmade_task(world, body, index=self.outstanding),
+            time.perf_counter(), shm=True,
+        )
+        assert lease is not None and lease.slab is not None
+        # Never issued while pinned: by a live world or an open lease.
+        assert lease.slab.name not in self.referenced()
+        assert lease.slab.slots == self.PAGES
+        self.handles.append(lease.slab)
+        self.outstanding += 1
+        lease.world = world
+        return lease
+
+    @rule(lease=consumes(leases), parent=parents)
+    def win(self, lease, parent):
+        if self.closed:
+            return self.abandon(lease)
+        record = collect(lease)
+        assert record["pool_epoch"] == lease.epoch
+        assert record["shm_slab"] == lease.slab.name
+        self.settle(lease, clean=True)
+        if parent in self.spaces:
+            parent.apply_shm_pages(
+                ShmShipment(lease.slab, pairs=record["shm_pages"])
+            )
+            (vpn, _slot), = record["shm_pages"]
+            assert parent.read(vpn * PAGE, 4) == b"page"
+        lease.slab.dispose()
+
+    @rule(lease=consumes(leases))
+    def lose(self, lease):
+        if self.closed:
+            return self.abandon(lease)
+        collect(lease)
+        self.settle(lease, clean=True)
+        lease.slab.dispose()
+
+    @rule(lease=consumes(leases))
+    def kill(self, lease):
+        if self.closed:
+            return self.abandon(lease)
+        os.kill(lease.pid, signal.SIGKILL)
+        self.settle(lease, clean=False)
+        lease.slab.dispose()
+
+    def abandon(self, lease):
+        """The pool shut down under the lease: nothing to settle."""
+        self.settle(lease, clean=False)
+        lease.slab.dispose()
+
+    @rule(parent=consumes(parents))
+    def exit_parent(self, parent):
+        if parent in self.spaces:
+            self.spaces.remove(parent)
+            parent.release()
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def shutdown(self):
+        self.pool.shutdown()
+        self.closed = True
+
+    # -- invariants --------------------------------------------------------
+
+    @invariant()
+    def segments_are_bounded_and_names_are_new(self):
+        if self.pool._arena is not None:
+            self.arenas.add(self.pool._arena.slab.name)
+        live = own_segments() - self.baseline
+        assert not live & self.gone  # names never reused
+        self.gone |= self.seen - live
+        self.seen |= live
+        response = live - self.arenas
+        pinned = self.referenced()
+        if self.closed:
+            assert response <= pinned
+        else:
+            bound = self.pool.size + RESPONSE_SPARE_SLABS
+            assert len(response) <= bound + len(pinned)
+            assert len(response - pinned) <= bound
+
+
+class _WritesPage:
+    """Picklable arm: stamp one page (a write of the bytes already there
+    would dirty nothing and ship nothing)."""
+
+    def __init__(self, page, stamp):
+        self.page = page
+        self.stamp = stamp
+
+    def __call__(self, ctx):
+        ctx.space.write(
+            self.page * ctx.space.page_size, f"page{self.stamp}".encode()
+        )
+        return self.page
+
+
+ResponseSlabMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=40, deadline=None
+)
+TestResponseSlabMachine = pytest.mark.skipif(
+    not shm_available(), reason="no shared memory"
+)(ResponseSlabMachine.TestCase)
 
 
 class TestEnvironmentOptIn:

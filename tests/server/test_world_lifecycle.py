@@ -4,12 +4,16 @@ Every served block runs on its own ``ConcurrentExecutor`` with its own
 ``ProcessManager``; ``RaceServer._run_one`` creates the parent and exits
 it once the ticket has resolved.  On the pooled process backend that
 exit is what drops the frames adopted from the winner's shm slab, so the
-slab is unlinked while the server is still serving -- not by
-``cleanup_all_slabs()`` at interpreter exit.  The audit here is therefore
-taken *before* shutdown: after N blocks the process owns exactly the
-slabs it owned before the server existed and ``/dev/shm`` holds no new
-segment, for winners, for blocks whose every arm fails, and for a block
-whose pool worker is SIGKILLed mid-race.
+slab goes back to the pool while the server is still serving -- it is
+not left pinned for ``cleanup_all_slabs()`` at interpreter exit.  The
+audit here is therefore taken *before* shutdown: after N blocks the
+process owns, beyond what it owned before the server existed, exactly
+the pool's own slabs (one per worker that served plus at most the
+spares), each referenced by the pool alone, and ten times the blocks
+later it still owns those and no more than the same bound -- for
+winners, for blocks whose every arm fails, and for a block whose pool
+worker is SIGKILLed mid-race.  After the pool's shutdown nothing is
+left.
 """
 
 import os
@@ -20,7 +24,7 @@ import pytest
 
 from repro.core.alternative import Alternative
 from repro.pages.shm import live_slab_count, orphaned_segments, shm_available
-from repro.process.pool import WorldPool
+from repro.process.pool import RESPONSE_SPARE_SLABS, WorldPool
 from repro.server import RaceServer, ServerConfig
 
 pytestmark = [
@@ -66,19 +70,44 @@ def audited_server():
         backend="process", workers=2, max_inflight_arms=4, pool=pool,
     ))
 
-    def audit():
-        # ``drain`` returns once the last worker has left ``_run_one``,
-        # i.e. after the last parent was exited; nothing has run
+    def held():
+        # Taken once the last worker has left ``_run_one``, i.e. after
+        # the last parent was exited; nothing has run
         # ``cleanup_all_slabs`` and the interpreter is very much alive.
+        owned = pool.owned_slabs()
+        assert [slab.refs for slab in owned] == [1] * len(owned)
+        assert live_slab_count() - slabs_before == len(owned)
+        names = {slab.name for slab in owned}
+        assert set(orphaned_segments()) - segments_before == names
+        return names
+
+    def audit():
+        deadline = time.monotonic() + 60.0
+        while server.stats()["inflight_blocks"] or server.stats()["queue_depth"]:
+            assert time.monotonic() < deadline, "server never went idle"
+            time.sleep(0.005)
+        bound = pool.size + RESPONSE_SPARE_SLABS
+        before = held()
+        assert 0 < len(before) <= bound
+        tickets = [
+            server.submit(f"tenant-{i % 3}", _block(f"more{i}", 2 + i % 2))
+            for i in range(10 * BLOCKS)
+        ]
+        for i, ticket in enumerate(tickets):
+            assert ticket.result(timeout=60.0) == f"more{i}"
         assert server.drain(timeout=60.0)
-        assert live_slab_count() == slabs_before
-        assert set(orphaned_segments()) - segments_before == set()
+        # Ten times the blocks: no slab was dropped for a new one, and a
+        # worker that had not served yet adds at most its own.
+        after = held()
+        assert before <= after and len(after) <= bound
 
     try:
         yield server, pool, audit
     finally:
         server.shutdown()
         pool.shutdown()
+    assert live_slab_count() == slabs_before
+    assert set(orphaned_segments()) - segments_before == set()
 
 
 class TestWorldDiesWithItsTicket:
