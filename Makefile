@@ -82,7 +82,14 @@ test-check:
 ## of segments, a winner's slab waiting for the world that adopted it, a
 ## faulted arm's for the reaper, a nested pool, 16/1024/16-page spaces,
 ## the bounded spare set, shutdown under a pin; plus the
-## lease/win/lose/kill/exit/shutdown state machine).  The default pool
+## lease/win/lose/kill/detach/drain/deadline/exit/shutdown state
+## machine) and the detached leases' (TestDetachedLeases: fifty blocks
+## settled by the pool, a late loser's slab kept until its record is
+## read, a deaf loser killed at its deadline by lease, drain and
+## shutdown, ship faults and a stale epoch on a detached arm, a retired
+## arena pinned until settle, a pool as wide as its block never forking,
+## the instruction issued before the lease is read, the stale bell, the
+## pre-body check).  The default pool
 ## has 2 workers, so every block wider than 2 crosses, in one race, the
 ## reissued slab of a leased arm and the create-and-unlink slab of an arm
 ## that fell back to a fork: the 13-block matrix staying byte-identical
@@ -135,8 +142,13 @@ bench-server:
 ## (in the untimed warm-up) and reissued when its last reader lets go --
 ## so the traced solo-dirty creates < 1 slab per block (it was 3, one per
 ## arm; the smoke run reads 0, and a reuse that went through
-## ShmSlab.create would read 3 again).  Counts, not timings: they
-## hold on a shared CI runner.
+## ShmSlab.create would read 3 again).  A race leaves its pooled losers
+## to the pool, which hears them out one drainer at a time and makes a
+## lease wait for them: a drain that misreads a shared pipe shows as
+## respawns, a lease that forks instead of waiting as fallbacks, so the
+## traced served-burst (two race threads on one pool) and solo-small
+## (back-to-back blocks, no idle time for losers to report in) read 0 of
+## each.  Counts, not timings: they hold on a shared CI runner.
 SMOKE_RECORD ?= bench/out/smoke-gate.json
 define SMOKE_GATE
 import json, sys
@@ -146,6 +158,10 @@ gates = [
     ('cluster-race', 'cluster.stream.connects_per_block', 0.5),
     ('cluster-race', 'cluster.stream.bytes_per_block', 60000),
     ('solo-dirty', 'pages.shm.slabs_per_block', 1),
+    ('served-burst', 'process.pool.fallbacks', 1),
+    ('served-burst', 'process.pool.respawns', 1),
+    ('solo-small', 'process.pool.fallbacks', 1),
+    ('solo-small', 'process.pool.respawns', 1),
 ]
 failed = False
 for workload, metric, limit in gates:

@@ -156,8 +156,10 @@ class BackendRace:
     last completion when there is no winner)."""
 
     total_seconds: float
-    """Seconds from race start until every arm was accounted for
-    (includes cooperative-cancellation latency of the losers)."""
+    """Seconds from race start until the caller got the race back: every
+    arm accounted for -- or, for a pooled loser, told to stop and left
+    to the pool (selection ends at the commit; section 3.2.1's "at some
+    time after")."""
 
     timed_out: bool = False
     events: List[Tuple[float, str]] = field(default_factory=list)

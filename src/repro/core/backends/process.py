@@ -30,16 +30,29 @@ the ``REPRO_WORLD_POOL`` environment flag via ``get_backend``): arms
 whose alternatives pickle are then *leased* to pre-warmed parked workers
 over persistent pipes instead of being forked per race, amortizing the
 paper's per-block setup cost.  Pooled workers speak the identical wire
-format, honor the same SIGTERM-cancel / SIGKILL escalation, and fall
-back to a direct fork per arm whenever leasing is impossible.
+format, honor the same cancel / SIGKILL escalation, and fall back to a
+direct fork per arm whenever leasing is impossible.
 
 Elimination is two-stage, matching the paper's cooperative-then-forcible
-reality: losers first receive ``SIGTERM``, whose handler cancels the
-arm's :class:`~repro.core.backends.base.CancellationToken` so the body
-stops at its next cooperative checkpoint and reports how much work it
-actually did; any child still alive after ``kill_grace`` seconds is
-``SIGKILL``-ed (the asynchronous hard kill of section 3.2.1) and its
-report is synthesized.
+reality: losers first receive the termination instruction -- ``SIGTERM``
+for a forked child, :meth:`WorldPool.cancel
+<repro.process.pool.WorldPool.cancel>` (the epoch on the pool's board,
+then ``SIGTERM`` as the bell) for a leased worker -- whose handler
+cancels the arm's :class:`~repro.core.backends.base.CancellationToken`
+so the body stops at its next cooperative checkpoint and reports how
+much work it actually did; any child still alive after ``kill_grace``
+seconds is ``SIGKILL``-ed (the asynchronous hard kill of section 3.2.1)
+and its report is synthesized.
+
+Selection ends at the commit.  Once a winner is chosen and every sibling
+still racing has been told, ``run_arms`` returns: a forked child is
+waited for and reaped here (it is this race's child), but a leased
+worker this race has not read a byte from is *detached* -- reported
+``cancelled`` with the work it burned until told, and handed to the pool
+with :meth:`WorldPool.finish <repro.process.pool.WorldPool.finish>`,
+which hears it out later and enforces the same ``kill_grace`` deadline.
+``collect_all``, timeout and no-winner races wait for everyone, as
+before.
 
 Hardening beyond the paper's happy path:
 
@@ -279,6 +292,7 @@ class ProcessBackend(ExecutionBackend):
         self.page_transport = page_transport
         self._race_pids: Dict[int, int] = {}
         self._race_seen: Set[int] = set()
+        self._race_leases: Dict[int, object] = {}
 
     def resolved_transport(self) -> str:
         """The transport this backend will actually use: shm when asked
@@ -305,8 +319,10 @@ class ProcessBackend(ExecutionBackend):
         slabs: Dict[int, ShmSlab] = {}
         seen: Set[int] = set()
         clean_leases: Set[int] = set()
+        detached: Set[int] = set()  # leased, told, left to the pool
         self._race_pids = pids
         self._race_seen = seen
+        self._race_leases = leases
         use_shm = self.resolved_transport() == "shm"
         tracer = _active_tracer()
         race: Optional[BackendRace] = None
@@ -369,7 +385,7 @@ class ProcessBackend(ExecutionBackend):
             launched = time.perf_counter() - start
             race = self._collect(
                 tasks, pids, pipes, start, timeout, seen, slabs,
-                persistent, leases, clean_leases, collect_all,
+                persistent, leases, clean_leases, detached, collect_all,
             )
         finally:
             for fd in pipes.values():
@@ -388,10 +404,16 @@ class ProcessBackend(ExecutionBackend):
             # exposing live siblings of concurrent races to it.
             scope.live = False
             if self.pool is not None and leases:
-                statuses.update(self.pool.finish(leases, clean_leases))
+                statuses.update(
+                    self.pool.finish(leases, clean_leases, detached)
+                )
             # Only now, with every child reaped and every worker parked
             # or replaced: a pooled slab let go of here may be lent again.
+            # A detached arm's is the pool's to let go of, once it has
+            # heard the worker out.
             for index, slab in slabs.items():
+                if index in detached:
+                    continue
                 if race is not None:
                     try:
                         report = race.report(index)
@@ -406,16 +428,24 @@ class ProcessBackend(ExecutionBackend):
                 slab.dispose()
             self._race_pids = {}
             self._race_seen = set()
+            self._race_leases = {}
         race.page_transport = "shm" if use_shm else "pipe"
         race.setup_seconds = launched
         self._annotate_exit_statuses(race, seen, statuses)
         return race
 
     def terminate_arm(self, index: int, hard: bool = False) -> bool:
-        """Signal one still-racing child (the watchdog's entry point)."""
+        """Signal one still-racing child (the watchdog's entry point).
+
+        A leased arm is told through the pool: a bare ``SIGTERM`` is only
+        a bell to a pooled worker, the instruction is on the board.
+        """
         pid = self._race_pids.get(index)
         if pid is None or index in self._race_seen:
             return False
+        lease = self._race_leases.get(index)
+        if lease is not None and not hard:
+            return self.pool.cancel(lease, self.kill_grace)
         try:
             os.kill(pid, signal.SIGKILL if hard else signal.SIGTERM)
         except (ProcessLookupError, PermissionError):
@@ -560,7 +590,7 @@ class ProcessBackend(ExecutionBackend):
 
     def _collect(
         self, tasks, pids, pipes, start, timeout, seen, slabs,
-        persistent, leases, clean_leases, collect_all=False,
+        persistent, leases, clean_leases, detached, collect_all=False,
     ) -> BackendRace:
         readers = {index: _RecordReader() for index in pipes}
         fd_to_index = {fd: index for index, fd in pipes.items()}
@@ -596,15 +626,36 @@ class ProcessBackend(ExecutionBackend):
         deadline = None if timeout is None else start + timeout
         grace_deadline: Optional[float] = None
         bail_deadline: Optional[float] = None
+        issued_at = 0.0
 
         def signal_racing(sig: int) -> None:
+            nonlocal issued_at
             for index, pid in pids.items():
                 if index == winner_index or index in seen:
+                    continue
+                if sig == signal.SIGTERM and index in leases:
+                    self.pool.cancel(leases[index], self.kill_grace)
                     continue
                 try:
                     os.kill(pid, sig)
                 except ProcessLookupError:
                     pass
+            if sig == signal.SIGTERM:
+                issued_at = time.perf_counter() - start
+
+        def only_detachable_left() -> bool:
+            """Selection ends at the commit: a winner is chosen, every
+            sibling still racing has been told, and what is left open is
+            leased workers this race has not read one byte from.  Those
+            are the pool's to hear out; a forked arm is this race's
+            child and is waited for."""
+            if winner_index is None or collect_all:
+                return False
+            for fd in open_fds:
+                reader = readers[fd_to_index[fd]]
+                if fd not in persistent or reader.pending or reader.corrupt:
+                    return False
+            return True
 
         def conclude_abnormal(index: int, detail: str) -> None:
             """An arm died without an intact record: demote it."""
@@ -680,9 +731,13 @@ class ProcessBackend(ExecutionBackend):
                         # loop, refined by the wait status.
                     continue
                 for record in reader.feed(data):
-                    if index in leases and not self._lease_record_valid(
-                        record, leases[index]
+                    if index in leases and not self.pool.accepts(
+                        leases[index], record
                     ):
+                        # Bytes of some earlier lease (a stale world):
+                        # the record is discarded and the stream treated
+                        # as poisoned, so the arm concludes abnormally
+                        # and the pool respawns the worker.
                         reader._mark_corrupt(
                             "stale pooled record (epoch mismatch)"
                         )
@@ -700,14 +755,29 @@ class ProcessBackend(ExecutionBackend):
                     open_fds.discard(fd)
                     if not reader.corrupt and not reader.pending:
                         clean_leases.add(index)
+            if only_detachable_left():
+                detached.update(fd_to_index[fd] for fd in open_fds)
+                break
 
         total = time.perf_counter() - start
         for task in tasks:
             if task.index in seen:
                 continue
-            # Exited (or was SIGKILLed) without any record: synthesize.
             report = reports[task.index]
             report.cancelled = True
+            if task.index in detached:
+                # The report the paper prescribes for an eliminated
+                # sibling: told to stop, charged what it burned till then.
+                report.detail = (
+                    "termination instruction issued; "
+                    "the pool collects its last words"
+                )
+                report.finished_at = issued_at
+                report.work_seconds = issued_at
+                events.append((issued_at, f"kill {report.name} (issued)"))
+                trace_finish(report)
+                continue
+            # Exited (or was SIGKILLed) without any record: synthesize.
             report.abnormal = True
             report.detail = "exited without a result record"
             report.finished_at = total
@@ -731,18 +801,6 @@ class ProcessBackend(ExecutionBackend):
             timed_out=timed_out,
             events=events,
         )
-
-    @staticmethod
-    def _lease_record_valid(record: dict, lease) -> bool:
-        """A pooled record must echo its lease's snapshot epoch.
-
-        A mismatch means the bytes on the persistent pipe belong to some
-        earlier lease (a stale world): the record is discarded and the
-        worker's stream treated as poisoned, so the arm concludes
-        abnormally and the pool respawns the worker.
-        """
-        epoch = getattr(lease, "epoch", None)
-        return epoch is None or record.get("pool_epoch") == epoch
 
     def _absorb_record(
         self, record, index, reports, seen, events,

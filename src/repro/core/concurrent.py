@@ -85,7 +85,20 @@ class _ChildRun:
 
 
 class ConcurrentExecutor:
-    """Race all alternatives; fastest successful one wins."""
+    """Race all alternatives; fastest successful one wins.
+
+    ``elimination`` times the simulator: termination instructions cost
+    ``kill_latency`` apiece before the parent resumes (synchronous) or
+    after it (asynchronous).  On a real backend the mode has nothing
+    left to choose: the parent resumes when the backend returns the
+    race, and that is what ``AltResult.elapsed`` and
+    ``OverheadBreakdown.selection`` report under either mode.  The
+    backend returns once the instructions are issued and whatever only
+    the race can collect (a forked child, a thread) is in; a pooled
+    loser stops "at some time after" and reports to the pool.  The mode
+    still decides whether the kernel model releases the losers' spaces
+    inside ``alt_wait`` or in the drain right after it.
+    """
 
     def __init__(
         self,
@@ -663,11 +676,10 @@ class ConcurrentExecutor:
                     )
 
         win_time = spawn_done + race.elapsed
-        if self.elimination is EliminationMode.SYNCHRONOUS:
-            # The parent resumes only once every sibling is accounted for.
-            resume_at = spawn_done + race.total_seconds
-        else:
-            resume_at = win_time
+        # When the backend gave the race back is when the parent resumed,
+        # whatever the mode: the wait is the backend's, not a choice made
+        # here.
+        resume_at = spawn_done + race.total_seconds
         winner_outcome = outcomes[winner_index]
         winner_outcome.status = "won"
         winner_outcome.value = winner_report.value

@@ -44,7 +44,45 @@ winner's, while the world that adopted its pages lives) is set aside
 among at most :data:`RESPONSE_SPARE_SLABS` spares and the worker takes a
 free spare or a fresh slab; a spare set that overflows drops its oldest.
 
-Four invariants make this safe, each held by one party:
+A race does not wait for its pooled losers.  Selection ends at the
+commit (section 3.2.1: siblings stop "at some time after" the
+termination instruction is delivered): once a winner is chosen and every
+sibling still racing has been told, :class:`ProcessBackend` hands the
+leases it has not heard from back with :meth:`WorldPool.finish` as
+*detached*, and the parent resumes.  A detached lease stays in the
+pool's ledger as *draining* -- worker busy, arena pinned, the lent
+:attr:`Lease.slab` handle and a deadline in the pool's custody -- until
+:meth:`WorldPool.drain` has heard the worker out: one intact record
+echoing the lease's epoch and nothing after it parks the worker;
+anything else, or silence past the deadline, takes the recycle path.
+The drain runs, without waiting, at the top of :meth:`WorldPool.lease`,
+:meth:`~WorldPool.finish`, :attr:`~WorldPool.parked` and
+:meth:`~WorldPool.reclaim_abandoned`; it waits -- until the earliest
+deadline at most -- when a lease finds nobody parked but somebody
+draining (it does not fork for that reason), in :meth:`WorldPool.drain`
+and in :meth:`WorldPool.shutdown`.  So the pool enforces a detached
+lease's deadline, whenever it is next asked for anything; a pool nobody
+asks keeps a stubborn loser until somebody does, or until
+:meth:`~WorldPool.shutdown`.  One drainer at a time, under a lock of its
+own: two readers of one pipe would each see half a record.
+
+The termination instruction travels on the **board**: one anonymous
+shared mapping made before the first fork, one word per worker.  *The
+word is the instruction, the signal is the bell*:
+:meth:`WorldPool.cancel` writes the lease's epoch into the worker's word
+and then sends ``SIGTERM``; the worker's handler cancels the arm's token
+only if the word equals the epoch it is serving, and a worker that
+starts on a lease publishes epoch and token first and then reads its
+word once -- an arm told before it began ships ``cancelled`` at once,
+with no world built, no body run and no slab written.  An instruction
+can therefore not be lost to a worker that had not got round to its
+lease, and, epochs never being reused, a late bell cannot hit a later
+lease.  Only the handler cancels, on the very thread that may be asleep
+on the token, so a pooled arm's token is a flag and a self-pipe
+(:class:`_BellToken`) and not a :class:`threading.Event`, whose lock a
+handler can find held by the code it interrupted.
+
+Five invariants make this safe, each held by one party:
 
 - **slots are write-once** (the pool): a slot is written before any
   lease names it and never again, so a worker's cached frame for a slot
@@ -55,8 +93,8 @@ Four invariants make this safe, each held by one party:
 - **a lease pins its arena until settled** (the lease ledger): a full
   arena is retired whole and replaced, and a retired arena is unlinked
   by whoever drops its last pin -- :meth:`WorldPool.finish`, a fallback
-  inside :meth:`WorldPool.lease`, or
-  :meth:`WorldPool.reclaim_abandoned`.  The live arena is unlinked by
+  inside :meth:`WorldPool.lease`, :meth:`WorldPool.reclaim_abandoned`,
+  or the drain settling a detached lease.  The live arena is unlinked by
   :meth:`WorldPool.shutdown`; a worker only ever unmaps;
 - **a response slab is named in a lease only while nobody but the pool
   references it** (the pool): its reference count reads one -- no handle
@@ -70,7 +108,13 @@ Four invariants make this safe, each held by one party:
   the segment's, and the parent adopts ``(page, slot)`` pairs only from
   a record that echoes the lease's epoch and the slab's name.  All of
   it is per process: a pool built in a forked child (a pooled worker, a
-  forked arm, a nested race inside an arm) starts with no slab.
+  forked arm, a nested race inside an arm) starts with no slab;
+- **a detached lease is the pool's** (the pool): from
+  :meth:`WorldPool.finish` on, nobody but the pool reads a detached
+  lease's result pipe, and its worker is not leased, its slab not lent,
+  its arena not unlinked until it is settled -- which is what keeps the
+  fourth invariant's "no process can still write it" true while a loser
+  is still on its way out.
 
 :meth:`WorldPool.shutdown` drops the pool's claim on every response slab
 it holds: one nobody else references is unlinked there and then, one
@@ -80,13 +124,17 @@ releasing is unlinked by the ``atexit`` hook of :mod:`repro.pages.shm`.
 
 Failure discipline matches direct forks exactly:
 
-- ``SIGTERM`` on a leased worker cancels the arm's token (cooperative
-  elimination); on a parked worker it is a no-op;
+- :meth:`WorldPool.cancel` on a leased worker cancels the arm's token
+  (cooperative elimination); a bare ``SIGTERM`` is only a bell and a
+  no-op, on a leased worker as on a parked one;
 - ``SIGKILL`` (watchdog escalation, grace expiry) kills the worker; the
   parent sees EOF on the persistent pipe, concludes the arm abnormally,
   and the pool respawns a fresh worker at :meth:`finish`;
 - a lease whose record never fully arrived leaves the worker's stream
-  suspect: the worker is killed and respawned, never re-parked;
+  suspect: the worker is killed and respawned, never re-parked -- by
+  :meth:`finish` for a lease the race collected, by the drain for a
+  detached one (EOF, corrupt frame, stale epoch, trailing bytes, or
+  ``kill_grace`` seconds of silence after the instruction);
 - every record echoes its lease's ``epoch``; a mismatched echo (a stale
   world's leftovers) poisons the worker instead of corrupting the race;
 - the ``pool-worker-stale`` fault point injects exactly that staleness,
@@ -101,15 +149,17 @@ belongs to the pool, which kills and reaps every worker at
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import pickle
 import random
+import select
 import signal
 import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro.core.backends.base import CancellationToken
 from repro.core.backends import wire
@@ -125,6 +175,10 @@ __all__ = ["Lease", "WorldPool", "default_pool", "shutdown_default_pool"]
 
 _LEN = struct.Struct("!I")
 """Control-pipe framing: 4-byte length prefix, then a pickled message."""
+
+_WORD = struct.Struct("=Q")
+"""One word of the board: the epoch of the lease its worker was last
+told to stop."""
 
 DEFAULT_POOL_SIZE = 2
 
@@ -167,7 +221,8 @@ class Lease:
     epoch: int
     slab: Optional[ShmSlab] = None
     """The arm's response slab, lent for this lease alone; the holder
-    disposes it once the race is over, after :meth:`WorldPool.finish`.
+    disposes it once the race is over, after :meth:`WorldPool.finish` --
+    unless it detached the lease there, and the handle with it.
     ``None`` when the arm ships over the pipe."""
 
 
@@ -179,13 +234,23 @@ class _LeaseRecord:
     never be parked or killed on behalf of a lease it was not granted.
     """
 
-    __slots__ = ("worker", "granted_at", "arena")
+    __slots__ = ("worker", "granted_at", "arena", "deadline", "lease",
+                 "reader")
 
     def __init__(self, worker: "_Worker", granted_at: float) -> None:
         self.worker = worker
         self.granted_at = granted_at
         self.arena: Optional[_Arena] = None
         """The arena this lease's worker reads, pinned until settled."""
+
+        self.deadline: Optional[float] = None
+        """Set by :meth:`WorldPool.cancel`: when a worker that has not
+        reported by then is killed (``time.monotonic``)."""
+
+        self.lease: Optional[Lease] = None
+        self.reader: Optional[wire.RecordReader] = None
+        """A detached lease's handle (its lent slab is the pool's to
+        dispose) and the drainer's view of its result pipe."""
 
 
 class _Arena:
@@ -220,12 +285,17 @@ class _Arena:
 class _Worker:
     """Parent-side handle on one pooled process."""
 
-    __slots__ = ("pid", "ctrl_fd", "result_fd", "busy", "slab")
+    __slots__ = ("pid", "ctrl_fd", "result_fd", "slot", "busy", "slab")
 
-    def __init__(self, pid: int, ctrl_fd: int, result_fd: int) -> None:
+    def __init__(
+        self, pid: int, ctrl_fd: int, result_fd: int, slot: int
+    ) -> None:
         self.pid = pid
         self.ctrl_fd = ctrl_fd
         self.result_fd = result_fd
+        self.slot = slot
+        """This worker's word on the board; its heir inherits it."""
+
         self.busy = False
         self.slab: Optional[ShmSlab] = None
         """The response slab this worker keeps mapped (pool-owned)."""
@@ -243,9 +313,22 @@ class WorldPool:
         self._workers: List[_Worker] = []
         self._epoch = 0
         self._active: Dict[int, _LeaseRecord] = {}
-        """Outstanding leases by epoch; the single source of settlement."""
+        """Leases whose race has not returned, by epoch."""
+
+        self._draining: Dict[int, _LeaseRecord] = {}
+        """Detached leases, by epoch: the race returned at its commit,
+        the pool still owes each worker a hearing.  A lease is in one
+        ledger or the other until settled, never in both."""
 
         self._lock = threading.Lock()
+        self._drain_lock = threading.Lock()
+        """One drainer at a time: two readers of one result pipe would
+        each see half a record and recycle a healthy worker."""
+
+        self._board = mmap.mmap(-1, _WORD.size * size)
+        """One word per worker, shared with every worker forked from
+        here on: the epoch of the lease it was last told to stop."""
+
         self._closed = False
         self.leases_granted = 0
         self.fallbacks = 0
@@ -267,14 +350,22 @@ class WorldPool:
         self.response_slabs_reused = 0
         """Leases that were lent a slab the pool already had."""
 
-        for _ in range(size):
-            self._workers.append(self._spawn())
+        self.drained_parked = 0
+        self.drained_recycled = 0
+        """Detached leases settled by a clean record / by the recycle
+        path (death, bad record, deadline)."""
+
+        self.told_before_start = 0
+        """Arms that found their instruction waiting and never ran."""
+
+        for slot in range(size):
+            self._workers.append(self._spawn(slot))
         atexit.register(self.shutdown)
 
     # ------------------------------------------------------------------
     # parent side
 
-    def _spawn(self) -> _Worker:
+    def _spawn(self, slot: int) -> _Worker:
         ctrl_read, ctrl_write = os.pipe()
         result_read, result_write = os.pipe()
         # Block SIGTERM across the fork: the mask is inherited, so a
@@ -311,7 +402,7 @@ class WorldPool:
                                 os.close(fd)
                             except OSError:
                                 pass
-                    _worker_main(ctrl_read, result_write)
+                    _worker_main(ctrl_read, result_write, self._board, slot)
                 finally:  # pragma: no cover - _worker_main never returns
                     os._exit(wire.EXIT_SHIP_FAILED)
             os.close(ctrl_read)
@@ -320,7 +411,7 @@ class WorldPool:
             # Restore even when fork or the parent-side setup raises:
             # the calling thread must not keep SIGTERM blocked forever.
             signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
-        return _Worker(pid, ctrl_write, result_read)
+        return _Worker(pid, ctrl_write, result_read, slot)
 
     def _discard(self, worker: _Worker) -> Optional[int]:
         """Kill, reap, and forget one worker; returns its wait status."""
@@ -365,7 +456,7 @@ class WorldPool:
             if slab is not None:
                 slab.dispose()
             return
-        fresh = self._spawn()
+        fresh = self._spawn(reaped.slot)
         fresh.slab = slab
         with self._lock:
             self._workers.append(fresh)
@@ -382,9 +473,12 @@ class WorldPool:
         """Hand one arm to a parked worker; ``None`` means fork instead.
 
         Falls back (returning ``None``) whenever pooling cannot be
-        transparent: no free worker, an alternative that does not pickle,
-        a context without a space, or an injected ``pool-worker-stale``
-        fault.  The caller loses nothing but the amortization.
+        transparent: every worker leased to a race still running, an
+        alternative that does not pickle, a context without a space, or
+        an injected ``pool-worker-stale`` fault.  The caller loses
+        nothing but the amortization.  Workers that are only *draining*
+        are waited for instead -- each reports or is replaced within its
+        deadline -- so a pool as wide as its caller never forks.
 
         With ``shm`` the lease carries a response slab
         (:attr:`Lease.slab`) and the arm's world goes out through the
@@ -401,27 +495,35 @@ class WorldPool:
         # happen in ONE critical section: concurrent multi-block callers
         # can interleave here arbitrarily and still never double-lease a
         # worker or observe a granted-but-unregistered lease.
-        with self._lock:
-            parked = [w for w in self._workers if not w.busy]
-            if not parked:
-                self.fallbacks += 1
-                return None
-            worker = parked[0]
-            if shm:
-                # A worker whose slab can go out again as it is spares
-                # the worker a new mapping and the pool a spare.
-                worker = next(
-                    (
-                        w for w in parked
-                        if self._lendable(w.slab, space.num_pages,
-                                          space.page_size)
-                    ),
-                    worker,
-                )
-            worker.busy = True
-            self._epoch += 1
-            epoch = self._epoch
-            self._active[epoch] = _LeaseRecord(worker, time.monotonic())
+        self._drain(0)
+        while True:
+            with self._lock:
+                parked = [w for w in self._workers if not w.busy]
+                if parked:
+                    worker = parked[0]
+                    if shm:
+                        # A worker whose slab can go out again as it is
+                        # spares the worker a new mapping and the pool a
+                        # spare.
+                        worker = next(
+                            (
+                                w for w in parked
+                                if self._lendable(w.slab, space.num_pages,
+                                                  space.page_size)
+                            ),
+                            worker,
+                        )
+                    worker.busy = True
+                    self._epoch += 1
+                    epoch = self._epoch
+                    self._active[epoch] = _LeaseRecord(
+                        worker, time.monotonic()
+                    )
+                    break
+                if not self._draining:
+                    self.fallbacks += 1
+                    return None
+            self._drain(1)
         injector = _active_injector()
         if (
             injector is not None
@@ -644,7 +746,9 @@ class WorldPool:
         self._arena = _Arena(slab)
         return self._arena
 
-    def _close_lease(self, epoch: int) -> Optional[_LeaseRecord]:
+    def _close_lease(
+        self, epoch: int, draining: bool = False
+    ) -> Optional[_LeaseRecord]:
         """Pop one ledger entry and drop its arena pin, exactly once.
 
         ``None`` means the epoch was already settled.  Popping under the
@@ -653,10 +757,12 @@ class WorldPool:
         fallback path in ``lease`` itself), exactly one wins the pop and
         touches the worker; the rest do nothing.  The same winner drops
         the lease's pin, and unlinks the arena if it was retired and
-        this was its last reader.
+        this was its last reader.  ``draining`` names the ledger: a
+        detached lease is the drainer's to close, nobody else's.
         """
+        ledger = self._draining if draining else self._active
         with self._lock:
-            record = self._active.pop(epoch, None)
+            record = ledger.pop(epoch, None)
             if record is None:
                 return None
             arena = record.arena
@@ -677,16 +783,65 @@ class WorldPool:
             record.worker.busy = False
         return None
 
+    def cancel(self, lease: Lease, grace: float) -> bool:
+        """Issue the termination instruction to a leased arm.
+
+        The word is the instruction, the signal is the bell: the lease's
+        epoch goes into its worker's word on the board, then ``SIGTERM``
+        makes the worker look.  A worker that has not read the lease yet
+        finds the word when it does; one serving a later lease reads an
+        epoch that is not its own and carries on.  From now the worker
+        has ``grace`` seconds to report before whoever collects it (the
+        race, or the pool once the lease is detached) kills it.  False
+        when the lease is no longer the race's or its worker is gone.
+        """
+        with self._lock:
+            record = self._active.get(lease.epoch)
+            if record is None:
+                return False
+            record.deadline = time.monotonic() + grace
+            worker = record.worker
+            _WORD.pack_into(
+                self._board, worker.slot * _WORD.size, lease.epoch
+            )
+            # Under the lock: a worker is reaped only after its lease
+            # left the ledger, so this pid is still the lease's.
+            try:
+                os.kill(worker.pid, signal.SIGTERM)
+            except (ProcessLookupError, PermissionError):
+                return False
+        return True
+
+    def accepts(self, lease: Lease, record: dict) -> bool:
+        """Whether ``record`` is the one ``lease`` is owed: it echoes the
+        lease's epoch.  Anything else on the pipe is a stale world's
+        leftovers, and the worker's stream is poisoned."""
+        if record.get("pool_epoch") != lease.epoch:
+            return False
+        if record.get("told_before_start"):
+            with self._lock:  # racers and the drainer both count here
+                self.told_before_start += 1
+        return True
+
     def finish(
-        self, leases: Dict[int, Lease], clean: Set[int]
+        self,
+        leases: Dict[int, Lease],
+        clean: Set[int],
+        detached: Collection[int] = (),
     ) -> Dict[int, Optional[int]]:
-        """Settle every lease after a race: park, or kill-and-respawn.
+        """Settle every lease after a race: park, kill-and-respawn, or
+        take into the pool's custody.
 
         ``clean`` holds the arm indexes whose records were fully absorbed
-        (the worker's stream is positively known to be drained); any
-        other leased worker is recycled, because bytes may still be in
-        flight on its persistent pipe.  Returns wait statuses for workers
-        that died, keyed by arm index, for exit-status annotation.
+        (the worker's stream is positively known to be drained).
+        ``detached`` holds those the race left behind at its commit: told
+        to stop (:meth:`cancel`), not heard from, not one byte of their
+        record read.  Such a lease moves to the draining ledger -- worker
+        busy, arena pinned, :attr:`Lease.slab` now the pool's to dispose
+        -- and :meth:`drain` settles it.  Any other leased worker is
+        recycled, because bytes may still be in flight on its persistent
+        pipe.  Returns wait statuses for workers that died, keyed by arm
+        index, for exit-status annotation.
 
         Resolution goes through the epoch-keyed lease ledger, never
         through pids: a lease whose epoch was already settled (a reclaim
@@ -694,8 +849,17 @@ class WorldPool:
         respawned worker that inherited a recycled pid can never be
         confused with the lease's original worker.
         """
+        self._drain(0)
         statuses: Dict[int, Optional[int]] = {}
+        given_up: List[ShmSlab] = []
         for index, lease in leases.items():
+            if index in detached:
+                if self._detach(lease):
+                    continue
+                # Never told, or swept meanwhile: settled the old way,
+                # but the handle is no longer the race's to dispose.
+                if lease.slab is not None:
+                    given_up.append(lease.slab)
             record = self._close_lease(lease.epoch)
             if record is None:
                 continue  # already settled elsewhere: idempotent
@@ -725,7 +889,128 @@ class WorldPool:
                     worker.busy = False
             else:
                 statuses.setdefault(index, self._replace(worker))
+        for slab in given_up:
+            slab.dispose()
         return statuses
+
+    def _detach(self, lease: Lease) -> bool:
+        """Move one told lease to the draining ledger; False (the caller
+        settles it the old way) when it was never told or is not the
+        race's any more."""
+        with self._lock:
+            record = self._active.get(lease.epoch)
+            if record is None or record.deadline is None:
+                return False
+            del self._active[lease.epoch]
+            record.lease = lease
+            record.reader = wire.RecordReader()
+            self._draining[lease.epoch] = record
+        return True
+
+    def drain(self) -> None:
+        """Settle every detached lease.
+
+        Blocks until each draining worker has reported or run out its
+        deadline, so it returns within the longest ``grace`` a caller
+        passed to :meth:`cancel`.  Afterwards every worker is parked or
+        leased to a race still running.
+        """
+        self._drain(None)
+
+    def _drain(self, wanted: Optional[int]) -> None:
+        """Hear the draining workers out; settle those that are done.
+
+        ``wanted`` is how many settlements to wait for: 0 takes what is
+        there and never waits, 1 is a lease with nobody parked, ``None``
+        is all of them.  A wait lasts until the earliest deadline at
+        most, and whoever passes it is killed.  One drainer at a time:
+        a poll that finds one at work leaves it to it, a waiter queues
+        and, its turn come, looks first whether it still has to.
+        """
+        if not self._draining:
+            return
+        if not self._drain_lock.acquire(blocking=wanted != 0):
+            return
+        try:
+            if wanted == 1:
+                with self._lock:
+                    if any(not w.busy for w in self._workers):
+                        return
+            settled = 0
+            while True:
+                with self._lock:
+                    pending = list(self._draining.items())
+                if not pending:
+                    return
+                satisfied = wanted is not None and settled >= wanted
+                wait = 0.0
+                if not satisfied:
+                    soonest = min(record.deadline for _, record in pending)
+                    wait = max(0.0, soonest - time.monotonic())
+                ready, _, _ = select.select(
+                    [record.worker.result_fd for _, record in pending],
+                    [], [], wait,
+                )
+                for epoch, record in pending:
+                    recycle = self._hear(
+                        record, record.worker.result_fd in ready
+                    )
+                    if recycle is not None:
+                        self._settle_drained(epoch, record, recycle)
+                        settled += 1
+                if satisfied and not ready:
+                    return
+        finally:
+            self._drain_lock.release()
+
+    def _hear(self, record: _LeaseRecord, readable: bool) -> Optional[bool]:
+        """What to do with one draining worker: ``False`` park it,
+        ``True`` recycle it, ``None`` keep waiting.
+
+        It parks on exactly one intact record that echoes its epoch with
+        nothing after it.  EOF, a corrupt frame, another epoch, trailing
+        bytes, or the deadline: its stream cannot be trusted again.
+        """
+        if readable:
+            reader = record.reader
+            data = os.read(record.worker.result_fd, 65536)
+            if not data:
+                return True
+            records = reader.feed(data)
+            if reader.corrupt:
+                return True
+            if records:
+                return not (
+                    len(records) == 1
+                    and not reader.pending
+                    and self.accepts(record.lease, records[0])
+                )
+        if time.monotonic() >= record.deadline:
+            return True
+        return None
+
+    def _settle_drained(
+        self, epoch: int, record: _LeaseRecord, recycle: bool
+    ) -> None:
+        """Close out one detached lease (drain lock held).
+
+        The handle goes back before the worker can be leased again, and
+        only once nothing can write the slab any more: its record is
+        read, or its process reaped.
+        """
+        worker, slab = record.worker, record.lease.slab
+        if recycle:
+            self._discard(worker)
+        self._close_lease(epoch, draining=True)
+        if slab is not None:
+            slab.dispose()
+        if recycle:
+            self._respawn(worker)
+            self.drained_recycled += 1
+        else:
+            with self._lock:
+                worker.busy = False
+            self.drained_parked += 1
 
     def reclaim_abandoned(self, older_than: float = 30.0) -> int:
         """Recycle workers whose lease was never settled (caller crash).
@@ -734,9 +1019,11 @@ class WorldPool:
         ``finish`` leaves the worker busy forever -- pool exhaustion by
         attrition.  This sweep recycles every lease older than
         ``older_than`` seconds; settlement idempotence (``_settle``)
-        makes it safe to race against a late ``finish``.  Returns the
-        number of workers reclaimed.
+        makes it safe to race against a late ``finish``.  A detached
+        lease is not abandoned: it has a deadline of its own and the
+        drainer enforces it.  Returns the number of workers reclaimed.
         """
+        self._drain(0)
         now = time.monotonic()
         with self._lock:
             stale = [
@@ -755,13 +1042,20 @@ class WorldPool:
 
     @property
     def inflight(self) -> int:
-        """Leases granted and not yet settled."""
+        """Leases whose race has not returned."""
         with self._lock:
             return len(self._active)
 
     @property
+    def draining(self) -> int:
+        """Detached leases the pool has not settled yet."""
+        with self._lock:
+            return len(self._draining)
+
+    @property
     def parked(self) -> int:
         """Workers currently free to take a lease."""
+        self._drain(0)
         with self._lock:
             return sum(1 for worker in self._workers if not worker.busy)
 
@@ -785,6 +1079,8 @@ class WorldPool:
         if self._closed:
             return
         self._closed = True
+        # Closed first: a worker the drain has to kill is not replaced.
+        self._drain(None)
         with self._lock:
             workers = list(self._workers)
             self._workers = []
@@ -840,7 +1136,11 @@ class WorldPool:
     def __repr__(self) -> str:
         return (
             f"WorldPool(size={self.size}, parked={self.parked}, "
+            f"draining={self.draining}, "
             f"leases={self.leases_granted}, respawns={self.respawns}, "
+            f"drained_parked={self.drained_parked}, "
+            f"drained_recycled={self.drained_recycled}, "
+            f"told_before_start={self.told_before_start}, "
             f"published={self.pages_published}, "
             f"rotations={self.arena_rotations}, "
             f"response_slabs_created={self.response_slabs_created}, "
@@ -939,13 +1239,60 @@ class _WorkerWorld:
         return space
 
 
-def _worker_main(ctrl_fd: int, result_fd: int) -> None:
-    current: Dict[str, Optional[CancellationToken]] = {"token": None}
+class _BellToken(CancellationToken):
+    """A pooled arm's token: cancelled by the signal handler of the very
+    thread that waits on it.
+
+    A :class:`threading.Event` cannot be: ``set`` takes the lock ``wait``
+    holds while it checks in and out, neither is reentrant, and a bell
+    that rings in that window deadlocks the worker on itself (about one
+    told sleeper in 1 500, each sitting out its deadline).  A flag and a
+    self-pipe have no lock: the handler sets the one and writes the
+    other, ``wait`` selects on the pipe, and a byte written between its
+    look at the flag and its ``select`` is still there to end it.
+    """
+
+    __slots__ = ("_cancelled", "_wake_r", "_wake_w")
+
+    def __init__(self, wake_r: int, wake_w: int) -> None:
+        self._cancelled = False
+        self._wake_r = wake_r
+        self._wake_w = wake_w
+
+    def cancel(self) -> None:
+        self._cancelled = True
+        try:
+            os.write(self._wake_w, b"!")
+        except OSError:  # full of bells nobody waited for: as good
+            pass
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        if not self._cancelled:
+            select.select([self._wake_r], [], [], timeout)
+        return self._cancelled
+
+
+def _worker_main(ctrl_fd: int, result_fd: int, board, slot: int) -> None:
+    current: dict = {"epoch": 0, "token": None}
     world = _WorkerWorld()
+    offset = slot * _WORD.size
+    wake = os.pipe()
+    for fd in wake:
+        os.set_blocking(fd, False)
+
+    def told() -> int:
+        """The epoch of the lease this worker was last told to stop."""
+        return _WORD.unpack_from(board, offset)[0]
 
     def on_sigterm(signum, frame):
+        # The bell: look at the board.  Only the lease being served is
+        # ever cancelled, and only from here.
         token = current["token"]
-        if token is not None:
+        if token is not None and told() == current["epoch"]:
             token.cancel()
 
     signal.signal(signal.SIGTERM, on_sigterm)
@@ -965,13 +1312,27 @@ def _worker_main(ctrl_fd: int, result_fd: int) -> None:
             os._exit(wire.EXIT_SHIP_FAILED)
         if message.get("kind") == "exit":
             os._exit(0)
-        _serve_lease(message, result_fd, current, world)
+        try:  # bells of the lease before: a wake-up is for one token
+            while os.read(wake[0], 4096):
+                pass
+        except BlockingIOError:
+            pass
+        _serve_lease(message, result_fd, current, world, told, wake)
 
 
 def _serve_lease(
-    message: dict, result_fd: int, current: dict, world: _WorkerWorld
+    message: dict, result_fd: int, current: dict, world: _WorkerWorld,
+    told, wake: Tuple[int, int],
 ) -> None:
-    """Run one leased arm and ship its record; may never return (faults)."""
+    """Run one leased arm and ship its record; may never return (faults).
+
+    Epoch and token are published to the signal handler before anything
+    else, and the board is read once right after: an instruction issued
+    at any moment since the lease was granted is seen by the one or by
+    the other.  An arm that finds it already there ships ``cancelled``
+    at once -- no world, no body, no slab write -- and says so by
+    raising ``Eliminated`` itself: cancelling is the handler's business.
+    """
     from repro.core.alternative import AltContext
     from repro.core.backends.process import build_result_record
     from repro.core.sequential import _run_body
@@ -987,7 +1348,16 @@ def _serve_lease(
     abnormal = False
     space = None
     slab: Optional[ShmSlab] = None
+    token = _BellToken(*wake)
+    current["epoch"] = epoch
+    current["token"] = token
+    told_before_start = told() == epoch
     try:
+        if told_before_start:
+            raise Eliminated(
+                f"alternative {message['name'] or index + 1} eliminated "
+                "before it started: a sibling already synchronized"
+            )
         if pre_fault is not None:
             kind, duration, fault_detail = pre_fault
             if kind == "sigkill":
@@ -1007,8 +1377,6 @@ def _serve_lease(
                 message["slab_slots"],
                 message["slab_slot_size"],
             )
-        token = CancellationToken()
-        current["token"] = token
         context = AltContext(
             space,
             rng=random.Random(message["rng_seed"]),
@@ -1033,6 +1401,8 @@ def _serve_lease(
         began, finished, slab=slab,
     )
     record["pool_epoch"] = epoch
+    if told_before_start:
+        record["told_before_start"] = True
     if tracer.enabled:
         record["trace"] = tracer.events_since(trace_mark)
     try:

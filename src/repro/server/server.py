@@ -482,7 +482,10 @@ class RaceServer:
         """Stop admitting and wait for queue + in-flight blocks to empty.
 
         Returns ``False`` if ``timeout`` expired first (the server keeps
-        running what it already accepted either way).
+        running what it already accepted either way).  Drained includes
+        the pool: a race returns at its commit and leaves its pooled
+        losers to the pool, which is asked to settle them (bounded by
+        their kill deadlines) before this reports ``True``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
@@ -495,6 +498,8 @@ class RaceServer:
                     if remaining <= 0:
                         return False
                 self._idle.wait(timeout=remaining if remaining else 0.1)
+        if self._pool is not None:
+            self._pool.drain()
         return True
 
     def shutdown(self, timeout: Optional[float] = 30.0) -> bool:
@@ -545,5 +550,9 @@ class RaceServer:
                 "response_slabs_reused": self._pool.response_slabs_reused,
                 "parked": self._pool.parked,
                 "inflight": self._pool.inflight,
+                "draining": self._pool.draining,
+                "drained_parked": self._pool.drained_parked,
+                "drained_recycled": self._pool.drained_recycled,
+                "told_before_start": self._pool.told_before_start,
             }
         return stats

@@ -301,20 +301,48 @@ class TestParallelRacing:
         "backend", parallel_backends(), ids=lambda b: b.name
     )
     def test_asynchronous_elimination(self, backend):
-        executor = ConcurrentExecutor(
-            backend=backend, elimination=EliminationMode.ASYNCHRONOUS
-        )
-        parent = executor.new_parent()
-        result = executor.run(
-            [
-                cooperative_arm("slow", steps=100, value=1),
-                cooperative_arm("fast", steps=2, value=2),
-            ],
-            parent=parent,
-        )
-        assert result.winner.name == "fast"
-        assert parent.space.get("who") == "fast"
-        assert result.outcome("slow").status == "eliminated"
+        def stubborn(ctx):
+            # Looks at its instruction only between 150 ms chunks, so
+            # the backend visibly waits for it after the winner is in.
+            for _ in range(10):
+                time.sleep(0.15)
+                ctx.check_eliminated()
+            ctx.put("who", "slow")
+            return 1
+
+        elapsed = {}
+        for mode in EliminationMode:
+            executor = ConcurrentExecutor(backend=backend, elimination=mode)
+            parent = executor.new_parent()
+            began = time.perf_counter()
+            result = executor.run(
+                [
+                    Alternative("slow", body=stubborn, cost=1.5),
+                    cooperative_arm("fast", steps=2, value=2),
+                ],
+                parent=parent,
+            )
+            wall = time.perf_counter() - began
+            assert result.winner.name == "fast"
+            assert parent.space.get("who") == "fast"
+            assert result.outcome("slow").status == "eliminated"
+            # The caller sat in run() until the backend gave the race
+            # back, and the report says so under either mode: a real
+            # backend leaves the mode nothing to choose.
+            assert result.overhead.selection > 0.05
+            assert result.elapsed >= (
+                result.winner.finished_at + result.overhead.selection - 1e-9
+            )
+            assert result.elapsed <= wall
+            assert any(
+                label == "parent resumes" and when == result.elapsed
+                for when, label in result.timeline
+            )
+            elapsed[mode] = result.elapsed
+        assert abs(
+            elapsed[EliminationMode.SYNCHRONOUS]
+            - elapsed[EliminationMode.ASYNCHRONOUS]
+        ) < 0.1
 
     def test_thread_backend_too_late_sibling(self):
         # A non-cooperative arm that never checks its token finishes after

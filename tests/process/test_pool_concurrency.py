@@ -20,6 +20,8 @@ from repro.core.alternative import AltContext, Alternative
 from repro.core.backends import ProcessBackend
 from repro.core.backends.base import ArmTask, CancellationToken
 from repro.core.concurrent import ConcurrentExecutor
+from repro.core.selection import OrderedPolicy
+from repro.core.sequential import SequentialExecutor
 from repro.obs import events as ev
 from repro.obs.tracer import Tracer, tracing
 from repro.pages.address_space import AddressSpace
@@ -54,6 +56,44 @@ def _block(tag, fast=0.01, slow=0.3):
         Alternative(f"quick-{tag}", body=_Sleeper(f"quick-{tag}", fast, "Q")),
         Alternative(f"slow-{tag}", body=_Sleeper(f"slow-{tag}", slow, "S")),
     ]
+
+
+class _Step:
+    """Picklable arm: read what the previous block committed, commit the
+    next step -- a wrong world shows in every later block."""
+
+    def __init__(self, name, seconds):
+        self.name = name
+        self.seconds = seconds
+
+    def __call__(self, ctx):
+        step = ctx.get("step", 0)
+        ctx.sleep(self.seconds)
+        ctx.put("step", step + 1)
+        # Midpoint of the space: clear of the variable directory.
+        ctx.space.write(ctx.space.size // 2, f"{self.name}@{step}".encode())
+        return (self.name, step)
+
+
+def _steps(tag):
+    return [
+        Alternative(f"quick-{tag}", body=_Step(f"quick-{tag}", 0.0)),
+        # Long enough that no stall of the host lets one win; told at
+        # the commit, neither sleeps it out.
+        Alternative(f"slow-{tag}", body=_Step(f"slow-{tag}", 0.5)),
+        Alternative(f"slower-{tag}", body=_Step(f"slower-{tag}", 0.5)),
+    ]
+
+
+def _observe(result, parent):
+    """Everything a caller can see of one concluded block."""
+    space = parent.space
+    return (
+        result.value,
+        result.winner.name,
+        {name: space.get(name) for name in space.names()},
+        space.read(0, space.size),
+    )
 
 
 def _handmade_task(index=0, seconds=0.05):
@@ -179,7 +219,59 @@ class TestConcurrentRaces:
                 f"duplicate lease epochs: {epochs}"
             )
             assert pool.inflight == 0
+            pool.drain()  # the losers the races left to the pool
             assert pool.parked == 4
+        finally:
+            pool.shutdown()
+
+    def test_two_racers_one_pool(self):
+        """Each race leaves its losers to the pool and both poll the
+        drain on every lease and finish: one drainer at a time, or two
+        readers split one record between them and a healthy worker is
+        recycled (the unlocked prototype did so within seconds).  The
+        pool is as wide as both races together -- six arms -- so that
+        ``fallbacks == 0`` says a lease waited, not that it was lucky."""
+        pool = WorldPool(size=6)
+        blocks = 300
+        mismatches, errors = [], []
+
+        def race(tag):
+            try:
+                pooled = ConcurrentExecutor(
+                    backend=ProcessBackend(kill_grace=2.0, pool=pool)
+                )
+                sequential = SequentialExecutor(policy=OrderedPolicy())
+                parent = pooled.new_parent()
+                reference = sequential.new_parent()
+                for block in range(blocks):
+                    got = _observe(pooled.run(_steps(tag), parent=parent), parent)
+                    want = _observe(
+                        sequential.run(_steps(tag), parent=reference),
+                        reference,
+                    )
+                    if got != want or got[0] != (f"quick-{tag}", block):
+                        mismatches.append((tag, block, got, want))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append((tag, exc))
+
+        try:
+            threads = [
+                threading.Thread(target=race, args=(tag,))
+                for tag in ("a", "b")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300.0)
+            assert not errors, errors
+            assert not mismatches, mismatches[:3]
+            pool.drain()
+            assert (pool.inflight, pool.draining) == (0, 0)
+            assert pool.leases_granted == 2 * 3 * blocks
+            assert pool.respawns == 0
+            assert pool.drained_recycled == 0
+            assert pool.fallbacks == 0
+            assert pool.parked == pool.size
         finally:
             pool.shutdown()
 

@@ -12,6 +12,8 @@ import os
 import random
 import select
 import signal
+import tempfile
+import threading
 import time
 
 import pytest
@@ -103,7 +105,9 @@ def new_segments(before):
 def assert_only_the_pools_own(pool, before):
     """The leak audit between blocks: what this process has added to
     ``/dev/shm`` is exactly what the pool holds (arena and response
-    slabs), each referenced by the pool alone.  Returns the names."""
+    slabs), each referenced by the pool alone -- once it has heard out
+    the losers the last races left to it.  Returns the names."""
+    pool.drain()
     owned = pool.owned_slabs()
     assert [slab.refs for slab in owned] == [1] * len(owned)
     names = {slab.name for slab in owned}
@@ -148,7 +152,9 @@ class TestPooledEquivalenceMatrix:
         )
         assert outcome.winner == "fast"
         assert pool.leases_granted > 0
+        pool.drain()
         assert pool.parked == pool.size  # every worker re-parked cleanly
+        assert pool.respawns == 0
 
 
 class TestPoolFallbacks:
@@ -177,6 +183,7 @@ class TestPoolFallbacks:
         assert result.winner.name == "quick"
         assert pool.fallbacks >= 1  # the stale arm forked directly
         assert pool.respawns >= 1  # and the suspect worker was replaced
+        pool.drain()
         assert pool.parked == pool.size
 
     @pytest.mark.skipif(not shm_available(), reason="no shared memory")
@@ -220,6 +227,7 @@ class TestPoolCrashDiscipline:
         assert result.value == "S"
         assert result.winner.name == "slow"
         assert pool.respawns >= 1
+        pool.drain()
         assert pool.parked == pool.size
         # The pool still serves leases after the respawn.
         second_parent = executor.new_parent()
@@ -446,6 +454,7 @@ class TestArena:
         third = pooled.run(step_block(), parent=parent)
         expected = serial.run(step_block(), parent=reference)
         assert observe(third, parent) == observe(expected, reference)
+        pool.drain()
         assert pool.parked == pool.size
         parent.space.release()
         # The arena and the response slabs, nothing of the dead worker's.
@@ -795,6 +804,9 @@ class TestResponseSlabs:
             injector.arm_hang(arms=[0], times=1, duration=30.0)
         with injected(injector):
             result = executor.run(block, parent=parent)
+        # A victim the race left behind at its commit (the hang) is the
+        # pool's to reap, at its deadline.
+        pool.drain()
         monkeypatch.setattr(os, "waitpid", waitpid)
         assert result.value == "S"
         assert pool.respawns == 1
@@ -940,13 +952,524 @@ class TestResponseSlabs:
         assert new_segments(segments) == set()
 
 
+# ----------------------------------------------------------------------
+# detached leases: the race returns at its commit, the pool hears the
+# losers out
+
+BIG_SPACE = 2 * 1024 * 1024
+LATE_PAGES = 256
+
+
+class _Deaf:
+    """Picklable arm that never looks at its instruction: sleeps through
+    it (``time.sleep`` is no cancellation point), then stamps ``pages``
+    pages and returns -- too late, if a sibling won meanwhile."""
+
+    def __init__(self, seconds, pages=1, started=None):
+        self.seconds = seconds
+        self.pages = pages
+        self.started = started
+        """A path created once the body runs: an arm told before it
+        started never gets here (and is not deaf, just early)."""
+
+    def __call__(self, ctx):
+        if self.started is not None:
+            open(self.started, "w").close()
+        time.sleep(self.seconds)
+        size = ctx.space.page_size
+        for page in range(self.pages):
+            ctx.space.write((STEP_PAGE + page) * size, b"late-%d" % page)
+        ctx.put("late", True)
+        return "late"
+
+
+class _Counts:
+    """Picklable arm that leaves a mark outside its world each time its
+    body runs: one byte appended to a file."""
+
+    def __init__(self, path, seconds=0.0, value="ran"):
+        self.path = path
+        self.seconds = seconds
+        self.value = value
+
+    def __call__(self, ctx):
+        with open(self.path, "ab") as handle:
+            handle.write(b"x")
+        ctx.sleep(self.seconds)
+        ctx.space.write(0, b"counted")
+        return self.value
+
+
+def runs_of(path):
+    return os.path.getsize(path) if os.path.exists(path) else 0
+
+
+def draining_workers(pool):
+    return [record.worker for record in pool._draining.values()]
+
+
+def three_arm_block():
+    return [
+        Alternative("quick", body=_Rewrite("quick", 0.0)),
+        Alternative("slow", body=_Rewrite("slow", 0.05)),
+        Alternative("slower", body=_Rewrite("slower", 0.05)),
+    ]
+
+
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+class TestDetachedLeases:
+    """The fifth invariant: from ``finish`` on, nobody but the pool reads
+    a detached lease's result pipe, and its worker is not leased, its
+    slab not lent, its arena not unlinked until it is settled."""
+
+    def test_fifty_blocks_leave_every_worker_parked_after_drain(self, pool):
+        """(a) One evolving parent, block for block against the
+        sequential construct; the pool settles what the races left."""
+        segments = own_segments()
+        pooled = pooled_executor(pool)
+        sequential = SequentialExecutor(
+            policy=OrderedPolicy(), space_size=SPACE
+        )
+        parent = preload(pooled.new_parent(), "inherited", pages=4)
+        reference = preload(sequential.new_parent(), "inherited", pages=4)
+        for block in range(50):
+            result = pooled.run(rewrite_block(), parent=parent)
+            expected = sequential.run(rewrite_block(), parent=reference)
+            assert observe(result, parent) == observe(expected, reference)
+            assert result.value == ("quick", block)
+            loser = result.outcome("slow")
+            assert loser.status == "eliminated"
+        assert pool.fallbacks == 0
+        assert pool.respawns == 0
+        pool.drain()
+        assert (pool.inflight, pool.draining) == (0, 0)
+        assert pool.parked == pool.size
+        # Races did leave losers behind, and each was settled once.
+        assert pool.drained_parked > 0
+        assert pool.drained_recycled == 0
+        parent.space.release()  # the last winner's frames
+        assert_only_the_pools_own(pool, segments)
+
+    def test_a_late_loser_changes_nothing_and_keeps_its_slab(
+        self, pool, monkeypatch, tmp_path
+    ):
+        """(b) Its 256 pages land after the race returned: the parent
+        never sees them, and until the pool has read its record the slab
+        stays referenced -- no lease can name it."""
+        started = str(tmp_path / "started")
+        granted = record_leases(pool, monkeypatch)
+        executor = ConcurrentExecutor(
+            backend=ProcessBackend(kill_grace=10.0, pool=pool),
+            space_size=BIG_SPACE,
+        )
+        sequential = SequentialExecutor(
+            policy=OrderedPolicy(), space_size=BIG_SPACE
+        )
+        block = [
+            Alternative("quick", body=_Rewrite("quick", 0.1)),
+            Alternative(
+                "deaf", body=_Deaf(1.0, pages=LATE_PAGES, started=started)
+            ),
+        ]
+        parent = executor.new_parent()
+        reference = sequential.new_parent()
+        began = time.perf_counter()
+        result = executor.run(block, parent=parent)
+        assert time.perf_counter() - began < 0.8  # nobody waited for it
+        assert os.path.exists(started)
+        expected = sequential.run(block, parent=reference)
+        seen = observe(result, parent)
+        assert seen == observe(expected, reference)
+        late = result.outcome("deaf")
+        assert late.status == "eliminated"
+        assert "termination instruction issued" in late.detail
+        assert pool.draining == 1
+        (worker,) = draining_workers(pool)
+        lost = next(lease for index, lease in granted if index == 1)
+        assert lost.pid == worker.pid
+        # Still somebody's: the handle is in the pool's custody, open.
+        assert not lost.slab.closed
+        assert worker.slab.name == lost.slab.name and worker.slab.refs == 2
+        # Another race meanwhile is lent anything but that slab.
+        del granted[:]
+        other = executor.new_parent()
+        executor.run(block[:1], parent=other)
+        assert lost.slab.name not in {lease.slab.name for _, lease in granted}
+        assert pool.draining == 1 and worker.busy
+        pool.drain()
+        # It ran to the end and shipped every page -- into a slab nobody
+        # had been lent meanwhile; the record was intact, the worker parks.
+        assert (pool.drained_parked, pool.drained_recycled) == (1, 0)
+        assert pool.respawns == 0 and not worker.busy
+        assert lost.slab.closed and worker.slab.refs == 1
+        shipped = [
+            worker.slab.read_slot(slot)[:5] for slot in range(LATE_PAGES + 8)
+        ]
+        assert shipped.count(b"late-") == LATE_PAGES
+        assert observe(result, parent) == seen
+        assert "late" not in parent.space.names()
+
+    @pytest.mark.parametrize("enforcer", ["lease", "drain", "shutdown"])
+    def test_a_loser_that_ignores_the_instruction_is_killed_at_its_deadline(
+        self, pool, enforcer, tmp_path
+    ):
+        """(c) Whoever next asks the pool for anything enforces it."""
+        started = str(tmp_path / "started")
+        segments = own_segments()
+        executor = ConcurrentExecutor(
+            backend=ProcessBackend(kill_grace=0.3, pool=pool),
+            space_size=SPACE,
+        )
+        block = [
+            Alternative("quick", body=_Rewrite("quick", 0.1)),
+            Alternative("deaf", body=_Deaf(60.0, started=started)),
+        ]
+        parents = [executor.new_parent()]
+        began = time.perf_counter()
+        assert executor.run(block, parent=parents[0]).value == ("quick", 0)
+        assert os.path.exists(started)
+        (victim,) = draining_workers(pool)
+        if enforcer == "lease":
+            # Two arms, one parked worker: the second lease waits for
+            # the deadline, replaces the victim, and does not fork.
+            parents.append(executor.new_parent())
+            again = executor.run(rewrite_block(), parent=parents[1])
+            assert again.value == ("quick", 0)
+            assert pool.fallbacks == 0
+        elif enforcer == "drain":
+            pool.drain()
+        else:
+            pool.shutdown()
+        assert time.perf_counter() - began < 20.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(victim.pid, 0)
+        assert victim.pid not in pool.worker_pids()
+        assert pool.drained_recycled == 1
+        assert pool.respawns == (0 if enforcer == "shutdown" else 1)
+        pool.shutdown()
+        for parent in parents:
+            parent.space.release()
+        assert new_segments(segments) == set()
+
+    @pytest.mark.parametrize("fault", ["truncate", "corrupt"])
+    def test_a_ship_fault_on_a_detached_arm_recycles_the_worker(
+        self, pool, fault
+    ):
+        """(d) Bytes are not a record: a detached worker parks on one
+        intact frame, and on nothing less."""
+        executor = pooled_executor(pool)
+        injector = FaultInjector(seed=0)
+        if fault == "truncate":
+            injector.pipe_truncate(arms=[1], times=1)
+        else:
+            injector.record_corrupt(arms=[1], times=1)
+        with injected(injector):
+            result = executor.run(rewrite_block(), parent=executor.new_parent())
+        assert result.value == ("quick", 0)
+        victims = draining_workers(pool)
+        pool.drain()
+        # The faulted record was the detached loser's, not one the race
+        # read (then ``finish`` would have recycled, and this is moot).
+        assert len(victims) == 1 and pool.drained_recycled == 1
+        assert pool.drained_parked == 0 and pool.respawns == 1
+        assert victims[0].pid not in pool.worker_pids()
+        assert pool.parked == pool.size
+        again = executor.run(rewrite_block(), parent=executor.new_parent())
+        assert again.value == ("quick", 0)
+
+    def test_a_stale_epoch_on_a_detached_arm_recycles_the_worker(self):
+        """(d) A record of an earlier lease, left unread on the pipe."""
+        pool = WorldPool(size=1)
+        try:
+            space = AddressSpace(PageStore(PAGE), 16 * PAGE)
+            start = time.perf_counter()
+            first = pool.lease(
+                handmade_task(space.fork(), _WritesThenReturns("old")),
+                start, shm=True,
+            )
+            select.select([first.result_fd], [], [], 10.0)
+            # Declared clean with its record still on the pipe: the
+            # stale world the epoch echo exists for.
+            pool.finish({0: first}, {0})
+            first.slab.dispose()
+            second = pool.lease(
+                handmade_task(space.fork(), _WritesThenReturns("new", 0.2)),
+                start, shm=True,
+            )
+            assert second.pid == first.pid
+            assert pool.cancel(second, 5.0)
+            pool.finish({0: second}, set(), detached={0})
+            assert (pool.inflight, pool.draining) == (0, 1)
+            pool.drain()
+            assert (pool.drained_parked, pool.drained_recycled) == (0, 1)
+            assert pool.respawns == 1
+            assert second.pid not in pool.worker_pids()
+            assert second.slab.closed
+        finally:
+            pool.shutdown()
+
+    def test_a_lease_nobody_told_cannot_be_detached(self):
+        """The pool takes only a told lease into its custody: one handed
+        over without an instruction (so without a deadline) is settled
+        the old way, and the handle the race gave up is disposed."""
+        pool = WorldPool(size=1)
+        try:
+            space = AddressSpace(PageStore(PAGE), 16 * PAGE)
+            lease = pool.lease(
+                handmade_task(space.fork(), _WritesThenReturns("x", 30.0)),
+                time.perf_counter(), shm=True,
+            )
+            pool.finish({0: lease}, set(), detached={0})
+            assert (pool.inflight, pool.draining) == (0, 0)
+            assert pool.respawns == 1 and pool.drained_recycled == 0
+            assert lease.pid not in pool.worker_pids()
+            assert lease.slab.closed
+            assert [slab.refs for slab in pool.owned_slabs()] == [1]
+        finally:
+            pool.shutdown()
+
+    def test_a_retired_arena_outlives_rotation_until_its_lease_is_settled(
+        self, pool, monkeypatch, tmp_path
+    ):
+        """(e) The detached lease's pin is dropped at settle, not at
+        ``finish``: its worker may still be reading the arena."""
+        started = str(tmp_path / "started")
+        monkeypatch.setattr(pool_module, "ARENA_MIN_SLOTS", 8)
+        segments = own_segments()
+        executor = ConcurrentExecutor(
+            backend=ProcessBackend(kill_grace=10.0, pool=pool),
+            space_size=SPACE,
+        )
+        five = preload(executor.new_parent(), "five", 5)
+        six = preload(executor.new_parent(), "six", 6)
+        block = [
+            Alternative("quick", body=_Step("quick", 0.1)),
+            Alternative("deaf", body=_Deaf(1.5, started=started)),
+        ]
+        executor.run(block, parent=five)
+        assert os.path.exists(started)
+        retired = pool._arena.slab.name
+        assert pool.draining == 1
+        executor.run(block[:1], parent=six)
+        assert pool.arena_rotations == 1
+        assert pool._arena.slab.name != retired
+        assert pool.draining == 1  # still out, still pinning it
+        assert retired in own_segments()
+        pool.drain()
+        assert pool.drained_parked == 1
+        assert retired not in own_segments()
+        five.space.release()
+        six.space.release()
+        assert_only_the_pools_own(pool, segments)
+
+    def test_a_pool_as_wide_as_the_block_never_forks(self):
+        """(f) k workers, k-arm blocks back to back: a lease that finds
+        nobody parked waits for a draining worker."""
+        pool = WorldPool(size=3)
+        try:
+            executor = pooled_executor(pool)
+            sequential = SequentialExecutor(
+                policy=OrderedPolicy(), space_size=SPACE
+            )
+            parent, reference = executor.new_parent(), sequential.new_parent()
+            for _ in range(30):
+                result = executor.run(three_arm_block(), parent=parent)
+                expected = sequential.run(three_arm_block(), parent=reference)
+                assert observe(result, parent) == observe(expected, reference)
+            assert pool.leases_granted == 90
+            assert pool.fallbacks == 0
+            assert pool.respawns == 0
+        finally:
+            pool.shutdown()
+
+    def test_an_instruction_issued_before_the_lease_is_read_still_lands(
+        self, tmp_path
+    ):
+        """(g) The lost instruction: the bell rings while the worker has
+        not got round to its lease.  The word is still there when it
+        does, and the body never runs."""
+        pool = WorldPool(size=1)
+        counter = str(tmp_path / "runs")
+        try:
+            (pid,) = pool.worker_pids()
+            space = AddressSpace(PageStore(PAGE), 16 * PAGE)
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                lease = pool.lease(
+                    handmade_task(space.fork(), _Counts(counter, 5.0)),
+                    time.perf_counter(), shm=True,
+                )
+                assert pool.cancel(lease, 10.0)
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            record = collect(lease)
+            assert record["cancelled"] and not record["ok"]
+            assert not record["abnormal"]
+            assert "before it started" in record["detail"]
+            assert "shm_pages" not in record and "dirty_pages" not in record
+            assert pool.accepts(lease, record)
+            assert pool.told_before_start == 1
+            pool.finish({0: lease}, {0})
+            lease.slab.dispose()
+            assert runs_of(counter) == 0
+            assert pool.respawns == 0 and pool.parked == 1
+        finally:
+            pool.shutdown()
+
+    def test_a_stale_bell_cannot_hit_a_later_lease(self, tmp_path):
+        """(g) An instruction written for epoch E never cancels E+1 on
+        the same worker, however often the bell rings."""
+        pool = WorldPool(size=1)
+        counter = str(tmp_path / "runs")
+        try:
+            space = AddressSpace(PageStore(PAGE), 16 * PAGE)
+            start = time.perf_counter()
+            first = pool.lease(
+                handmade_task(space.fork(), _Counts(counter, 5.0)),
+                start, shm=True,
+            )
+            assert pool.cancel(first, 10.0)
+            assert collect(first)["cancelled"]
+            pool.finish({0: first}, {0})
+            first.slab.dispose()
+            # Refused once the lease is settled: the board keeps epoch E.
+            assert not pool.cancel(first, 10.0)
+            second = pool.lease(
+                handmade_task(space.fork(), _Counts(counter, 0.3, "second")),
+                start, shm=True,
+            )
+            assert second.pid == first.pid
+            assert second.epoch == first.epoch + 1
+            board_word = pool_module._WORD.unpack_from(pool._board, 0)[0]
+            assert board_word == first.epoch
+            for _ in range(5):
+                os.kill(second.pid, signal.SIGTERM)  # a bare bell
+                time.sleep(0.02)
+            record = collect(second)
+            assert record["ok"] and not record["cancelled"]
+            assert record["value"] == "second"
+            assert "told_before_start" not in record
+            pool.finish({0: second}, {0})
+            second.slab.dispose()
+            assert runs_of(counter) >= 1
+        finally:
+            pool.shutdown()
+
+    def test_the_pre_body_check_never_cancels_the_token_itself(
+        self, monkeypatch
+    ):
+        """(h) Cancelling is the handler's business.  Told before it
+        starts, the worker's own flow raises ``Eliminated`` and leaves
+        the token alone: a cancel made there, with the bell ringing
+        inside it, is what deadlocked the prototype's workers on a
+        ``threading.Event``."""
+        cancels = []
+
+        class Watched(pool_module._BellToken):
+            __slots__ = ()
+
+            def cancel(self):
+                cancels.append(True)
+                super().cancel()
+
+        monkeypatch.setattr(pool_module, "_BellToken", Watched)
+        read_fd, write_fd = os.pipe()
+        wake = os.pipe()
+        try:
+            current = {"epoch": 0, "token": None}
+            message = {
+                "kind": "lease", "epoch": 7, "index": 0, "name": "arm",
+                "alternative": Alternative("arm", body=_WritesThenReturns(1)),
+                "rng_seed": 0, "space_size": 16 * PAGE, "page_size": PAGE,
+                "arena": None, "snapshot_vpns": (), "snapshot_slots": [],
+                "snapshot_inline": {}, "slab_name": None, "slab_slots": None,
+                "slab_slot_size": None, "start": time.perf_counter(),
+                "pre_fault": None, "ship_fault": None, "trace_block": None,
+            }
+            pool_module._serve_lease(
+                message, write_fd, current, pool_module._WorkerWorld(),
+                told=lambda: 7, wake=wake,
+            )
+            (record,) = wire.RecordReader().feed(os.read(read_fd, 65536))
+        finally:
+            for fd in (read_fd, write_fd, *wake):
+                os.close(fd)
+        assert record["cancelled"] and record["told_before_start"]
+        assert record["pool_epoch"] == 7
+        assert cancels == []
+        assert current["token"] is None
+
+    def test_a_bell_token_is_cancelled_from_the_handler_of_its_waiter(self):
+        """(h) The handler runs on the thread that sleeps on the token:
+        it must wake it, from wherever in ``wait`` the bell finds it."""
+        wake = os.pipe()
+        for fd in wake:
+            os.set_blocking(fd, False)
+        token = pool_module._BellToken(*wake)
+        previous = signal.signal(
+            signal.SIGUSR1, lambda signum, frame: token.cancel()
+        )
+        try:
+            assert token.wait(0.01) is False and not token.cancelled
+            threading.Timer(
+                0.05, os.kill, (os.getpid(), signal.SIGUSR1)
+            ).start()
+            began = time.perf_counter()
+            assert token.wait(30.0) is True
+            assert time.perf_counter() - began < 5.0
+            assert token.cancelled
+            assert token.wait(30.0) is True  # and stays so, at once
+            # A bell before the wait is not lost either.
+            again = pool_module._BellToken(*wake)
+            os.read(wake[0], 4096)
+            again.cancel()
+            assert again.wait(30.0) is True
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+            for fd in wake:
+                os.close(fd)
+
+    def test_bells_during_the_pre_body_check_never_wedge_a_worker(self):
+        """(h) A thousand tight blocks: every loser is told while it is
+        somewhere between its lease and its body."""
+        pool = WorldPool(size=4)
+        try:
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=2.0, pool=pool),
+                space_size=16 * PAGE,
+            )
+            block = [
+                Alternative(name, body=_WritesThenReturns(name))
+                for name in ("a", "b", "c")
+            ]
+            for _ in range(1000):
+                parent = executor.new_parent()
+                assert executor.run(block, parent=parent).value in "abc"
+                executor.manager.exit(parent, notify=False)
+            pool.drain()
+            assert (pool.inflight, pool.draining) == (0, 0)
+            assert pool.parked == pool.size
+            assert pool.fallbacks == 0
+            # A worker wedged on its own token lock would have sat out
+            # its deadline and been replaced.
+            assert pool.respawns == 0 and pool.drained_recycled == 0
+            assert pool.told_before_start > 0
+            assert "told_before_start=" in repr(pool)
+        finally:
+            pool.shutdown()
+
+
 class ResponseSlabMachine(RuleBasedStateMachine):
-    """Lease / win / lose / kill / exit-parent / shutdown in any order
-    on a real pool: *never issued while pinned*, *names never reused*,
-    *segments <= bound + pinned*."""
+    """Lease / win / lose / kill / detach / drain / deadline-expires /
+    exit-parent / shutdown in any order on a real pool: *never issued
+    while pinned*, *names never reused*, *segments <= bound + pinned*;
+    and for a lease the race left to the pool: *a draining worker is
+    never leased*, *its slab never lent*, *exactly one settle per
+    epoch*."""
 
     PAGES = 16
     leases = Bundle("leases")
+    deaf_leases = Bundle("deaf_leases")
     parents = Bundle("parents")
 
     def __init__(self):
@@ -959,14 +1482,41 @@ class ResponseSlabMachine(RuleBasedStateMachine):
         self.spaces = []
         self.arenas = set()
         self.seen, self.gone = set(), set()
+        self.scratch = tempfile.TemporaryDirectory()
+        self.deaf = {}  # epoch -> lease: granted, not yet out of time
+        self.expired = []  # deaf leases handed over with no time left
+        self.detached = {}  # epoch -> lease, for every lease ever detached
+        self.settles = {}  # epoch -> times the pool settled it
+        settle_drained = self.pool._settle_drained
+
+        def counting(epoch, record, recycle):
+            self.settles[epoch] = self.settles.get(epoch, 0) + 1
+            return settle_drained(epoch, record, recycle)
+
+        self.pool._settle_drained = counting
 
     def teardown(self):
         for space in self.spaces:
             space.release()
+        # A detached lease's handle is the pool's to dispose.
+        kept = {id(r.lease.slab) for r in self.pool._draining.values()}
         for handle in self.handles:
-            handle.dispose()
+            if id(handle) not in kept:
+                handle.dispose()
+        self.silence_the_deaf()
         self.pool.shutdown()
+        self.scratch.cleanup()
+        assert all(handle.closed for handle in self.handles)
         assert own_segments() == self.baseline
+
+    def silence_the_deaf(self):
+        """Hygiene, not behaviour: a worker asleep for a minute would
+        sit out the two seconds ``shutdown`` gives it to say goodbye."""
+        for lease in self.deaf.values():
+            try:
+                os.kill(lease.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
     # -- what the test holds ---------------------------------------------
 
@@ -992,24 +1542,80 @@ class ResponseSlabMachine(RuleBasedStateMachine):
         self.spaces.append(space)
         return space
 
-    @precondition(lambda self: not self.closed and self.outstanding < 2)
-    @rule(target=leases, parent=parents, page=st.integers(0, 3))
-    def lease(self, parent, page):
+    def grant(self, parent, body):
         world = parent.fork()
         self.spaces.append(world)
-        body = _WritesPage(page, stamp=len(self.handles))
         lease = self.pool.lease(
             handmade_task(world, body, index=self.outstanding),
             time.perf_counter(), shm=True,
         )
         assert lease is not None and lease.slab is not None
-        # Never issued while pinned: by a live world or an open lease.
+        # Never issued while pinned: by a live world, an open lease, or
+        # a detached one whose handle the pool still holds.
         assert lease.slab.name not in self.referenced()
         assert lease.slab.slots == self.PAGES
+        # A draining worker is never leased.
+        assert lease.pid not in {w.pid for w in draining_workers(self.pool)}
         self.handles.append(lease.slab)
         self.outstanding += 1
         lease.world = world
         return lease
+
+    @precondition(lambda self: not self.closed and self.outstanding < 2)
+    @rule(target=leases, parent=parents, page=st.integers(0, 3))
+    def lease(self, parent, page):
+        return self.grant(parent, _WritesPage(page, stamp=len(self.handles)))
+
+    @precondition(lambda self: not self.closed and self.outstanding < 2)
+    @rule(target=deaf_leases, parent=parents)
+    def lease_deaf(self, parent):
+        """An arm that will ignore its instruction for good -- once it
+        has started: told before that, it would just be early."""
+        started = os.path.join(self.scratch.name, str(len(self.handles)))
+        lease = self.grant(parent, _Deaf(60.0, started=started))
+        self.deaf[lease.epoch] = lease
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(started):
+            assert time.monotonic() < deadline, "the deaf arm never started"
+            time.sleep(0.002)
+        return lease
+
+    def hand_over(self, lease, grace):
+        """What ``run_arms`` does with a loser at the commit: tell it,
+        and leave it -- handle and all -- to the pool."""
+        if self.closed:
+            return self.abandon(lease)
+        assert self.pool.cancel(lease, grace)
+        self.pool.finish({lease.index: lease}, set(), detached={lease.index})
+        assert lease.epoch in self.pool._draining or lease.epoch in self.settles
+        self.detached[lease.epoch] = lease
+        self.outstanding -= 1
+        lease.world.release()
+        self.spaces.remove(lease.world)
+
+    @rule(lease=consumes(leases))
+    def detach(self, lease):
+        self.hand_over(lease, grace=30.0)
+
+    @rule(lease=consumes(deaf_leases))
+    def deadline_expires(self, lease):
+        """Told, silent, and out of time: whatever asks the pool next
+        (a lease, a finish, a drain, the shutdown) replaces the worker."""
+        if not self.closed:
+            del self.deaf[lease.epoch]
+            self.expired.append(lease)
+        self.hand_over(lease, grace=0.0)
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def drain(self):
+        self.pool.drain()
+        assert self.pool.draining == 0
+        for epoch, lease in self.detached.items():
+            assert self.settles.get(epoch) == 1
+            assert lease.slab.closed
+        for lease in self.expired:
+            assert lease.pid not in self.pool.worker_pids()
 
     @rule(lease=consumes(leases), parent=parents)
     def win(self, lease, parent):
@@ -1057,10 +1663,27 @@ class ResponseSlabMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.closed)
     @rule()
     def shutdown(self):
+        self.silence_the_deaf()
         self.pool.shutdown()
         self.closed = True
+        assert not self.pool._draining
 
     # -- invariants --------------------------------------------------------
+
+    @invariant()
+    def a_detached_lease_is_the_pools_until_settled_once(self):
+        pool = self.pool
+        assert not set(pool._draining) & set(pool._active)
+        assert set(pool._draining) <= set(self.detached)
+        for epoch, record in pool._draining.items():
+            # Busy, so never leased; handle open, so its slab never lent.
+            assert record.worker.busy
+            assert not self.detached[epoch].slab.closed
+            assert epoch not in self.settles
+        assert all(count == 1 for count in self.settles.values())
+        assert (
+            pool.drained_parked + pool.drained_recycled == len(self.settles)
+        )
 
     @invariant()
     def segments_are_bounded_and_names_are_new(self):
