@@ -821,6 +821,9 @@ class ProcessBackend(ExecutionBackend):
         report.detail = record["detail"]
         report.cancelled = record["cancelled"]
         report.abnormal = record.get("abnormal", False)
+        if record.get("told_before_start"):
+            # Only a pooled arm says so: it found its instruction waiting.
+            self.pool.count_told_before_start()
         if record["ok"]:
             shipment = None
             shm_pages = record.get("shm_pages")

@@ -63,8 +63,13 @@ draining (it does not fork for that reason), in :meth:`WorldPool.drain`
 and in :meth:`WorldPool.shutdown`.  So the pool enforces a detached
 lease's deadline, whenever it is next asked for anything; a pool nobody
 asks keeps a stubborn loser until somebody does, or until
-:meth:`~WorldPool.shutdown`.  One drainer at a time, under a lock of its
-own: two readers of one pipe would each see half a record.
+:meth:`~WorldPool.shutdown`.  One drainer at a time -- two readers of
+one pipe would each see half a record -- and the role goes back after
+every turn: a lease waiting for a worker takes the first that parks and
+does not queue behind a :meth:`~WorldPool.drain` with the rest of the
+pool to hear.  The deadline is for silence: a worker part of whose
+record has been read (one too long for the pipe, blocked in ``write``
+until the pool looks) gets ``kill_grace`` again from that byte.
 
 The termination instruction travels on the **board**: one anonymous
 shared mapping made before the first fork, one word per worker.  *The
@@ -134,7 +139,8 @@ Failure discipline matches direct forks exactly:
   suspect: the worker is killed and respawned, never re-parked -- by
   :meth:`finish` for a lease the race collected, by the drain for a
   detached one (EOF, corrupt frame, stale epoch, trailing bytes, or
-  ``kill_grace`` seconds of silence after the instruction);
+  ``kill_grace`` seconds of silence after the instruction or the last
+  byte heard);
 - every record echoes its lease's ``epoch``; a mismatched echo (a stale
   world's leftovers) poisons the worker instead of corrupting the race;
 - the ``pool-worker-stale`` fault point injects exactly that staleness,
@@ -234,8 +240,8 @@ class _LeaseRecord:
     never be parked or killed on behalf of a lease it was not granted.
     """
 
-    __slots__ = ("worker", "granted_at", "arena", "deadline", "lease",
-                 "reader")
+    __slots__ = ("worker", "granted_at", "arena", "grace", "deadline",
+                 "lease", "reader")
 
     def __init__(self, worker: "_Worker", granted_at: float) -> None:
         self.worker = worker
@@ -243,9 +249,11 @@ class _LeaseRecord:
         self.arena: Optional[_Arena] = None
         """The arena this lease's worker reads, pinned until settled."""
 
+        self.grace = 0.0
         self.deadline: Optional[float] = None
-        """Set by :meth:`WorldPool.cancel`: when a worker that has not
-        reported by then is killed (``time.monotonic``)."""
+        """Set by :meth:`WorldPool.cancel`: how long a told worker may
+        stay silent, and when one that has is killed
+        (``time.monotonic``)."""
 
         self.lease: Optional[Lease] = None
         self.reader: Optional[wire.RecordReader] = None
@@ -321,9 +329,16 @@ class WorldPool:
         ledger or the other until settled, never in both."""
 
         self._lock = threading.Lock()
-        self._drain_lock = threading.Lock()
+        self._drainer = False
         """One drainer at a time: two readers of one result pipe would
-        each see half a record and recycle a healthy worker."""
+        each see half a record and recycle a healthy worker.  The role
+        is taken and handed back under the pool lock, one turn
+        (:meth:`_hear_out`) at a time."""
+
+        self._moved = threading.Condition(self._lock)
+        """Notified when a worker parks and when the drainer hands its
+        role back: what a lease with nobody parked waits on while
+        somebody else is the drainer."""
 
         self._board = mmap.mmap(-1, _WORD.size * size)
         """One word per worker, shared with every worker forked from
@@ -458,8 +473,9 @@ class WorldPool:
             return
         fresh = self._spawn(reaped.slot)
         fresh.slab = slab
-        with self._lock:
+        with self._moved:
             self._workers.append(fresh)
+            self._moved.notify_all()
         self.respawns += 1
 
     def lease(
@@ -495,7 +511,7 @@ class WorldPool:
         # happen in ONE critical section: concurrent multi-block callers
         # can interleave here arbitrarily and still never double-lease a
         # worker or observe a granted-but-unregistered lease.
-        self._drain(0)
+        self._poll()
         while True:
             with self._lock:
                 parked = [w for w in self._workers if not w.busy]
@@ -523,7 +539,7 @@ class WorldPool:
                 if not self._draining:
                     self.fallbacks += 1
                     return None
-            self._drain(1)
+            self._drain_until(self._someone_parked)
         injector = _active_injector()
         if (
             injector is not None
@@ -747,9 +763,9 @@ class WorldPool:
         return self._arena
 
     def _close_lease(
-        self, epoch: int, draining: bool = False
+        self, ledger: Dict[int, _LeaseRecord], epoch: int
     ) -> Optional[_LeaseRecord]:
-        """Pop one ledger entry and drop its arena pin, exactly once.
+        """Pop one entry of ``ledger`` and drop its arena pin, exactly once.
 
         ``None`` means the epoch was already settled.  Popping under the
         lock makes settlement idempotent and race-free: of any number of
@@ -757,10 +773,9 @@ class WorldPool:
         fallback path in ``lease`` itself), exactly one wins the pop and
         touches the worker; the rest do nothing.  The same winner drops
         the lease's pin, and unlinks the arena if it was retired and
-        this was its last reader.  ``draining`` names the ledger: a
-        detached lease is the drainer's to close, nobody else's.
+        this was its last reader.  A lease in the draining ledger is the
+        drainer's to close, nobody else's.
         """
-        ledger = self._draining if draining else self._active
         with self._lock:
             record = ledger.pop(epoch, None)
             if record is None:
@@ -774,14 +789,19 @@ class WorldPool:
 
     def _settle(self, epoch: int, recycle: bool) -> Optional[int]:
         """Close out one lease; ``None`` if already settled."""
-        record = self._close_lease(epoch)
+        record = self._close_lease(self._active, epoch)
         if record is None:
             return None
         if recycle:
             return self._replace(record.worker)
-        with self._lock:
-            record.worker.busy = False
+        self._park(record.worker)
         return None
+
+    def _park(self, worker: _Worker) -> None:
+        """A worker is free again; whoever waits for one may look."""
+        with self._moved:
+            worker.busy = False
+            self._moved.notify_all()
 
     def cancel(self, lease: Lease, grace: float) -> bool:
         """Issue the termination instruction to a leased arm.
@@ -799,6 +819,7 @@ class WorldPool:
             record = self._active.get(lease.epoch)
             if record is None:
                 return False
+            record.grace = grace
             record.deadline = time.monotonic() + grace
             worker = record.worker
             _WORD.pack_into(
@@ -816,12 +837,13 @@ class WorldPool:
         """Whether ``record`` is the one ``lease`` is owed: it echoes the
         lease's epoch.  Anything else on the pipe is a stale world's
         leftovers, and the worker's stream is poisoned."""
-        if record.get("pool_epoch") != lease.epoch:
-            return False
-        if record.get("told_before_start"):
-            with self._lock:  # racers and the drainer both count here
-                self.told_before_start += 1
-        return True
+        return record.get("pool_epoch") == lease.epoch
+
+    def count_told_before_start(self) -> None:
+        """One more arm found its instruction waiting and never ran;
+        called by whoever consumed its record, a race or the drainer."""
+        with self._lock:
+            self.told_before_start += 1
 
     def finish(
         self,
@@ -849,7 +871,7 @@ class WorldPool:
         respawned worker that inherited a recycled pid can never be
         confused with the lease's original worker.
         """
-        self._drain(0)
+        self._poll()
         statuses: Dict[int, Optional[int]] = {}
         given_up: List[ShmSlab] = []
         for index, lease in leases.items():
@@ -860,7 +882,7 @@ class WorldPool:
                 # but the handle is no longer the race's to dispose.
                 if lease.slab is not None:
                     given_up.append(lease.slab)
-            record = self._close_lease(lease.epoch)
+            record = self._close_lease(self._active, lease.epoch)
             if record is None:
                 continue  # already settled elsewhere: idempotent
             worker = record.worker
@@ -885,8 +907,7 @@ class WorldPool:
                 self._respawn(worker)
                 continue
             if index in clean:
-                with self._lock:
-                    worker.busy = False
+                self._park(worker)
             else:
                 statuses.setdefault(index, self._replace(worker))
         for slab in given_up:
@@ -907,61 +928,90 @@ class WorldPool:
             self._draining[lease.epoch] = record
         return True
 
-    def drain(self) -> None:
+    def drain(self, timeout: Optional[float] = None) -> bool:
         """Settle every detached lease.
 
         Blocks until each draining worker has reported or run out its
         deadline, so it returns within the longest ``grace`` a caller
-        passed to :meth:`cancel`.  Afterwards every worker is parked or
-        leased to a race still running.
+        passed to :meth:`cancel` -- or after ``timeout`` seconds, with
+        ``False``, if that comes first.  After a ``True`` every worker
+        is parked or leased to a race still running.
         """
-        self._drain(None)
+        give_up_at = None if timeout is None else time.monotonic() + timeout
+        return self._drain_until(self._nothing_draining, give_up_at)
 
-    def _drain(self, wanted: Optional[int]) -> None:
-        """Hear the draining workers out; settle those that are done.
+    def _nothing_draining(self) -> bool:
+        return not self._draining
 
-        ``wanted`` is how many settlements to wait for: 0 takes what is
-        there and never waits, 1 is a lease with nobody parked, ``None``
-        is all of them.  A wait lasts until the earliest deadline at
-        most, and whoever passes it is killed.  One drainer at a time:
-        a poll that finds one at work leaves it to it, a waiter queues
-        and, its turn come, looks first whether it still has to.
-        """
+    def _someone_parked(self) -> bool:
+        """What a lease with nobody parked waits for (pool lock held)."""
+        return not self._draining or any(
+            not worker.busy for worker in self._workers
+        )
+
+    def _poll(self) -> None:
+        """Settle whoever has reported already, without waiting; a
+        drainer already at work is left to it."""
         if not self._draining:
             return
-        if not self._drain_lock.acquire(blocking=wanted != 0):
-            return
+        with self._lock:
+            if self._drainer:
+                return
+            self._drainer = True
+        self._hear_out(0.0)
+
+    def _drain_until(
+        self, satisfied, give_up_at: Optional[float] = None
+    ) -> bool:
+        """Take turns as the drainer until ``satisfied()`` (asked under
+        the pool lock) holds; ``False`` if ``give_up_at`` came first.
+
+        The role goes back after every turn, and a caller that finds it
+        taken sleeps until it comes back or a worker parks and then asks
+        ``satisfied`` before anything else: a lease does not queue
+        behind a :meth:`drain` that has the rest of the pool to hear.
+        """
+        while True:
+            with self._moved:
+                if satisfied():
+                    return True
+                patience = None
+                if give_up_at is not None:
+                    patience = give_up_at - time.monotonic()
+                    if patience <= 0:
+                        return False
+                if self._drainer:
+                    self._moved.wait(patience)
+                    continue
+                self._drainer = True
+            self._hear_out(patience)
+
+    def _hear_out(self, patience: Optional[float]) -> None:
+        """One turn as the drainer (the role is the caller's already):
+        wait for a draining worker to speak -- ``patience`` seconds, and
+        until the earliest deadline at most -- settle those that are
+        done, hand the role back."""
         try:
-            if wanted == 1:
-                with self._lock:
-                    if any(not w.busy for w in self._workers):
-                        return
-            settled = 0
-            while True:
-                with self._lock:
-                    pending = list(self._draining.items())
-                if not pending:
-                    return
-                satisfied = wanted is not None and settled >= wanted
-                wait = 0.0
-                if not satisfied:
-                    soonest = min(record.deadline for _, record in pending)
-                    wait = max(0.0, soonest - time.monotonic())
-                ready, _, _ = select.select(
-                    [record.worker.result_fd for _, record in pending],
-                    [], [], wait,
-                )
-                for epoch, record in pending:
-                    recycle = self._hear(
-                        record, record.worker.result_fd in ready
-                    )
-                    if recycle is not None:
-                        self._settle_drained(epoch, record, recycle)
-                        settled += 1
-                if satisfied and not ready:
-                    return
+            with self._lock:
+                pending = list(self._draining.items())
+            if not pending:
+                return
+            soonest = min(record.deadline for _, record in pending)
+            wait = max(0.0, soonest - time.monotonic())
+            if patience is not None:
+                wait = min(wait, patience)
+            ready, _, _ = select.select(
+                [record.worker.result_fd for _, record in pending],
+                [], [], wait,
+            )
+            for epoch, record in pending:
+                recycle = self._hear(record, record.worker.result_fd in ready)
+                if recycle is not None:
+                    self._settle_drained(epoch, record, recycle)
         finally:
-            self._drain_lock.release()
+            with self._moved:
+                self._drainer = False
+                self._moved.notify_all()
 
     def _hear(self, record: _LeaseRecord, readable: bool) -> Optional[bool]:
         """What to do with one draining worker: ``False`` park it,
@@ -969,30 +1019,39 @@ class WorldPool:
 
         It parks on exactly one intact record that echoes its epoch with
         nothing after it.  EOF, a corrupt frame, another epoch, trailing
-        bytes, or the deadline: its stream cannot be trusted again.
+        bytes, or the deadline: its stream cannot be trusted again.  The
+        deadline is for silence, so part of a record moves it: a worker
+        whose record is too long for the pipe writes as fast as it is
+        read here, and is not late because the pool was slow to ask.
         """
-        if readable:
-            reader = record.reader
-            data = os.read(record.worker.result_fd, 65536)
+        fd, reader = record.worker.result_fd, record.reader
+        if not readable:
+            return True if time.monotonic() >= record.deadline else None
+        while readable:
+            data = os.read(fd, 65536)
             if not data:
                 return True
             records = reader.feed(data)
             if reader.corrupt:
                 return True
             if records:
-                return not (
-                    len(records) == 1
-                    and not reader.pending
-                    and self.accepts(record.lease, records[0])
-                )
-        if time.monotonic() >= record.deadline:
-            return True
+                if (
+                    len(records) != 1
+                    or reader.pending
+                    or not self.accepts(record.lease, records[0])
+                ):
+                    return True
+                if records[0].get("told_before_start"):
+                    self.count_told_before_start()
+                return False
+            record.deadline = time.monotonic() + record.grace
+            readable = bool(select.select([fd], [], [], 0.0)[0])
         return None
 
     def _settle_drained(
         self, epoch: int, record: _LeaseRecord, recycle: bool
     ) -> None:
-        """Close out one detached lease (drain lock held).
+        """Close out one detached lease (the caller is the drainer).
 
         The handle goes back before the worker can be leased again, and
         only once nothing can write the slab any more: its record is
@@ -1001,15 +1060,14 @@ class WorldPool:
         worker, slab = record.worker, record.lease.slab
         if recycle:
             self._discard(worker)
-        self._close_lease(epoch, draining=True)
+        self._close_lease(self._draining, epoch)
         if slab is not None:
             slab.dispose()
         if recycle:
             self._respawn(worker)
             self.drained_recycled += 1
         else:
-            with self._lock:
-                worker.busy = False
+            self._park(worker)
             self.drained_parked += 1
 
     def reclaim_abandoned(self, older_than: float = 30.0) -> int:
@@ -1023,7 +1081,7 @@ class WorldPool:
         lease is not abandoned: it has a deadline of its own and the
         drainer enforces it.  Returns the number of workers reclaimed.
         """
-        self._drain(0)
+        self._poll()
         now = time.monotonic()
         with self._lock:
             stale = [
@@ -1033,7 +1091,7 @@ class WorldPool:
             ]
         reclaimed = 0
         for epoch in stale:
-            record = self._close_lease(epoch)
+            record = self._close_lease(self._active, epoch)
             if record is None:
                 continue  # a late finish won the settlement race
             self._replace(record.worker)
@@ -1055,7 +1113,7 @@ class WorldPool:
     @property
     def parked(self) -> int:
         """Workers currently free to take a lease."""
-        self._drain(0)
+        self._poll()
         with self._lock:
             return sum(1 for worker in self._workers if not worker.busy)
 
@@ -1080,7 +1138,7 @@ class WorldPool:
             return
         self._closed = True
         # Closed first: a worker the drain has to kill is not replaced.
-        self._drain(None)
+        self.drain()
         with self._lock:
             workers = list(self._workers)
             self._workers = []

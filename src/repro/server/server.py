@@ -485,7 +485,8 @@ class RaceServer:
         running what it already accepted either way).  Drained includes
         the pool: a race returns at its commit and leaves its pooled
         losers to the pool, which is asked to settle them (bounded by
-        their kill deadlines) before this reports ``True``.
+        their kill deadlines, and by what is left of ``timeout``) before
+        this reports ``True``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
@@ -498,9 +499,11 @@ class RaceServer:
                     if remaining <= 0:
                         return False
                 self._idle.wait(timeout=remaining if remaining else 0.1)
-        if self._pool is not None:
-            self._pool.drain()
-        return True
+        if self._pool is None:
+            return True
+        if deadline is None:
+            return self._pool.drain()
+        return self._pool.drain(max(0.0, deadline - time.monotonic()))
 
     def shutdown(self, timeout: Optional[float] = 30.0) -> bool:
         """Drain, stop every thread, and stop an owned pool. Idempotent."""

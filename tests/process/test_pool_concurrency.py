@@ -51,6 +51,18 @@ class _Sleeper:
         return self.value
 
 
+class _Deaf:
+    """Picklable arm body that sleeps through its instruction
+    (``time.sleep`` is no cancellation point) and reports late."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __call__(self, ctx):
+        time.sleep(self.seconds)
+        return "late"
+
+
 def _block(tag, fast=0.01, slow=0.3):
     return [
         Alternative(f"quick-{tag}", body=_Sleeper(f"quick-{tag}", fast, "Q")),
@@ -274,6 +286,55 @@ class TestConcurrentRaces:
             assert pool.parked == pool.size
         finally:
             pool.shutdown()
+
+    def test_a_lease_does_not_queue_behind_a_drain(self):
+        """``drain()`` in one thread has a loser to hear that will take
+        seconds; a lease in another with nobody parked takes the first
+        worker that parks, not its turn after the drain."""
+        pool = WorldPool(size=3)
+        try:
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=30.0, pool=pool)
+            )
+            block = [
+                Alternative("quick", body=_Sleeper("quick", 0.2, "Q")),
+                Alternative("soon", body=_Deaf(0.6)),
+                Alternative("late", body=_Deaf(3.0)),
+            ]
+            assert executor.run(block).value == "Q"
+            assert pool.draining == 2
+            drainer = threading.Thread(target=pool.drain)
+            drainer.start()
+            time.sleep(0.2)  # it is the drainer now, asleep in select
+            began = time.perf_counter()
+            # Two arms, one worker parked: the second lease has to wait.
+            assert executor.run(_block("x", slow=0.05)).value == "Q"
+            assert time.perf_counter() - began < 2.0
+            assert pool.fallbacks == 0
+            drainer.join(timeout=30.0)
+            assert not drainer.is_alive()
+            assert pool.drain()
+            assert (pool.inflight, pool.draining) == (0, 0)
+            assert pool.respawns == 0 and pool.parked == pool.size
+        finally:
+            pool.shutdown()
+
+    def test_drain_gives_up_at_its_timeout(self, pool):
+        executor = ConcurrentExecutor(
+            backend=ProcessBackend(kill_grace=30.0, pool=pool)
+        )
+        block = [
+            Alternative("quick", body=_Sleeper("quick", 0.2, "Q")),
+            Alternative("late", body=_Deaf(1.5)),
+        ]
+        assert executor.run(block).value == "Q"
+        began = time.perf_counter()
+        assert pool.drain(timeout=0.2) is False
+        assert time.perf_counter() - began < 1.0
+        assert pool.draining == 1
+        assert pool.drain() is True
+        assert (pool.draining, pool.drained_parked) == (0, 1)
+        assert pool.respawns == 0
 
     def test_concurrent_forked_races_do_not_sweep_each_other(self):
         """The orphan-scope regression: race B enters while race A's

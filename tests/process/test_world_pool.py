@@ -1109,6 +1109,42 @@ class TestDetachedLeases:
         assert observe(result, parent) == seen
         assert "late" not in parent.space.names()
 
+    def test_a_record_too_long_for_the_pipe_is_not_silence(
+        self, pool, tmp_path
+    ):
+        """(b) on the pipe transport: 256 pages do not fit the pipe, so
+        the loser blocks in ``write`` until the pool reads.  A pool that
+        gets round to it only after the deadline finds a worker that was
+        never silent, reads it to the end, and parks it."""
+        started = str(tmp_path / "started")
+        executor = ConcurrentExecutor(
+            backend=ProcessBackend(
+                kill_grace=0.4, pool=pool, page_transport="pipe"
+            ),
+            space_size=BIG_SPACE,
+        )
+        block = [
+            Alternative("quick", body=_Rewrite("quick", 0.1)),
+            Alternative(
+                "deaf", body=_Deaf(0.2, pages=LATE_PAGES, started=started)
+            ),
+        ]
+        parent = executor.new_parent()
+        result = executor.run(block, parent=parent)
+        assert result.value == ("quick", 0)
+        assert os.path.exists(started)
+        assert result.page_transport == "pipe"
+        seen = observe(result, parent)
+        (worker,) = draining_workers(pool)
+        time.sleep(1.0)  # well past the deadline, one pipeful written
+        assert pool.draining == 1
+        assert pool.drain()
+        assert (pool.drained_parked, pool.drained_recycled) == (1, 0)
+        assert pool.respawns == 0 and not worker.busy
+        assert worker.pid in pool.worker_pids()
+        assert observe(result, parent) == seen
+        assert "late" not in parent.space.names()
+
     @pytest.mark.parametrize("enforcer", ["lease", "drain", "shutdown"])
     def test_a_loser_that_ignores_the_instruction_is_killed_at_its_deadline(
         self, pool, enforcer, tmp_path
@@ -1308,11 +1344,27 @@ class TestDetachedLeases:
             assert "before it started" in record["detail"]
             assert "shm_pages" not in record and "dirty_pages" not in record
             assert pool.accepts(lease, record)
-            assert pool.told_before_start == 1
+            assert record["told_before_start"]
             pool.finish({0: lease}, {0})
             lease.slab.dispose()
             assert runs_of(counter) == 0
             assert pool.respawns == 0 and pool.parked == 1
+            # Asking whether a record is the lease's counts nothing; the
+            # one who consumes it does -- here the drainer.
+            assert pool.told_before_start == 0
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                lease = pool.lease(
+                    handmade_task(space.fork(), _Counts(counter, 5.0)),
+                    time.perf_counter(), shm=True,
+                )
+                assert pool.cancel(lease, 10.0)
+                pool.finish({0: lease}, set(), detached={0})
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            assert pool.drain()
+            assert (pool.told_before_start, pool.drained_parked) == (1, 1)
+            assert runs_of(counter) == 0 and pool.respawns == 0
         finally:
             pool.shutdown()
 

@@ -160,3 +160,38 @@ class TestWorldDiesWithItsTicket:
         for i, after in enumerate(later):
             assert after.result(timeout=60.0) == f"after{i}"
         audit()
+
+
+class _SleepsThroughIt:
+    """Picklable arm body that never looks at its instruction."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __call__(self, ctx):
+        time.sleep(self.seconds)
+        return "late"
+
+
+class TestDrainKeepsItsTimeout:
+    def test_a_stubborn_loser_does_not_stretch_the_callers_timeout(
+        self, audited_server
+    ):
+        """The pool's part of ``drain`` gets what is left of the timeout
+        and no more: a loser still on its way out when it expires means
+        not drained, not a longer wait."""
+        server, pool, _audit = audited_server
+        block = [
+            # Not at once: an arm told before it started has no body to
+            # sleep in.
+            Alternative("quick", body=_Writes("quick", seconds=0.2)),
+            Alternative("deaf", body=_SleepsThroughIt(1.5)),
+        ]
+        assert server.submit("tenant", block).result(timeout=60.0) == "quick"
+        began = time.monotonic()
+        assert server.drain(timeout=0.3) is False
+        assert time.monotonic() - began < 1.0
+        assert server.stats()["pool"]["draining"] == 1
+        assert server.drain(timeout=30.0) is True
+        assert server.stats()["pool"]["draining"] == 0
+        assert pool.drained_parked >= 1 and pool.respawns == 0
