@@ -12,13 +12,18 @@ table scan (steady), and a hash probe (fast when the build side fits).
 The block races them; the fastest plan that actually produces rows wins.
 
 The second half runs the same race with *real processes* on your
-kernel's copy-on-write fork via OsHost.
+kernel's copy-on-write fork, through the process backend.
 """
 
 import random
 import time
 
-from repro import Alternative, ConcurrentExecutor, MODERN_COMMODITY, OsHost
+from repro import (
+    Alternative,
+    ConcurrentExecutor,
+    MODERN_COMMODITY,
+    get_backend,
+)
 from repro.sim.distributions import Bimodal, Deterministic, LogNormal, Uniform
 
 
@@ -55,32 +60,38 @@ def simulated_race(seed: int) -> None:
 def real_process_race() -> None:
     rows = list(range(100_000))
 
-    def index_scan(api):
+    def index_scan(ctx):
         # Pretend the predicate is non-selective: the index is a trap.
-        time.sleep(0.8)
+        ctx.sleep(0.8)
         return ("index", sum(rows[:10]))
 
-    def table_scan(api):
-        time.sleep(0.05)
+    def table_scan(ctx):
+        ctx.sleep(0.05)
         total = sum(row for row in rows if row % 9973 == 0)
-        api.export("plan", "scan")
+        ctx.put("plan", "scan")
         return ("scan", total)
 
-    def hash_probe(api):
+    def hash_probe(ctx):
         # Fails its guard: the build side spilled.
-        api.fail("hash table spilled to disk")
+        ctx.fail("hash table spilled to disk")
 
+    executor = ConcurrentExecutor(backend=get_backend("process"), timeout=10.0)
+    parent = executor.new_parent()
     started = time.monotonic()
-    result = OsHost(timeout=10.0).race(
-        [index_scan, table_scan, hash_probe],
-        names=["index-scan", "table-scan", "hash-probe"],
+    result = executor.run(
+        [
+            Alternative("index-scan", body=index_scan),
+            Alternative("table-scan", body=table_scan),
+            Alternative("hash-probe", body=hash_probe),
+        ],
+        parent=parent,
     )
     wall = time.monotonic() - started
     print(f"  winner   : {result.winner.name}")
     print(f"  value    : {result.value!r}")
-    print(f"  exports  : {result.exports}")
+    print(f"  plan     : {parent.space.get('plan')!r} (in the parent's space)")
     print(f"  wall time: {wall * 1000:.1f} ms "
-          "(the 0.8 s index scan was killed, not waited for)")
+          "(the 0.8 s index scan was told to stop, not waited for)")
     for outcome in result.outcomes:
         print(f"    {outcome.name:<11} -> {outcome.status}")
 

@@ -26,7 +26,6 @@ from repro.core import (
     ExecutionBackend,
     GuardPlacement,
     OrderedPolicy,
-    OsHost,
     OverheadBreakdown,
     PriorityPolicy,
     ProcessBackend,
@@ -91,7 +90,6 @@ __all__ = [
     "HP_9000_350",
     "MODERN_COMMODITY",
     "OrderedPolicy",
-    "OsHost",
     "OverheadBreakdown",
     "PageApplyError",
     "PriorityPolicy",

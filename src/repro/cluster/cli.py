@@ -101,13 +101,7 @@ def router_main(args: argparse.Namespace) -> int:
     daemon = RouterDaemon(
         journal_path=args.journal, host=args.host, port=args.port
     )
-    import signal as _signal
-
-    def _stop(signum, frame):  # pragma: no cover - signal path
-        daemon.stop()
-
-    _signal.signal(_signal.SIGTERM, _stop)
-    _signal.signal(_signal.SIGINT, _stop)
+    daemon.install_signal_handlers()
     host, port = daemon.start()
     _write_port_file(args.port_file, host, port)
     print(

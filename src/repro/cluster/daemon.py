@@ -246,6 +246,7 @@ class WorkerDaemon:
         self._announcer = None
         self._listener = None
         self._stopping = threading.Event()
+        self._signalled = False
         self._threads: list = []
         self._inflight: Dict[int, CancellationToken] = {}
         self._connections: set = set()
@@ -291,18 +292,21 @@ class WorkerDaemon:
         return self.host, self.port
 
     def serve_forever(self) -> None:
-        """Blocking serve (the CLI entry point); returns after stop()."""
+        """Blocking serve (the CLI entry point); returns after stop(),
+        which it calls itself once a stop signal has arrived."""
         if self._listener is None:
             self.start()
         while not self._stopping.wait(0.1):
-            pass
+            if self._signalled:
+                self.stop()
 
     def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT set the stop flag -- handlers never raise, so
-        EINTR'd syscalls resume (PEP 475) and loops drain cleanly."""
+        """SIGTERM/SIGINT ask :meth:`serve_forever` to stop.  The handler
+        only sets a flag: it runs on the thread inside ``Event.wait``, and
+        ``stop()`` would take that event's lock, which the wait may hold."""
 
         def _stop(signum, frame):  # pragma: no cover - signal path
-            self.stop()
+            self._signalled = True
 
         signal.signal(signal.SIGTERM, _stop)
         signal.signal(signal.SIGINT, _stop)

@@ -27,6 +27,7 @@ survivor agrees with the ghost.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -80,6 +81,7 @@ class RouterDaemon:
         self._listener = None
         self._accept: Optional[threading.Thread] = None
         self._stopping = threading.Event()
+        self._signalled = False
         self._lock = threading.Lock()
         """Ops serialize: the router is single-threaded state behind a
         concurrent front door, the same discipline as the simulator."""
@@ -126,10 +128,23 @@ class RouterDaemon:
         return self.host, self.port
 
     def serve_forever(self) -> None:
+        """Blocking serve; returns after stop(), which it calls itself
+        once a stop signal has arrived."""
         if self._listener is None:
             self.start()
         while not self._stopping.wait(0.1):
-            pass
+            if self._signalled:
+                self.stop()
+
+    def install_signal_handlers(self) -> None:
+        """SIGTERM/SIGINT ask :meth:`serve_forever` to stop -- by a flag
+        only, never ``stop()`` from the handler (see the worker daemon's)."""
+
+        def _stop(signum, frame):  # pragma: no cover - signal path
+            self._signalled = True
+
+        signal.signal(signal.SIGTERM, _stop)
+        signal.signal(signal.SIGINT, _stop)
 
     def stop(self) -> None:
         if self._stopping.is_set():

@@ -11,13 +11,12 @@ This package is the paper's primary contribution:
   semantics-preserving transformation of section 3: race every alternative
   speculatively under copy-on-write state management, select fastest-first,
   eliminate the siblings;
-- :class:`~repro.core.oshost.OsHost` runs the same race with real
-  ``os.fork`` processes on the host kernel's copy-on-write memory;
 - :mod:`repro.core.backends` makes the executor's concurrency pluggable:
   :class:`~repro.core.backends.SerialBackend` (deterministic replay),
   :class:`~repro.core.backends.ThreadBackend` and
   :class:`~repro.core.backends.ProcessBackend` (real racing with
-  cooperative loser elimination).
+  cooperative loser elimination; the latter forks real processes on the
+  host kernel's copy-on-write memory).
 """
 
 from repro.core.alternative import AltContext, Alternative, GuardPlacement
@@ -31,7 +30,6 @@ from repro.core.backends import (
     get_backend,
 )
 from repro.core.concurrent import ConcurrentExecutor
-from repro.core.oshost import OsHost, OsRaceOutcome, OsRaceResult
 from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
 from repro.core.selection import (
     OrderedPolicy,
@@ -51,9 +49,6 @@ __all__ = [
     "ExecutionBackend",
     "GuardPlacement",
     "OrderedPolicy",
-    "OsHost",
-    "OsRaceOutcome",
-    "OsRaceResult",
     "OverheadBreakdown",
     "PriorityPolicy",
     "ProcessBackend",

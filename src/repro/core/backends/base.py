@@ -30,9 +30,10 @@ class CancellationToken:
     """Delivery vehicle for one arm's termination instruction.
 
     Thread-safe and idempotent: :meth:`cancel` may be called by the
-    backend (at winner selection), by the kernel's elimination drain, or
-    by a signal handler in a forked child -- the first call wins and the
-    rest are no-ops.
+    backend (at winner selection) or by the kernel's elimination drain --
+    the first call wins and the rest are no-ops.  Never from a signal
+    handler (the ``wait`` it interrupted may hold the lock): an arm a
+    signal cancels carries :mod:`repro.core.backends.process`'s bell token.
     """
 
     __slots__ = ("_event",)

@@ -38,8 +38,9 @@ reality: losers first receive the termination instruction -- ``SIGTERM``
 for a forked child, :meth:`WorldPool.cancel
 <repro.process.pool.WorldPool.cancel>` (the epoch on the pool's board,
 then ``SIGTERM`` as the bell) for a leased worker -- whose handler
-cancels the arm's :class:`~repro.core.backends.base.CancellationToken`
-so the body stops at its next cooperative checkpoint and reports how
+cancels the arm's token (the signal-safe :class:`_BellToken`, in either
+kind of child, which runs the arm through the one :func:`run_arm`) so
+the body stops at its next cooperative checkpoint and reports how
 much work it actually did; any child still alive after ``kill_grace``
 seconds is ``SIGKILL``-ed (the asynchronous hard kill of section 3.2.1)
 and its report is synthesized.
@@ -83,6 +84,7 @@ import select
 import signal
 import threading
 import time
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.backends import wire
@@ -90,19 +92,14 @@ from repro.core.backends.base import (
     ArmReport,
     ArmTask,
     BackendRace,
+    CancellationToken,
     ExecutionBackend,
 )
 from repro.core.backends.wire import (
     EXIT_HANG as _EXIT_HANG,
     EXIT_OK as _EXIT_OK,
     EXIT_SHIP_FAILED as _EXIT_SHIP_FAILED,
-    EXIT_TRUNCATED as _EXIT_TRUNCATED,
-    EXIT_UNPICKLABLE as _EXIT_UNPICKLABLE,
-    FRAME as _FRAME,
-    MAGIC as _MAGIC,
     RecordReader as _RecordReader,
-    frame_record as _frame_record,
-    write_all as _write_all,
     write_record as _write_record,
 )
 from repro.errors import Eliminated, FaultInjected
@@ -179,33 +176,27 @@ def sweep_orphans() -> int:
 
 
 def _waitpid_nohang(pid: int) -> Tuple[bool, Optional[int]]:
-    """Non-blocking reap: ``(reaped, status)``; EINTR-safe."""
-    while True:
-        try:
-            done, status = os.waitpid(pid, os.WNOHANG)
-        except InterruptedError:  # pragma: no cover - EINTR, retried
-            continue
-        except ChildProcessError:
-            return True, None  # already reaped elsewhere
-        if done == 0:
-            return False, None
-        return True, status
+    """Non-blocking reap: ``(reaped, status)``.  EINTR is retried by
+    ``os.waitpid`` itself (PEP 475), here and below."""
+    try:
+        done, status = os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True, None  # already reaped elsewhere
+    if done == 0:
+        return False, None
+    return True, status
 
 
 def _waitpid_blocking(pid: int) -> Optional[int]:
-    """Blocking reap; EINTR-safe; ``None`` when already reaped."""
-    while True:
-        try:
-            _, status = os.waitpid(pid, 0)
-        except InterruptedError:  # pragma: no cover - EINTR, retried
-            continue
-        except ChildProcessError:
-            return None
-        return status
+    """Blocking reap; ``None`` when already reaped."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return None
 
 
 # ----------------------------------------------------------------------
-# child-side shipment assembly, shared by fork children and pool workers
+# the child side of an arm, shared by fork children and pool workers
 
 
 def build_result_record(
@@ -259,6 +250,120 @@ def build_result_record(
     record["dirty_pages"] = {vpn: space.table.read_page(vpn) for vpn in dirty}
     record["page_transport"] = "pipe"
     return record
+
+
+class _BellToken(CancellationToken):
+    """The token of an arm a signal cancels (a forked child's, a pooled
+    worker's), from the handler of the very thread that waits on it.
+
+    Not a :class:`threading.Event`, whose lock a handler can find held by
+    the ``wait`` it interrupted (about one told sleeper in 1 500 wedged).
+    A flag and a self-pipe have no lock.  The pipe is also the process's
+    signal wakeup fd (:func:`bell_pipe`), written by the C-level handler
+    the instant the bell rings -- the Python one runs only at the next
+    bytecode boundary, maybe already inside ``select``; ``wait`` wakes,
+    lets it run (``cancelled`` is a Python call) and sleeps on if the bell
+    was for nobody.
+    """
+
+    __slots__ = ("_cancelled", "_wake_r", "_wake_w")
+
+    def __init__(self, wake_r: int, wake_w: int) -> None:
+        self._cancelled = False
+        self._wake_r = wake_r
+        self._wake_w = wake_w
+
+    def cancel(self) -> None:
+        self._cancelled = True
+        try:
+            os.write(self._wake_w, b"!")
+        except OSError:  # full of bells nobody waited for: as good
+            pass
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.cancelled:
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                break
+            ready = select.select([self._wake_r], [], [], left)[0]
+            if ready and not self.cancelled:
+                os.read(self._wake_r, 4096)  # a bell for nobody: drain it
+        return self._cancelled
+
+
+def bell_pipe() -> Tuple[int, int]:
+    """A non-blocking self-pipe for :class:`_BellToken`, made this
+    process's signal wakeup fd (once per forked arm or pooled worker)."""
+    wake = os.pipe()
+    for fd in wake:
+        os.set_blocking(fd, False)
+    signal.set_wakeup_fd(wake[1], warn_on_full_buffer=False)
+    return wake
+
+
+def run_arm(
+    index: int, arm, result_fd: int, start: float,
+    pre_fault: Optional[Tuple] = None, ship_fault: Optional[Tuple] = None,
+    epoch: Optional[int] = None, told_before_start: bool = False,
+) -> int:
+    """The child side of arm ``index``, forked or pooled: pre-body fault,
+    body (``arm.run()`` returns ``(succeeded, value, detail)``), the
+    verdict (``Eliminated`` is cancelled, anything else abnormal), the
+    record -- dirty pages of ``arm.space`` through ``arm.slab``, both read
+    after the body -- with this process's trace events, and the write.
+    An arm ``told_before_start`` runs neither fault nor body; a pooled
+    record echoes its lease's ``epoch``.  Returns the wire exit code; a
+    write that raises exits with ``EXIT_SHIP_FAILED``.
+    """
+    tracer = _active_tracer()
+    trace_mark = tracer.mark()
+    began = time.perf_counter() - start
+    value = None
+    cancelled = abnormal = False
+    try:
+        if told_before_start:
+            raise Eliminated(
+                f"alternative {index + 1} eliminated before it started: "
+                "a sibling already synchronized"
+            )
+        if pre_fault is not None:
+            kind, duration, fault_detail = pre_fault
+            if kind == "sigkill":  # die abruptly, as a crashed arm would
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif kind == "hang":
+                # Wedged: deaf to the instruction, ended only by the
+                # SIGKILL backstop or by this exit.
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)
+                time.sleep(duration)
+                os._exit(_EXIT_HANG)
+            elif kind == "raise":
+                raise FaultInjected(fault_detail)
+        succeeded, value, detail = arm.run()
+    except Eliminated as exc:
+        succeeded, detail, cancelled = False, str(exc), True
+    except BaseException as exc:
+        succeeded, detail, abnormal = False, repr(exc), True
+    record = build_result_record(
+        index, arm.space, succeeded, value, detail, cancelled, abnormal,
+        began, time.perf_counter() - start, slab=arm.slab,
+    )
+    if epoch is not None:
+        record["pool_epoch"] = epoch
+    if told_before_start:
+        record["told_before_start"] = True
+    if tracer.enabled:
+        # Same tracer, epoch and clock as the parent: ship only the
+        # events traced since the arm began.
+        record["trace"] = tracer.events_since(trace_mark)
+    try:
+        return _write_record(result_fd, record, ship_fault)
+    except BaseException:  # a real shipback failure, not EPIPE
+        os._exit(_EXIT_SHIP_FAILED)
 
 
 class ProcessBackend(ExecutionBackend):
@@ -365,19 +470,28 @@ class ProcessBackend(ExecutionBackend):
                 if lease is not None:
                     continue
                 read_fd, write_fd = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    # Child: drop every parent-side read end we inherited.
-                    try:
-                        os.close(read_fd)
-                        for sibling_fd in pipes.values():
-                            os.close(sibling_fd)
-                        self._child_main(
-                            task, write_fd, start, pre_fault, ship_fault,
-                            slab,
-                        )
-                    finally:  # pragma: no cover - _child_main never returns
-                        os._exit(_EXIT_SHIP_FAILED)
+                # SIGTERM stays blocked across the fork until the child
+                # has its bell, so a loser told before it got that far is
+                # cancelled, not killed by the default disposition.
+                old_mask = signal.pthread_sigmask(
+                    signal.SIG_BLOCK, {signal.SIGTERM}
+                )
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        # Child: drop every parent-side read end inherited.
+                        try:
+                            os.close(read_fd)
+                            for sibling_fd in pipes.values():
+                                os.close(sibling_fd)
+                            self._child_main(
+                                task, write_fd, start, pre_fault,
+                                ship_fault, slab,
+                            )
+                        finally:  # pragma: no cover - never returns
+                            os._exit(_EXIT_SHIP_FAILED)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
                 os.close(write_fd)
                 pids[task.index] = pid
                 pipes[task.index] = read_fd
@@ -523,67 +637,25 @@ class ProcessBackend(ExecutionBackend):
 
     @staticmethod
     def _child_main(
-        task: ArmTask,
-        write_fd: int,
-        start: float,
-        pre_fault: Optional[Tuple] = None,
-        ship_fault: Optional[Tuple] = None,
+        task: ArmTask, write_fd: int, start: float,
+        pre_fault: Optional[Tuple] = None, ship_fault: Optional[Tuple] = None,
         slab: Optional[ShmSlab] = None,
     ) -> None:
-        token = getattr(task.context, "token", None)
-        if token is not None:
+        """A forked arm: a bell token of its own, then :func:`run_arm`."""
+        context = task.context
+        if getattr(context, "token", None) is not None:
+            # The child's copy of the context; the handler cancels only it.
+            token = context.token = _BellToken(*bell_pipe())
             signal.signal(signal.SIGTERM, lambda signum, frame: token.cancel())
-        # The forked child inherits the parent's tracer (same epoch, same
-        # monotonic clock): record where its event log stands so only the
-        # child's own events are shipped back with the result.
-        tracer = _active_tracer()
-        trace_mark = tracer.mark()
-        began = time.perf_counter() - start
-        abnormal = False
-        try:
-            if pre_fault is not None:
-                kind, duration, fault_detail = pre_fault
-                if kind == "sigkill":
-                    # Die abruptly, exactly as a crashed arm would.
-                    os.kill(os.getpid(), signal.SIGKILL)
-                elif kind == "hang":
-                    # Wedge: ignore the cooperative kill and stall.  Only
-                    # the SIGKILL backstop (grace escalation, watchdog, or
-                    # reap) gets rid of this child.
-                    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-                    time.sleep(duration)
-                    os._exit(_EXIT_HANG)
-                elif kind == "raise":
-                    raise FaultInjected(fault_detail)
-            succeeded, value, detail = task.run()
-            cancelled = False
-        except Eliminated as exc:
-            succeeded, value, detail, cancelled = False, None, str(exc), True
-        except BaseException as exc:
-            succeeded, value, detail, cancelled = False, None, repr(exc), False
-            abnormal = True
-        finished = time.perf_counter() - start
-        record = build_result_record(
-            task.index,
-            getattr(task.context, "space", None),
-            succeeded,
-            value,
-            detail,
-            cancelled,
-            abnormal,
-            began,
-            finished,
-            slab=slab,
+        # SIGTERM was blocked across the fork: one that raced this
+        # child's start is delivered now, to the bell.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        arm = SimpleNamespace(
+            run=task.run, space=getattr(context, "space", None), slab=slab
         )
-        if tracer.enabled:
-            record["trace"] = tracer.events_since(trace_mark)
-        try:
-            exit_code = _write_record(write_fd, record, ship_fault)
-        except BaseException:
-            # A real shipback failure (not EPIPE): surface it in the exit
-            # status instead of vanishing.
-            os._exit(_EXIT_SHIP_FAILED)
-        os._exit(exit_code)
+        os._exit(
+            run_arm(task.index, arm, write_fd, start, pre_fault, ship_fault)
+        )
 
     # ------------------------------------------------------------------
     # parent side
@@ -709,10 +781,7 @@ class ProcessBackend(ExecutionBackend):
             for fd in ready:
                 index = fd_to_index[fd]
                 reader = readers[index]
-                try:
-                    data = os.read(fd, 65536)
-                except InterruptedError:  # pragma: no cover - EINTR
-                    continue
+                data = os.read(fd, 65536)
                 if not data:
                     # EOF: a forked child exited -- or a pooled worker
                     # died mid-lease (its pipe outlives leases otherwise).

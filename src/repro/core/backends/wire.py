@@ -62,16 +62,15 @@ def frame_record(payload: dict) -> Tuple[bytes, int]:
 
 
 def write_all(fd: int, data: bytes) -> bool:
-    """Write every byte; EINTR-safe.  EPIPE (the parent is gone, nobody
-    will ever read this record) returns False; any other OS error -- a
-    real shipback failure -- propagates so the child can surface it in
-    its exit status instead of silently dropping the result."""
+    """Write every byte (EINTR is retried, PEP 475).  EPIPE (the parent
+    is gone, nobody will ever read this record) returns False; any other
+    OS error -- a real shipback failure -- propagates so the child can
+    surface it in its exit status instead of silently dropping the
+    result."""
     view = memoryview(data)
     while view:
         try:
             written = os.write(fd, view)
-        except InterruptedError:  # pragma: no cover - EINTR, retried
-            continue
         except OSError as exc:
             if exc.errno == errno.EPIPE:
                 return False

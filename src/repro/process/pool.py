@@ -83,9 +83,10 @@ with no world built, no body run and no slab written.  An instruction
 can therefore not be lost to a worker that had not got round to its
 lease, and, epochs never being reused, a late bell cannot hit a later
 lease.  Only the handler cancels, on the very thread that may be asleep
-on the token, so a pooled arm's token is a flag and a self-pipe
-(:class:`_BellToken`) and not a :class:`threading.Event`, whose lock a
-handler can find held by the code it interrupted.
+on the token, so a pooled arm's token is a flag and a self-pipe (the
+bell token of :mod:`repro.core.backends.process`, a forked arm's too)
+and not a :class:`threading.Event`, whose lock a handler can find held
+by the code it interrupted.
 
 Five invariants make this safe, each held by one party:
 
@@ -167,9 +168,12 @@ import time
 from dataclasses import dataclass
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
-from repro.core.backends.base import CancellationToken
+from repro.core.alternative import AltContext
 from repro.core.backends import wire
-from repro.errors import Eliminated, FaultInjected
+from repro.core.backends.process import (
+    _BellToken, _waitpid_blocking, _waitpid_nohang, bell_pipe, run_arm,
+)
+from repro.core.sequential import _run_body
 from repro.obs import events as _ev
 from repro.obs.tracer import active as _active_tracer
 from repro.pages.address_space import AddressSpace
@@ -206,10 +210,7 @@ def _read_exact(fd: int, count: int) -> Optional[bytes]:
     """Read exactly ``count`` bytes; ``None`` on EOF (parent died)."""
     chunks = []
     while count:
-        try:
-            chunk = os.read(fd, count)
-        except InterruptedError:  # pragma: no cover - EINTR, retried
-            continue
+        chunk = os.read(fd, count)  # EINTR is retried (PEP 475)
         if not chunk:
             return None
         chunks.append(chunk)
@@ -434,15 +435,7 @@ class WorldPool:
             os.kill(worker.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             pass
-        while True:
-            try:
-                _, status = os.waitpid(worker.pid, 0)
-                break
-            except InterruptedError:  # pragma: no cover - EINTR
-                continue
-            except ChildProcessError:
-                status = None
-                break
+        status = _waitpid_blocking(worker.pid)
         for fd in (worker.ctrl_fd, worker.result_fd):
             try:
                 os.close(fd)
@@ -886,16 +879,9 @@ class WorldPool:
             if record is None:
                 continue  # already settled elsewhere: idempotent
             worker = record.worker
-            alive = True
-            try:
-                done, status = os.waitpid(worker.pid, os.WNOHANG)
-                if done != 0:
-                    alive = False
-                    statuses[index] = status
-            except ChildProcessError:  # pragma: no cover - reaped elsewhere
-                alive = False
-                statuses[index] = None
-            if not alive:
+            reaped, status = _waitpid_nohang(worker.pid)
+            if reaped:
+                statuses[index] = status
                 for fd in (worker.ctrl_fd, worker.result_fd):
                     try:
                         os.close(fd)
@@ -1167,11 +1153,7 @@ class WorldPool:
         pending = {worker.pid: worker for worker in workers}
         while pending and time.monotonic() < deadline:
             for pid in list(pending):
-                try:
-                    done, _ = os.waitpid(pid, os.WNOHANG)
-                except ChildProcessError:
-                    done = pid
-                if done != 0:
+                if _waitpid_nohang(pid)[0]:
                     del pending[pid]
             if pending:
                 time.sleep(0.01)
@@ -1180,10 +1162,7 @@ class WorldPool:
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 pass
-            try:
-                os.waitpid(pid, 0)
-            except (ChildProcessError, InterruptedError):
-                pass
+            _waitpid_blocking(pid)
         for worker in workers:
             for fd in (worker.ctrl_fd, worker.result_fd):
                 try:
@@ -1219,7 +1198,10 @@ class _WorkerWorld:
     stays bound to that arena; binding to another name drops the cached
     frames and the old mapping.  And the mapping of the one response
     slab the pool binds to this worker, replaced only when a lease names
-    another.  The worker never unlinks anything.
+    another.  The worker never unlinks anything.  It is also the arm of
+    the lease being served, as :func:`run_arm
+    <repro.core.backends.process.run_arm>` sees one: ``run`` builds its
+    world and slab handle, ``settle`` lets both go once it has shipped.
     """
 
     def __init__(self) -> None:
@@ -1229,6 +1211,34 @@ class _WorkerWorld:
         """Arena slot -> the external frame adopted over it."""
 
         self.response: Optional[ShmSlab] = None
+        self.lease: Optional[dict] = None
+        self.token: Optional[_BellToken] = None
+        self.space: Optional[AddressSpace] = None
+        self.slab: Optional[ShmSlab] = None
+
+    def run(self) -> Tuple[bool, object, str]:
+        """The leased arm: its world, its response slab, then its body."""
+        lease = self.lease
+        self.space = self.build_space(lease)
+        if lease["slab_name"] is not None:
+            self.slab = self.response_slab(
+                lease["slab_name"], lease["slab_slots"],
+                lease["slab_slot_size"],
+            )
+        context = AltContext(
+            self.space, rng=random.Random(lease["rng_seed"]),
+            alt_index=lease["index"] + 1, name=lease["name"], token=self.token,
+        )
+        context.trace_block = lease["trace_block"]
+        return _run_body(lease["alternative"], context)
+
+    def settle(self) -> None:
+        """Let go of the lease just shipped: its slab handle, its world."""
+        if self.slab is not None:
+            self.slab.dispose()
+        if self.space is not None:
+            self.space.release()  # the store outlives this lease
+        self.lease = self.space = self.slab = None
 
     def response_slab(self, name: str, slots: int, slot_size: int) -> ShmSlab:
         """This lease's handle on the response slab it names.
@@ -1297,50 +1307,10 @@ class _WorkerWorld:
         return space
 
 
-class _BellToken(CancellationToken):
-    """A pooled arm's token: cancelled by the signal handler of the very
-    thread that waits on it.
-
-    A :class:`threading.Event` cannot be: ``set`` takes the lock ``wait``
-    holds while it checks in and out, neither is reentrant, and a bell
-    that rings in that window deadlocks the worker on itself (about one
-    told sleeper in 1 500, each sitting out its deadline).  A flag and a
-    self-pipe have no lock: the handler sets the one and writes the
-    other, ``wait`` selects on the pipe, and a byte written between its
-    look at the flag and its ``select`` is still there to end it.
-    """
-
-    __slots__ = ("_cancelled", "_wake_r", "_wake_w")
-
-    def __init__(self, wake_r: int, wake_w: int) -> None:
-        self._cancelled = False
-        self._wake_r = wake_r
-        self._wake_w = wake_w
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        try:
-            os.write(self._wake_w, b"!")
-        except OSError:  # full of bells nobody waited for: as good
-            pass
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        if not self._cancelled:
-            select.select([self._wake_r], [], [], timeout)
-        return self._cancelled
-
-
 def _worker_main(ctrl_fd: int, result_fd: int, board, slot: int) -> None:
-    current: dict = {"epoch": 0, "token": None}
     world = _WorkerWorld()
     offset = slot * _WORD.size
-    wake = os.pipe()
-    for fd in wake:
-        os.set_blocking(fd, False)
+    wake = bell_pipe()
 
     def told() -> int:
         """The epoch of the lease this worker was last told to stop."""
@@ -1349,8 +1319,8 @@ def _worker_main(ctrl_fd: int, result_fd: int, board, slot: int) -> None:
     def on_sigterm(signum, frame):
         # The bell: look at the board.  Only the lease being served is
         # ever cancelled, and only from here.
-        token = current["token"]
-        if token is not None and told() == current["epoch"]:
+        token = world.token
+        if token is not None and told() == world.lease["epoch"]:
             token.cancel()
 
     signal.signal(signal.SIGTERM, on_sigterm)
@@ -1370,112 +1340,39 @@ def _worker_main(ctrl_fd: int, result_fd: int, board, slot: int) -> None:
             os._exit(wire.EXIT_SHIP_FAILED)
         if message.get("kind") == "exit":
             os._exit(0)
-        try:  # bells of the lease before: a wake-up is for one token
-            while os.read(wake[0], 4096):
-                pass
-        except BlockingIOError:
-            pass
-        _serve_lease(message, result_fd, current, world, told, wake)
+        # Bells left from earlier leases stay in the pipe: a token's wait
+        # drains what it wakes to and finds not meant for it.
+        _serve_lease(message, result_fd, world, told, wake)
 
 
 def _serve_lease(
-    message: dict, result_fd: int, current: dict, world: _WorkerWorld,
-    told, wake: Tuple[int, int],
+    message: dict, result_fd: int, world: _WorkerWorld, told,
+    wake: Tuple[int, int],
 ) -> None:
     """Run one leased arm and ship its record; may never return (faults).
 
-    Epoch and token are published to the signal handler before anything
-    else, and the board is read once right after: an instruction issued
-    at any moment since the lease was granted is seen by the one or by
-    the other.  An arm that finds it already there ships ``cancelled``
-    at once -- no world, no body, no slab write -- and says so by
-    raising ``Eliminated`` itself: cancelling is the handler's business.
+    The lease and then its token are published to the signal handler
+    before anything else, and the board is read once right after: an
+    instruction issued at any moment since the lease was granted is seen
+    by the one or by the other.  An arm that finds it already there ships
+    ``cancelled`` at once -- no world, no body, no slab write -- without
+    touching its token: cancelling is the handler's business.
     """
-    from repro.core.alternative import AltContext
-    from repro.core.backends.process import build_result_record
-    from repro.core.sequential import _run_body
-
-    index = message["index"]
     epoch = message["epoch"]
-    start = message["start"]
-    pre_fault = message["pre_fault"]
     ship_fault = message["ship_fault"]
-    tracer = _active_tracer()
-    trace_mark = tracer.mark()
-    began = time.perf_counter() - start
-    abnormal = False
-    space = None
-    slab: Optional[ShmSlab] = None
-    token = _BellToken(*wake)
-    current["epoch"] = epoch
-    current["token"] = token
-    told_before_start = told() == epoch
-    try:
-        if told_before_start:
-            raise Eliminated(
-                f"alternative {message['name'] or index + 1} eliminated "
-                "before it started: a sibling already synchronized"
-            )
-        if pre_fault is not None:
-            kind, duration, fault_detail = pre_fault
-            if kind == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif kind == "hang":
-                # A wedged world: ignore the cooperative kill, stall, and
-                # die -- the parent's escalation (or this exit) ends it.
-                signal.signal(signal.SIGTERM, signal.SIG_IGN)
-                time.sleep(duration)
-                os._exit(wire.EXIT_HANG)
-            elif kind == "raise":
-                raise FaultInjected(fault_detail)
-        space = world.build_space(message)
-        if message["slab_name"] is not None:
-            slab = world.response_slab(
-                message["slab_name"],
-                message["slab_slots"],
-                message["slab_slot_size"],
-            )
-        context = AltContext(
-            space,
-            rng=random.Random(message["rng_seed"]),
-            alt_index=index + 1,
-            name=message["name"],
-            process=None,
-            token=token,
-        )
-        context.trace_block = message["trace_block"]
-        succeeded, value, detail = _run_body(message["alternative"], context)
-        cancelled = False
-    except Eliminated as exc:
-        succeeded, value, detail, cancelled = False, None, str(exc), True
-    except BaseException as exc:
-        succeeded, value, detail, cancelled = False, None, repr(exc), False
-        abnormal = True
-    finally:
-        current["token"] = None
-    finished = time.perf_counter() - start
-    record = build_result_record(
-        index, space, succeeded, value, detail, cancelled, abnormal,
-        began, finished, slab=slab,
+    world.lease = message
+    world.token = _BellToken(*wake)
+    exit_code = run_arm(
+        message["index"], world, result_fd, message["start"],
+        message["pre_fault"], ship_fault, epoch, told() == epoch,
     )
-    record["pool_epoch"] = epoch
-    if told_before_start:
-        record["told_before_start"] = True
-    if tracer.enabled:
-        record["trace"] = tracer.events_since(trace_mark)
-    try:
-        exit_code = wire.write_record(result_fd, record, ship_fault)
-    except BaseException:
-        os._exit(wire.EXIT_SHIP_FAILED)
+    world.token = None  # before the lease: the handler reads both
     if ship_fault is not None or exit_code == wire.EXIT_TRUNCATED:
         # A ship fault leaves this worker's persistent stream unusable
         # (dangling or mangled bytes): die like a forked child would and
         # let the pool respawn a clean replacement.
         os._exit(exit_code)
-    if slab is not None:
-        slab.dispose()
-    if space is not None:
-        space.release()
+    world.settle()
 
 
 # ----------------------------------------------------------------------

@@ -64,8 +64,12 @@ def unify(
     On failure the caller is responsible for ``undo_to`` -- partial
     bindings may remain, which is why callers always take a trail mark
     first.
+    Without the occurs check a variable may be bound into its own term;
+    a pair of structs already pushed is assumed equal and not unfolded
+    again (rational-tree unification), which is what terminates.
     """
     stack = [(a, b)]
+    seen = set()
     while stack:
         left, right = stack.pop()
         left = walk(left, bindings)
@@ -85,6 +89,10 @@ def unify(
         if isinstance(left, Struct) and isinstance(right, Struct):
             if left.functor != right.functor or left.arity != right.arity:
                 return False
+            pair = (id(left), id(right))
+            if pair in seen:
+                continue
+            seen.add(pair)
             stack.extend(zip(left.args, right.args))
             continue
         return False

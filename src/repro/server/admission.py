@@ -101,6 +101,10 @@ class DeficitRoundRobin:
         """Tenants with at least one queued item, in visit order."""
         return list(self._ring)
 
+    def queued(self) -> List[QueueItem]:
+        """Every item still queued, tenant by tenant in visit order."""
+        return [item for tenant in self._ring for item in self._queues[tenant]]
+
     def offer(self, item: QueueItem) -> AdmissionVerdict:
         """Admit ``item`` or refuse it with the bound that was hit."""
         if item.weight < 1:

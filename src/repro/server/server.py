@@ -351,16 +351,17 @@ class RaceServer:
         Relies on: every transition that can make ``_head_fits`` true --
         ``submit``, a worker finishing, ``cancel``, drain/shutdown --
         notifying ``_wakeup`` under ``_lock``.  Guarantees: no ``take``
-        while nothing changed.  The wait's timeout is a lost-wakeup
-        backstop only.
+        while nothing changed, and none once stopping -- what is still
+        queued then is ``shutdown``'s to cancel.  The wait's timeout is a
+        lost-wakeup backstop only.
         """
         while True:
             with self._lock:
-                while not self._head_fits():
-                    if self._stopping and self._drr.depth == 0:
-                        return
+                while not self._stopping and not self._head_fits():
                     self._wakeup.wait(timeout=0.1)
                     self._wakeups.inc()
+                if self._stopping:
+                    return
                 budget = self.config.max_inflight_arms - self._inflight_arms
                 quantum_grants: List[tuple] = []
                 batch = self._drr.take(
@@ -506,7 +507,9 @@ class RaceServer:
         return self._pool.drain(max(0.0, deadline - time.monotonic()))
 
     def shutdown(self, timeout: Optional[float] = 30.0) -> bool:
-        """Drain, stop every thread, and stop an owned pool. Idempotent."""
+        """Drain, stop every thread, and stop an owned pool. Idempotent.
+        A drain that times out leaves no ticket unresolved: blocks handed
+        to a worker finish, blocks still queued are cancelled."""
         drained = self.drain(timeout)
         with self._lock:
             if self._stopping:
@@ -514,6 +517,10 @@ class RaceServer:
             self._stopping = True
             self._wakeup.notify_all()
         self._dispatcher.join(timeout=5.0)
+        with self._lock:
+            queued = [item.payload.ticket for item in self._drr.queued()]
+        for ticket in queued:
+            self.cancel(ticket)
         for _ in self._workers:
             self._runq.put(None)
         for worker in self._workers:

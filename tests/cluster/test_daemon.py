@@ -295,6 +295,10 @@ class TestArmToken:
         pair[1].sendall(b"x")
 
         def reader():
+            # Let the arm find the input waiting and step aside first: a
+            # reader that drained it before the arm looked would leave
+            # the arm nothing to wait for.
+            time.sleep(0.2)
             pair[0].recv(1)
             token.cancel()
 

@@ -50,6 +50,30 @@ def parallel_backends():
     return backends
 
 
+def winner_cases():
+    """``(backend, losers, value, rounds)``: one slow loser on every
+    parallel backend, plus forked shapes worth pinning on their own --
+    twelve racers in one block, a 50 000-element winning value, one
+    backend reused across rounds."""
+    cases = [pytest.param(b, 1, 2, 1, id=b.name) for b in parallel_backends()]
+    if HAS_FORK:
+        cases += [
+            pytest.param(
+                ProcessBackend(kill_grace=2.0), 11, 2, 1,
+                id="process-12-racers",
+            ),
+            pytest.param(
+                ProcessBackend(kill_grace=2.0), 1, list(range(50_000)), 1,
+                id="process-50k-value",
+            ),
+            pytest.param(
+                ProcessBackend(kill_grace=2.0), 1, 2, 3,
+                id="process-3-rounds",
+            ),
+        ]
+    return cases
+
+
 def cooperative_arm(name, steps, value, step_seconds=0.01, record=True):
     """An arm that sleeps cooperatively (a cancellation point per step)."""
 
@@ -234,24 +258,25 @@ class TestParallelRacing:
             loser.cpu_consumed, abs=1e-9
         )
 
-    @pytest.mark.parametrize(
-        "backend", parallel_backends(), ids=lambda b: b.name
-    )
-    def test_winner_writes_reach_parent(self, backend):
+    @pytest.mark.parametrize("backend,losers,value,rounds", winner_cases())
+    def test_winner_writes_reach_parent(self, backend, losers, value, rounds):
         executor = ConcurrentExecutor(backend=backend)
         parent = executor.new_parent()
         parent.space.put("base", "preloaded")
-        result = executor.run(
-            [
-                cooperative_arm("slow", steps=100, value=1),
-                cooperative_arm("fast", steps=2, value=2),
-            ],
-            parent=parent,
-        )
-        assert result.winner.name == "fast"
-        assert parent.space.get("who") == "fast"
-        assert parent.space.get("finished_fast") is True
-        assert parent.space.get("base") == "preloaded"
+        slow = [f"slow-{i}" for i in range(losers)]
+        for _ in range(rounds):
+            result = executor.run(
+                [cooperative_arm(name, steps=100, value=1) for name in slow]
+                + [cooperative_arm("fast", steps=2, value=value)],
+                parent=parent,
+            )
+            assert result.winner.name == "fast"
+            assert result.value == value
+            assert parent.space.get("who") == "fast"
+            assert parent.space.get("finished_fast") is True
+            assert parent.space.get("base") == "preloaded"
+            for name in slow:
+                assert result.outcome(name).status == "eliminated"
 
     @pytest.mark.parametrize(
         "backend", parallel_backends(), ids=lambda b: b.name
@@ -364,6 +389,41 @@ class TestParallelRacing:
         assert late.status == "eliminated"
         assert "too late" in late.detail
         assert "late_write" not in parent.space.names()
+
+
+@needs_fork
+class TestForkedArmToken:
+    """A forked arm is cancelled by its own SIGTERM handler, so its token
+    is the lock-free bell token, never a ``threading.Event`` the handler
+    could find locked by the ``wait`` it interrupted."""
+
+    def test_a_forked_arm_carries_the_bell_token(self):
+        executor = ConcurrentExecutor(backend=ProcessBackend())
+        result = executor.run(
+            [Alternative("probe", body=lambda ctx: type(ctx.token).__name__)]
+        )
+        assert result.value == "_BellToken"
+
+    def test_forked_losers_are_told_not_killed(self):
+        """Two hundred blocks: every sleeping loser stops at its
+        instruction and exits on its own -- none is killed by the
+        ``SIGTERM`` default before its handler is in, none wedges and
+        sits out the grace until ``SIGKILL``."""
+
+        def sleeper(ctx):
+            ctx.sleep(5.0)
+            return "slow"
+
+        block = [
+            Alternative("fast", body=lambda ctx: "fast"),
+            Alternative("slow", body=sleeper),
+        ]
+        executor = ConcurrentExecutor(backend=ProcessBackend(kill_grace=2.0))
+        for _ in range(200):
+            assert executor.run(block).value == "fast"
+            loser = executor._last_race.report(1)
+            assert loser.cancelled and not loser.abnormal, loser.detail
+            assert loser.exit_signal is None, loser.detail
 
 
 # ----------------------------------------------------------------------

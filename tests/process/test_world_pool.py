@@ -31,6 +31,7 @@ from hypothesis.stateful import (
 
 from repro.core.alternative import AltContext, Alternative
 from repro.core.backends import ProcessBackend, SerialBackend, get_backend
+from repro.core.backends import process as process_module
 from repro.core.backends import wire
 from repro.core.backends.base import ArmTask, CancellationToken
 from repro.core.concurrent import ConcurrentExecutor
@@ -1417,7 +1418,7 @@ class TestDetachedLeases:
         ``threading.Event``."""
         cancels = []
 
-        class Watched(pool_module._BellToken):
+        class Watched(process_module._BellToken):
             __slots__ = ()
 
             def cancel(self):
@@ -1428,7 +1429,7 @@ class TestDetachedLeases:
         read_fd, write_fd = os.pipe()
         wake = os.pipe()
         try:
-            current = {"epoch": 0, "token": None}
+            world = pool_module._WorkerWorld()
             message = {
                 "kind": "lease", "epoch": 7, "index": 0, "name": "arm",
                 "alternative": Alternative("arm", body=_WritesThenReturns(1)),
@@ -1439,8 +1440,7 @@ class TestDetachedLeases:
                 "pre_fault": None, "ship_fault": None, "trace_block": None,
             }
             pool_module._serve_lease(
-                message, write_fd, current, pool_module._WorkerWorld(),
-                told=lambda: 7, wake=wake,
+                message, write_fd, world, told=lambda: 7, wake=wake,
             )
             (record,) = wire.RecordReader().feed(os.read(read_fd, 65536))
         finally:
@@ -1449,7 +1449,7 @@ class TestDetachedLeases:
         assert record["cancelled"] and record["told_before_start"]
         assert record["pool_epoch"] == 7
         assert cancels == []
-        assert current["token"] is None
+        assert world.token is None
 
     def test_a_bell_token_is_cancelled_from_the_handler_of_its_waiter(self):
         """(h) The handler runs on the thread that sleeps on the token:
@@ -1457,7 +1457,7 @@ class TestDetachedLeases:
         wake = os.pipe()
         for fd in wake:
             os.set_blocking(fd, False)
-        token = pool_module._BellToken(*wake)
+        token = process_module._BellToken(*wake)
         previous = signal.signal(
             signal.SIGUSR1, lambda signum, frame: token.cancel()
         )
@@ -1472,7 +1472,7 @@ class TestDetachedLeases:
             assert token.cancelled
             assert token.wait(30.0) is True  # and stays so, at once
             # A bell before the wait is not lost either.
-            again = pool_module._BellToken(*wake)
+            again = process_module._BellToken(*wake)
             os.read(wake[0], 4096)
             again.cancel()
             assert again.wait(30.0) is True

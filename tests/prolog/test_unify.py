@@ -1,9 +1,14 @@
 """Tests for unification and the trail."""
 
+import os
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.prolog.terms import Atom, Num, Struct, Var, make_list
 from repro.prolog.unify import (
     occurs_in,
@@ -164,19 +169,42 @@ def test_unify_is_reflexive(term):
     assert unify(term, term, bindings, trail)
 
 
-# Default mode, as ever -- on a fixed set of examples: without the occurs
-# check ``unify`` does not terminate on some pairs that bind a variable
-# into its own term (f(Z,f(X,f(f(0,X),f(f(X,1),Z)))) against
-# f(f(a,f(f(0,1),Z)),Z); about one random run in twenty draws one), its
-# work stack grows until the machine is out of memory, and one such run
-# took this suite to 16 GB.  ROADMAP "unify without the occurs check" is
-# the fix; until then the examples are the same every run.
-@settings(derandomize=True)
 @given(left=terms, right=terms)
 def test_unify_symmetric_success(left, right):
     b1, t1 = {}, []
     b2, t2 = {}, []
     assert unify(left, right, b1, t1) == unify(right, left, b2, t2)
+
+
+CYCLIC_PAIR = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.prolog.terms import Atom, Num, Struct, Var
+from repro.prolog.unify import unify
+
+def f(*args):
+    return Struct("f", args)
+
+X, Z, zero, one = Var("X"), Var("Z"), Num(0), Num(1)
+left = f(Z, f(X, f(f(zero, X), f(f(X, one), Z))))
+right = f(f(Atom("a"), f(f(zero, one), Z)), Z)
+print(unify(left, right, {}, []), unify(right, left, {}, []))
+"""
+
+
+def test_unify_terminates_on_a_variable_bound_into_its_own_term():
+    """Without the occurs check ``Z`` ends up bound into a term that
+    contains it; the unifier used to unfold that term until memory was
+    gone.  Run in a child capped at 1 GiB and 10 s, so a regression
+    fails this test instead of taking the machine down."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", CYCLIC_PAIR],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 @given(left=terms, right=terms)

@@ -9,13 +9,15 @@ import pytest
 from repro.core.alternative import Alternative
 from repro.core.backends import ProcessBackend
 from repro.core.backends.process import (
-    _FRAME,
-    _MAGIC,
-    _RecordReader,
-    _frame_record,
     _orphan_pids,
     _register_orphan,
     sweep_orphans,
+)
+from repro.core.backends.wire import (
+    FRAME as _FRAME,
+    MAGIC as _MAGIC,
+    RecordReader as _RecordReader,
+    frame_record as _frame_record,
 )
 from repro.core.concurrent import ConcurrentExecutor
 from repro.errors import AltBlockFailure

@@ -176,6 +176,31 @@ class TestLifecycle:
         assert stats["inflight_blocks"] == 0
         assert stats["closed"] is True
 
+    def test_a_shutdown_that_times_out_resolves_every_ticket(self):
+        """Saturated with 2 s blocks, the one worker cannot drain in
+        0.1 s: the block it is running finishes, every queued ticket is
+        cancelled, and none is left waiting behind the workers' stop."""
+        config = ServerConfig(
+            backend="thread", workers=1, max_inflight_arms=1
+        )
+        server = RaceServer(config)
+        tickets = [
+            server.submit(f"t{i % 2}", _block(seconds=2.0, arms=1))
+            for i in range(6)
+        ]
+        deadline = time.monotonic() + 5.0
+        while tickets[0].status == "queued" and time.monotonic() < deadline:
+            time.sleep(0.005)
+        began = time.monotonic()
+        assert server.shutdown(timeout=0.1) is False
+        for ticket in tickets:
+            left = began + 6.0 - time.monotonic()
+            assert ticket.wait(timeout=max(0.0, left))
+        statuses = [ticket.status for ticket in tickets]
+        assert statuses.count("done") == 1, statuses
+        assert statuses.count("cancelled") == 5, statuses
+        assert server.stats()["queue_depth"] == 0
+
     def test_context_manager_shuts_down(self):
         with RaceServer(ServerConfig(backend="serial")) as server:
             assert server.submit("t", _block()).result(timeout=10.0) == "ok"
