@@ -44,7 +44,6 @@ _LAZY = {
     "oracle": "repro.check.oracle",
     "explorer": "repro.check.explorer",
     "shrink": "repro.check.shrink",
-    "mutations": "repro.check.mutations",
     "chaos": "repro.check.chaos",
     "cli": "repro.check.cli",
     # convenience re-exports
@@ -60,7 +59,6 @@ _LAZY = {
     "replay": ("repro.check.explorer", "replay"),
     "run_block_once": ("repro.check.explorer", "run_block_once"),
     "shrink_schedule": ("repro.check.shrink", "shrink"),
-    "mutation": ("repro.check.mutations", "mutation"),
 }
 
 __all__ = sorted(_LAZY)

@@ -25,7 +25,6 @@ from repro.ipc.journal import (
 )
 from repro.ipc.message import Message
 from repro.ipc.router import MessageRouter
-from repro.ipc.timed import TimedRouter
 
 __all__ = [
     "Channel",
@@ -36,6 +35,5 @@ __all__ = [
     "RouterJournal",
     "SinkDevice",
     "SourceDevice",
-    "TimedRouter",
     "load_journal",
 ]

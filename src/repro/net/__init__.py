@@ -10,7 +10,6 @@ when the wire turns hostile.
 
 from repro.net.distributed import DistributedAltExecutor
 from repro.net.lease import LEASE_STATES, Lease, LeaseTable, RaceWarden
-from repro.net.migration import MigrationResult, migrate
 from repro.net.network import (
     Delivery,
     FaultyLink,
@@ -28,14 +27,12 @@ __all__ = [
     "LEASE_STATES",
     "Lease",
     "LeaseTable",
-    "MigrationResult",
     "NetFaultPlan",
     "NetNode",
     "Network",
     "RaceWarden",
     "RemoteForkResult",
     "link_key",
-    "migrate",
     "remote_fork",
     "remote_fork_nfs",
 ]

@@ -258,18 +258,20 @@ class AddressSpace:
         self._invalidate_vars()
 
     def nonzero_frames(self) -> Tuple[tuple, tuple]:
-        """``(vpns, frame ids)`` of every page not backed by the store's
-        shared zero frame: the part of this space another world has to
-        be *shown* (a pooled worker, a remote daemon) -- the rest it
-        zero-fills for itself.  One pass over the table, no page read.
+        """``(vpns, frame ids)``, in page order, of every page not backed
+        by the store's shared zero frame: the part of this space another
+        world has to be *shown* (a pooled worker, a remote daemon) -- the
+        rest it zero-fills for itself.  One pass over the table's
+        explicit entries, so it costs what the space holds, not what it
+        spans; no page is read.
         """
         zero_frame = self.store.zero_frame_id
         num_pages = self.num_pages
-        live = [
+        live = sorted(
             entry
-            for entry in self.table.items()
+            for entry in self.table.explicit.items()
             if entry[1] != zero_frame and entry[0] < num_pages
-        ]
+        )
         return tuple(zip(*live)) if live else ((), ())
 
     def map_frames(self, vpns, frames) -> None:

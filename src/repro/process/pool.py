@@ -27,9 +27,24 @@ before and sends the worker the arena's name plus the slot of each
 non-zero page; the worker keeps its arena mapping and one page store across
 leases, adopts each slot it is shown once as an external frame, builds
 the arm's page table from those frame ids, and copies a page only when
-the body writes it.  At steady state a lease therefore costs what
-*differs* from the last one, and page images cross the control pipe
-only when shared memory is off (or the arm has no response slab).
+the body writes it.  Page images cross the control pipe only when
+shared memory is off (or the arm has no response slab).
+
+Finding those slots -- walking the space for its non-zero pages and
+looking each frame up in the index -- is done once per parent *image*,
+not once per arm.  The arena keeps the last image resolved against it:
+the store uid, the page count, the explicit page map that was walked
+(:attr:`~repro.pages.table.PageTable.explicit`), and the vpns and slots
+the walk gave.  Every arm of a block is a fork of one parent and maps
+exactly the same frames, so the first arm resolves and the rest compare
+one dict and reuse the answer; so does the next block's first arm when
+the last block committed nothing.  The comparison is made every time,
+never assumed, and reuse is safe on the first two invariants below
+alone: a map naming the same frame ids of the same store names the same
+page images, and the slots it was given are never rewritten while the
+arena that holds them lives -- a rotation starts with no image.  So at
+steady state a lease costs what *differs* from the last image: one
+resolution per image, one dict comparison per arm.
 
 The way *home* is the arena's twin.  The pool keeps one response slab
 per worker -- created by the first lease that needs one, sized to that
@@ -262,10 +277,39 @@ class _LeaseRecord:
         dispose) and the drainer's view of its result pipe."""
 
 
+class _Image:
+    """One parent image resolved against an arena: which store, how many
+    pages, the explicit map that was walked, and what the walk and the
+    index lookups gave -- the non-zero vpns and each one's slot.
+
+    It holds ids only and pins nothing, because nothing needs pinning:
+    frame ids are never reused within a store uid, so a map naming the
+    same ids names the same page images, and slots are write-once and
+    live as long as their arena, which this image belongs to.
+    """
+
+    __slots__ = ("uid", "num_pages", "explicit", "vpns", "slots")
+
+    def __init__(self, uid, num_pages, explicit, vpns, slots) -> None:
+        self.uid = uid
+        self.num_pages = num_pages
+        self.explicit = explicit
+        self.vpns = vpns
+        self.slots = slots
+
+    def shows(self, uid: int, num_pages: int, explicit) -> bool:
+        """Whether a space with these facts shows exactly this image."""
+        return (
+            uid == self.uid
+            and num_pages == self.num_pages
+            and explicit == self.explicit
+        )
+
+
 class _Arena:
     """Parent-side state of one arena segment (guarded by the pool lock)."""
 
-    __slots__ = ("slab", "index", "used", "pins")
+    __slots__ = ("slab", "index", "used", "pins", "image")
 
     def __init__(self, slab: ShmSlab) -> None:
         self.slab = slab
@@ -275,6 +319,9 @@ class _Arena:
         self.used = 0
         self.pins = 0
         """Unsettled leases whose workers read this arena."""
+
+        self.image: Optional[_Image] = None
+        """The last parent image resolved against this arena."""
 
     def slots_of(self, uid: int, frames) -> List[Optional[int]]:
         """Each frame's slot, ``None`` where it is not published yet."""
@@ -550,17 +597,16 @@ class WorldPool:
                 slab, slab_reused = self._lend_slab(
                     worker, space.num_pages, space.page_size
                 )
-        vpns, frames = space.nonzero_frames()
         arena: Optional[_Arena] = None
         slots: List[int] = []
         snapshot_inline: Dict[int, bytes] = {}
         published = 0
-        if vpns and slab is not None:
+        if slab is not None:
             # A response slab means shared memory works for this arm, so
             # its world goes out through the arena too.
-            arena, slots, published = self._publish(
-                epoch, space.store, frames
-            )
+            vpns, arena, slots, published = self._publish(epoch, space)
+        else:
+            vpns, _ = space.nonzero_frames()
         if arena is None:
             for vpn in vpns:
                 snapshot_inline[vpn] = space.table.read_page(vpn)
@@ -692,24 +738,49 @@ class WorldPool:
         return worker.slab.lend(slots), False
 
     def _publish(
-        self, epoch: int, store: PageStore, frames: Tuple[int, ...]
-    ) -> Tuple[Optional[_Arena], List[int], int]:
-        """Make every frame in ``frames`` readable in the live arena.
+        self, epoch: int, space: AddressSpace
+    ) -> Tuple[tuple, Optional[_Arena], List[int], int]:
+        """Make every non-zero page of ``space`` readable in the live arena.
 
-        Frames the arena already holds cost one index lookup; the rest
-        are copied into fresh slots.  An arena the lease does not fit in
+        A space that maps exactly the frames of the image the arena last
+        resolved -- every arm of a block, and the next block's arms when
+        nothing was committed -- reuses that resolution: one comparison
+        of explicit maps, no walk, no index lookup.  Otherwise the space
+        is walked once: frames the arena already holds cost one index
+        lookup, the rest are copied into fresh slots, and the result
+        becomes the arena's image.  An arena the lease does not fit in
         (full, or cut for another page size) is retired and replaced
-        first.  Returns the arena, now pinned by the lease, with each
-        frame's slot and the number of pages copied -- or
-        ``(None, [], 0)`` when no arena can be had, and the caller ships
-        inline.
+        first.  Returns the non-zero vpns, the arena, now pinned by the
+        lease, each page's slot and the number of pages copied -- or
+        ``(vpns, None, [], 0)`` when no arena can be had, and the caller
+        ships inline.
         """
-        uid = store.uid
+        explicit = space.table.explicit
+        if not explicit:
+            return (), None, [], 0  # all zero: nothing to show, no lock
+        store = space.store
+        uid, num_pages = store.uid, space.num_pages
+        with self._lock:
+            record = self._active.get(epoch)
+            arena = self._arena
+            image = None if arena is None else arena.image
+            if (
+                record is not None
+                and not self._closed
+                and image is not None
+                and image.shows(uid, num_pages, explicit)
+            ):
+                arena.pins += 1
+                record.arena = arena
+                return image.vpns, arena, image.slots, 0
+        vpns, frames = space.nonzero_frames()
+        if not vpns:
+            return vpns, None, [], 0
         published = 0
         with self._lock:
             record = self._active.get(epoch)
             if record is None or self._closed:
-                return None, [], 0
+                return vpns, None, [], 0
             arena = self._arena
             if arena is None or arena.slab.slot_size != store.page_size:
                 arena = self._replace_arena(store.page_size, frames)
@@ -730,11 +801,12 @@ class WorldPool:
                     published = len(fresh)
                     slots = arena.slots_of(uid, frames)
             if arena is None:
-                return None, [], 0
+                return vpns, None, [], 0
+            arena.image = _Image(uid, num_pages, dict(explicit), vpns, slots)
             arena.pins += 1
             record.arena = arena
             self.pages_published += published
-            return arena, slots, published
+            return vpns, arena, slots, published
 
     def _replace_arena(
         self, page_size: int, frames: Tuple[int, ...]

@@ -16,14 +16,12 @@ from repro.recovery.concurrent import (
     SyncMode,
 )
 from repro.recovery.control_loop import ControlLoopResult, run_control_loop
-from repro.recovery.distributed import DistributedRecoveryExecutor
 from repro.recovery.faults import flaky_body, scripted_body
 from repro.recovery.sequential import SequentialRecoveryExecutor
 
 __all__ = [
     "ConcurrentRecoveryExecutor",
     "ControlLoopResult",
-    "DistributedRecoveryExecutor",
     "RecoveryAlternate",
     "RecoveryBlock",
     "RecoveryRunResult",

@@ -54,7 +54,7 @@ def test_chaos_matrix_exit_code(capsys):
 
 
 def test_failure_writes_a_witness(tmp_path, capsys):
-    from repro.check.mutations import mutation
+    from tests.check.mutations import mutation
 
     out_path = tmp_path / "bug.json"
     with mutation("adopt-replace-dirty"):

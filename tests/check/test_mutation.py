@@ -22,8 +22,8 @@ corpus ``dfs`` must explore strictly fewer schedules than the
 import pytest
 
 from repro.check.explorer import explore, replay
-from repro.check.mutations import MUTATIONS, mutation
 from repro.check.schedule import CheckError
+from tests.check.mutations import MUTATIONS, mutation
 
 
 def _prime_serial_references(*blocks):

@@ -176,8 +176,17 @@ class TestLifecycle:
         assert store.refcount(table.frame_of(0)) == 1
 
     def test_ensure_zero_filled_shares_one_frame(self, store):
+        # Every page of the extent reads as one shared zero frame, and
+        # each table holds one reference on it, not one per page.
         table = PageTable(store)
         table.ensure_zero_filled(range(10))
         frames = {table.frame_of(v) for v in range(10)}
         assert len(frames) == 1
-        assert store.refcount(frames.pop()) == 10
+        zero = frames.pop()
+        assert store.refcount(zero) == 1
+        child = table.fork()
+        assert {child.frame_of(v) for v in range(10)} == {zero}
+        assert store.refcount(zero) == 2
+        child.release()
+        table.release()
+        assert store.live_frames == 0

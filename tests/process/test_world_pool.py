@@ -1808,3 +1808,129 @@ class TestEnvironmentOptIn:
         assert pooled_env.winner == baseline.winner
         assert pooled_env.variables == baseline.variables
         assert pooled_env.space_bytes == baseline.space_bytes
+
+
+# ----------------------------------------------------------------------
+# one resolution per parent image, counted in calls
+
+IMAGE_PAGES = 256
+
+
+class _ReadsPage:
+    """Picklable arm: the first bytes of one page, after ``seconds``."""
+
+    def __init__(self, vpn, seconds=0.0):
+        self.vpn = vpn
+        self.seconds = seconds
+
+    def __call__(self, ctx):
+        ctx.sleep(self.seconds)
+        return ctx.space.read(self.vpn * ctx.space.page_size, 16)
+
+
+def count_walks(monkeypatch):
+    """How often the parent walks a space for its non-zero pages."""
+    walks = []
+    walk = AddressSpace.nonzero_frames
+
+    def counting(space):
+        walks.append(space)
+        return walk(space)
+
+    monkeypatch.setattr(AddressSpace, "nonzero_frames", counting)
+    return walks
+
+
+def image(store, tag, pages=(3, 7, 11)):
+    """A 256-page space with a few pages written."""
+    space = AddressSpace(store, IMAGE_PAGES * PAGE)
+    for vpn in pages:
+        space.write(vpn * PAGE, f"{tag}-{vpn}".encode())
+    space.table.clear_dirty()
+    return space
+
+
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+class TestLeaseImage:
+    """A lease resolves its parent image once, not once per arm, and
+    never reuses a resolution that does not fit."""
+
+    def test_a_block_walks_its_image_once_and_the_next_block_not_at_all(
+        self, monkeypatch
+    ):
+        pool = WorldPool(size=3)
+        try:
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=0.5, pool=pool),
+                space_size=IMAGE_PAGES * PAGE,
+            )
+            base = executor.new_parent()
+            for vpn in range(0, IMAGE_PAGES, 8):
+                base.space.write(vpn * PAGE, f"base-{vpn}".encode())
+            base.space.table.clear_dirty()
+            alternatives = [
+                Alternative("first", body=_ReadsPage(8)),
+                Alternative("second", body=_ReadsPage(16, 0.3)),
+                Alternative("third", body=_ReadsPage(24, 0.3)),
+            ]
+            walks = count_walks(monkeypatch)
+            for block in range(2):
+                parent = executor.new_parent()
+                parent.space.adopt(base.space.fork())
+                granted = pool.leases_granted
+                result = executor.run(alternatives, parent=parent)
+                assert result.value == b"base-8".ljust(16, b"\0")
+                assert pool.leases_granted - granted == 3
+                assert len(walks) == (1 if block == 0 else 0)
+                walks.clear()
+                pool.drain()
+                parent.space.release()
+            assert pool.fallbacks == 0
+            base.space.release()
+        finally:
+            pool.shutdown()
+
+    def test_a_different_space_and_a_new_arena_are_resolved_afresh(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "ARENA_MIN_SLOTS", 8)
+        pool = WorldPool(size=1)
+        store = PageStore(PAGE)
+        base = image(store, "base")
+        other = image(store, "base")
+        other.write(7 * PAGE, b"mine")
+        crowd = image(store, "crowd", pages=range(20, 26))
+        spaces = []
+        walks = count_walks(monkeypatch)
+
+        def lease(space, vpn):
+            task = handmade_task(space.fork(), _ReadsPage(vpn))
+            spaces.append(task.context.space)
+            lease = pool.lease(task, time.perf_counter(), shm=True)
+            record = collect(lease)
+            pool.finish({0: lease}, {0})
+            lease.slab.dispose()
+            return record["value"]
+
+        try:
+            assert lease(base, 7) == b"base-7".ljust(16, b"\0")
+            assert len(walks) == 1
+            assert lease(base, 3) == b"base-3".ljust(16, b"\0")
+            assert len(walks) == 1  # the same image: no walk
+            # Another map on the same store: resolved on its own, and
+            # its worker reads its own page 7.
+            assert lease(other, 7) == b"mine-7".ljust(16, b"\0")
+            assert len(walks) == 2
+            published = pool.pages_published
+            # Six fresh frames overflow the eight-slot arena: it rotates,
+            # and the base image is resolved -- and published -- again.
+            assert lease(crowd, 20) == b"crowd-20".ljust(16, b"\0")
+            assert pool.arena_rotations == 1
+            assert len(walks) == 3
+            assert lease(base, 11) == b"base-11".ljust(16, b"\0")
+            assert len(walks) == 4
+            assert pool.pages_published - published == 6 + 3
+        finally:
+            pool.shutdown()
+            for space in spaces + [base, other, crowd]:
+                space.release()
