@@ -211,7 +211,6 @@ class ConcurrentExecutor:
         alternatives: Sequence[Alternative],
         parent: Optional[SimProcess],
     ) -> AltResult:
-        rng = random.Random(self.seed)
         parent = parent if parent is not None else self.new_parent()
         timeline: List[Tuple[float, str]] = [(0.0, "block entered")]
         outcomes = [
@@ -241,7 +240,8 @@ class ConcurrentExecutor:
                 step_plan=step_plan,
             )
         runs = self._spawn_and_execute(
-            alternatives, spawnable, parent, outcomes, timeline, rng
+            alternatives, spawnable, parent, outcomes, timeline,
+            random.Random(self.seed),
         )
         if step_plan is not None:
             result = self._race_step(

@@ -74,8 +74,9 @@ The drain runs, without waiting, at the top of :meth:`WorldPool.lease`,
 :meth:`~WorldPool.finish`, :attr:`~WorldPool.parked` and
 :meth:`~WorldPool.reclaim_abandoned`; it waits -- until the earliest
 deadline at most -- when a lease finds nobody parked but somebody
-draining (it does not fork for that reason), in :meth:`WorldPool.drain`
-and in :meth:`WorldPool.shutdown`.  So the pool enforces a detached
+draining, or a drainer at work that may be about to park the worker it
+took out of the ledger (it does not fork for that reason), in
+:meth:`WorldPool.drain` and in :meth:`WorldPool.shutdown`.  So the pool enforces a detached
 lease's deadline, whenever it is next asked for anything; a pool nobody
 asks keeps a stubborn loser until somebody does, or until
 :meth:`~WorldPool.shutdown`.  One drainer at a time -- two readers of
@@ -102,6 +103,24 @@ on the token, so a pooled arm's token is a flag and a self-pipe (the
 bell token of :mod:`repro.core.backends.process`, a forked arm's too)
 and not a :class:`threading.Event`, whose lock a handler can find held
 by the code it interrupted.
+
+The coordinator outranks its arms.  Section 4.1 counts CPU shared with
+losing siblings as *runtime* overhead, and the coordinator shares the
+CPU too: at equal weight with fresh arms and draining losers, the
+parent writing a lease is preempted by the worker it just woke, and the
+winner's record waits in the pipe for a parent behind a loser.  So every
+worker lowers itself once, when it starts (``_worker_main``, hence also
+every respawn), by :data:`~repro.core.backends.process.ARM_NICE_STEP`,
+as a forked arm does; never per lease, so it never compounds.  The
+kernel caps niceness at 19: a coordinator already near it leaves its
+arms level with it, which costs speed, not answers -- the arms still
+share what the coordinator leaves exactly as before, so the race alone
+decides the winner.  A race nested in an arm lowers its own arms one
+step further, so at every level the coordinator outranks its arms.  A
+refused ``os.nice`` is ignored.  The price is paid on a shared host:
+there an arm competes with every other nice-0 process at about a third
+of its weight (Linux CFS: 335 against 1024), not only with its
+coordinator; the step is kept small for that reason.
 
 Five invariants make this safe, each held by one party:
 
@@ -186,7 +205,8 @@ from typing import Collection, Dict, List, Optional, Set, Tuple
 from repro.core.alternative import AltContext
 from repro.core.backends import wire
 from repro.core.backends.process import (
-    _BellToken, _waitpid_blocking, _waitpid_nohang, bell_pipe, run_arm,
+    _BellToken, _waitpid_blocking, _waitpid_nohang, bell_pipe,
+    lower_arm_priority, run_arm,
 )
 from repro.core.sequential import _run_body
 from repro.obs import events as _ev
@@ -533,8 +553,9 @@ class WorldPool:
         alternative that does not pickle, a context without a space, or
         an injected ``pool-worker-stale`` fault.  The caller loses
         nothing but the amortization.  Workers that are only *draining*
-        are waited for instead -- each reports or is replaced within its
-        deadline -- so a pool as wide as its caller never forks.
+        (or being settled by the drainer) are waited for instead -- each
+        reports or is replaced within its deadline -- so a pool as wide
+        as its caller never forks.
 
         With ``shm`` the lease carries a response slab
         (:attr:`Lease.slab`) and the arm's world goes out through the
@@ -576,7 +597,7 @@ class WorldPool:
                         worker, time.monotonic()
                     )
                     break
-                if not self._draining:
+                if not self._settling():
                     self.fallbacks += 1
                     return None
             self._drain_until(self._someone_parked)
@@ -1001,9 +1022,19 @@ class WorldPool:
     def _nothing_draining(self) -> bool:
         return not self._draining
 
+    def _settling(self) -> bool:
+        """Whether some worker is on its way back (pool lock held).
+
+        A drainer at work counts as draining: between taking a settled
+        worker out of the draining ledger and parking (or respawning)
+        it, that worker is in no ledger at all, and a lease that looked
+        then would fork for a worker about to be free.
+        """
+        return bool(self._draining) or self._drainer
+
     def _someone_parked(self) -> bool:
         """What a lease with nobody parked waits for (pool lock held)."""
-        return not self._draining or any(
+        return not self._settling() or any(
             not worker.busy for worker in self._workers
         )
 
@@ -1380,6 +1411,7 @@ class _WorkerWorld:
 
 
 def _worker_main(ctrl_fd: int, result_fd: int, board, slot: int) -> None:
+    lower_arm_priority()
     world = _WorkerWorld()
     offset = slot * _WORD.size
     wake = bell_pipe()

@@ -190,6 +190,38 @@ class TestLeaseLedger:
             pool.finish({i: lease}, clean=set())
         assert pool.parked == pool.size
 
+    def test_a_lease_waits_for_the_worker_a_drainer_is_settling(self):
+        """The drainer takes a settled worker out of the draining ledger
+        before it parks it; a lease that looks in between, with nobody
+        parked and nothing left draining, waits for the park instead of
+        forking (a pool as wide as its callers never forks)."""
+        pool = WorldPool(size=1)
+        try:
+            worker = pool._workers[0]
+            with pool._lock:  # mid-settlement: in no ledger, not parked
+                pool._drainer = True
+                worker.busy = True
+            got = []
+            leaser = threading.Thread(
+                target=lambda: got.append(
+                    pool.lease(_handmade_task(), time.perf_counter())
+                )
+            )
+            leaser.start()
+            time.sleep(0.2)
+            assert leaser.is_alive()  # waiting, not forking
+            pool._park(worker)
+            with pool._moved:
+                pool._drainer = False
+                pool._moved.notify_all()
+            leaser.join(timeout=10.0)
+            assert not leaser.is_alive()
+            assert got[0] is not None
+            assert pool.fallbacks == 0
+            pool.finish({0: got[0]}, clean=set())
+        finally:
+            pool.shutdown()
+
 
 class TestConcurrentRaces:
     def test_two_executors_share_one_pool(self):
