@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: check test test-fast test-resilience test-chaos test-check test-cluster test-matrix-pooled test-server coverage bench-smoke bench-commit bench-server bench-e2e-smoke bench
+.PHONY: check test test-fast test-resilience test-chaos test-check test-cluster test-matrix-pooled test-server coverage bench-smoke bench-commit bench-server bench-e2e-smoke paper-goldens bench
 
 ## check: what CI runs -- tier-1 tests plus a ~10s benchmark smoke.
 check: test bench-smoke
@@ -175,6 +175,19 @@ bench-e2e-smoke:
 	$(PYTHON) bench/run.py --smoke --out $(SMOKE_RECORD)
 	$(PYTHON) -c "$$SMOKE_GATE"
 	$(PYTHON) -m pytest bench -q
+
+## paper-goldens: the paper tables the cost-model race produces (Figure 2,
+## Table 1, the crossover, wasted work, recovery blocks, OR-parallel
+## Prolog), regenerated and required byte-identical to the committed
+## copies -- a change to the model race or its conclusion shows here.
+PAPER_GOLDENS := F2_timeline T1_table1_pi W1_crossover W2_wasted_work \
+	A1_recovery_blocks A2_prolog_or
+paper-goldens:
+	$(PYTHON) -m pytest -q --benchmark-disable \
+		benchmarks/bench_fig2_timeline.py benchmarks/bench_table1_pi.py \
+		benchmarks/bench_crossover.py benchmarks/bench_wasted_work.py \
+		benchmarks/bench_recovery_blocks.py benchmarks/bench_prolog_or.py
+	git diff --exit-code -- $(PAPER_GOLDENS:%=benchmarks/results/%.txt)
 
 ## bench: regenerate every paper table/figure (slow).
 bench:

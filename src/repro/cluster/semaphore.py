@@ -29,7 +29,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.cluster.auth import AuthError, dial_handshake, load_secret
 from repro.cluster.stream import StreamClosed, connect
-from repro.errors import ConsensusUnavailable
+from repro.consensus.majority import quorum_verdict
 
 
 class ClusterMajoritySemaphore:
@@ -116,17 +116,10 @@ class ClusterMajoritySemaphore:
             thread.start()
         for thread in askers:
             thread.join(timeout=self.vote_timeout * 2)
-        reachable = len(box)
-        grants = sum(1 for granted in box.values() if granted)
-        self.unreachable_last_round = len(self.endpoints) - reachable
-        if grants >= self.quorum:
-            return True
-        if reachable < self.quorum:
-            raise ConsensusUnavailable(
-                f"only {reachable} of {len(self.endpoints)} voters "
-                f"reachable; quorum is {self.quorum}"
-            )
-        return False
+        self.unreachable_last_round = len(self.endpoints) - len(box)
+        return quorum_verdict(
+            sum(box.values()), len(box), len(self.endpoints)
+        )
 
     def __repr__(self) -> str:
         return (

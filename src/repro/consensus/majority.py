@@ -21,6 +21,25 @@ from repro.consensus.node import ConsensusNode
 from repro.sim.costs import CostModel
 
 
+def quorum_verdict(grants: int, reachable: int, voters: int) -> bool:
+    """One round's answer under the majority rule.
+
+    True once ``grants`` reach a strict majority of all ``voters`` (up or
+    down); :class:`ConsensusUnavailable` when fewer than a majority could
+    be reached at all, since then no decision is possible; False
+    otherwise -- a sibling holds the votes this requester lacks.
+    """
+    quorum = voters // 2 + 1
+    if grants >= quorum:
+        return True
+    if reachable < quorum:
+        raise ConsensusUnavailable(
+            f"only {reachable} of {voters} voters reachable; "
+            f"quorum is {quorum}"
+        )
+    return False
+
+
 class MajorityConsensusSemaphore:
     """A replicated at-most-once synchronization point."""
 
@@ -52,21 +71,15 @@ class MajorityConsensusSemaphore:
         reachable = 0
         grants = 0
         for node in self.nodes:
+            if grants >= self.quorum:
+                break
             try:
                 granted = node.request_vote(decision_id, requester)
             except ConsensusUnavailable:
                 continue
             reachable += 1
-            if granted:
-                grants += 1
-            if grants >= self.quorum:
-                return True
-        if reachable < self.quorum:
-            raise ConsensusUnavailable(
-                f"only {reachable} of {len(self.nodes)} nodes reachable; "
-                f"quorum is {self.quorum}"
-            )
-        return False
+            grants += granted
+        return quorum_verdict(grants, reachable, len(self.nodes))
 
     def winner(self, decision_id: Hashable) -> Optional[Hashable]:
         """The requester holding a majority for ``decision_id``, if any.

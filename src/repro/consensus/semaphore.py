@@ -8,38 +8,40 @@ it should terminate itself.'
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Dict, Hashable, Optional
 
 
 class SyncSemaphore:
-    """A 0-1 semaphore that can be acquired exactly once, ever."""
+    """A 0-1 semaphore per decision: each can be acquired once, ever.
+
+    The single-node acquirer.  The majority acquirers answer the same
+    ``try_acquire(decision_id, requester)``: simulated voters in
+    :class:`~repro.consensus.majority.MajorityConsensusSemaphore`, voters
+    on the wire in
+    :class:`~repro.cluster.semaphore.ClusterMajoritySemaphore`.
+    """
 
     def __init__(self, name: str = "sync") -> None:
         self.name = name
-        self._holder: Optional[Hashable] = None
+        self._holders: Dict[Hashable, Hashable] = {}
         self.attempts = 0
 
-    def try_acquire(self, requester: Hashable) -> bool:
-        """Attempt the synchronization; True for the unique winner.
+    def try_acquire(self, decision_id: Hashable, requester: Hashable) -> bool:
+        """Attempt the synchronization; True for the decision's unique
+        winner.
 
         Re-attempts by the winner itself also return False: the
         synchronization happens at most once, full stop.
         """
         self.attempts += 1
-        if self._holder is None:
-            self._holder = requester
-            return True
-        return False
+        if decision_id in self._holders:
+            return False
+        self._holders[decision_id] = requester
+        return True
 
-    @property
-    def holder(self) -> Optional[Hashable]:
-        """Who synchronized, or ``None`` if nobody has yet."""
-        return self._holder
-
-    @property
-    def decided(self) -> bool:
-        """True once some requester has won."""
-        return self._holder is not None
+    def winner(self, decision_id: Hashable) -> Optional[Hashable]:
+        """Who synchronized ``decision_id``, or ``None`` if nobody has."""
+        return self._holders.get(decision_id)
 
     def __repr__(self) -> str:
-        return f"SyncSemaphore({self.name!r}, holder={self._holder!r})"
+        return f"SyncSemaphore({self.name!r}, decided={len(self._holders)})"

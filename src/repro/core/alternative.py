@@ -71,8 +71,9 @@ class AltContext:
         self.token = token
         """Cooperative cancellation token (a
         :class:`~repro.core.backends.CancellationToken`) when this body is
-        racing under a real parallel backend; ``None`` under the
-        deterministic simulator."""
+        racing in a concurrent block; ``None`` when nothing can cancel it
+        (a sequential block).  Under the cost model the bodies run one at
+        a time before any kill, so the token never fires mid-body."""
         self._charged = 0.0
 
     def charge(self, seconds: float) -> None:
@@ -117,7 +118,8 @@ class AltContext:
         has synchronized and the termination instruction is delivered,
         the call raises :class:`~repro.errors.Eliminated`, so the loser
         stops consuming CPU instead of running to completion.  A no-op
-        under the deterministic simulator (no token attached).
+        when no token is attached or, under the cost model, before the
+        race is re-timed.
         """
         if self.eliminated:
             raise Eliminated(

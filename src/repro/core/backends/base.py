@@ -100,13 +100,19 @@ class ArmReport:
     started_at: float = 0.0
     """Seconds since the race started when the body began."""
 
-    finished_at: float = 0.0
+    finished_at: Optional[float] = 0.0
     """Seconds since the race started when the body stopped (completion,
-    failure, or cancellation)."""
+    failure, or cancellation); ``None`` for an arm a modelled deadline
+    cut short, whose stop nothing observed."""
 
     work_seconds: float = 0.0
     """Wall seconds this arm actually executed -- for a cancelled loser,
     strictly less than its full-run cost; the measurable §3.2 saving."""
+
+    duration: Optional[float] = None
+    """The arm's standalone execution time τ(C_i) when the race models
+    it apart from the work it got to do; ``None`` when
+    :attr:`work_seconds` is all the race knows."""
 
     dirty_pages: Optional[Dict[int, bytes]] = None
     """Winning child's dirty page images, shipped back by backends whose
@@ -174,6 +180,11 @@ class BackendRace:
     page_transport: Optional[str] = None
     """The page-shipback transport this race resolved to (``"shm"`` or
     ``"pipe"`` for the fork backend, ``None`` for in-process backends)."""
+
+    sharing_delay: float = 0.0
+    """Seconds the winner lost to siblings sharing its processors -- the
+    section 4.2 runtime overhead a modelled race computes; a real race
+    pays it inside its measured times and reports 0."""
 
     def report(self, index: int) -> ArmReport:
         for candidate in self.reports:

@@ -1,16 +1,30 @@
 """Concurrent speculative execution of an alternative block (section 3).
 
-The semantics-preserving transformation: spawn every alternative as a COW
-child of the caller (``alt_spawn``), race them under real or virtual
-concurrency, select the first successfully synchronizing child
-(fastest-first), absorb its state into the parent by the atomic page
-pointer swap, and eliminate the losing siblings synchronously or
-asynchronously.
+Every block runs one pipeline, whatever backend races it:
 
-Timing is simulated deterministically:
+1. *plan* -- guards placed before the spawn close arms in the parent, and
+   a block whose arms all declare disjoint write-sets gets a maximal-step
+   plan (:mod:`repro.independence`);
+2. *spawn* -- ``alt_spawn`` forks each open arm as a COW child of the
+   caller, with a cancellation token the kernel's elimination fires;
+3. *collect* -- a parallel backend's ``run_arms`` races the bodies at the
+   wall clock; on the serial backend the bodies run one at a time and the
+   *model race* re-times them under the section 4 cost model (below).
+   Either way the result is one :class:`~repro.core.backends.BackendRace`;
+4. *decide* -- the first success wins the at-most-once rendezvous
+   (``alt_sync``), or a validated maximal step takes every success;
+5. *commit* -- the parent adopts the winner's pages by pointer swap
+   (``alt_wait``; ``alt_step_commit`` for a step);
+6. *eliminate* -- the losing siblings are terminated synchronously or
+   asynchronously.
 
-- *setup*: the parent issues forks serially, so alternative ``i`` starts
-  at ``(i + 1) * fork_latency``;
+Steps 4-6 read only the race, never which backend produced it: one
+fastest-first conclusion and one maximal-step conclusion serve them all.
+
+The model race times a block deterministically:
+
+- *setup*: the parent issues forks serially, so the arm in spawn slot
+  ``i`` starts at ``(i + 1) * fork_latency``;
 - *runtime*: each child's CPU demand is its standalone execution time plus
   the COW copies for the pages it writes; demands contend on ``cpus``
   processors under egalitarian processor sharing (virtual concurrency);
@@ -20,16 +34,16 @@ Timing is simulated deterministically:
   (asynchronous).  Losers keep consuming CPU until their kill lands, which
   is the throughput price the paper accepts.
 
-State semantics are *not* simulated -- they are executed for real on the
+State semantics are *not* modelled -- they are executed for real on the
 paged store via :class:`~repro.process.ProcessManager`, so losers' writes
 provably never reach the parent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 import time as _time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.alternative import AltContext, Alternative, GuardPlacement
@@ -68,26 +82,10 @@ from repro.resilience.supervisor import (
 from repro.sim.costs import CostModel, MODERN_COMMODITY
 
 
-@dataclass
-class _ChildRun:
-    """Internal record of one spawned alternative's semantic execution."""
-
-    index: int
-    alternative: Alternative
-    child: SimProcess
-    succeeded: bool
-    value: object
-    detail: str
-    duration: float
-    pages_written: int
-    arrival: float
-    demand: float
-
-
 class ConcurrentExecutor:
     """Race all alternatives; fastest successful one wins.
 
-    ``elimination`` times the simulator: termination instructions cost
+    ``elimination`` times the model race: termination instructions cost
     ``kill_latency`` apiece before the parent resumes (synchronous) or
     after it (asynchronous).  On a real backend the mode has nothing
     left to choose: the parent resumes when the backend returns the
@@ -228,28 +226,16 @@ class ConcurrentExecutor:
             raise error
 
         step_plan = self._step_plan(alternatives, spawnable)
-        if self.backend.is_parallel:
-            if self.supervisor is not None:
-                # Supervised races retry with fresh worlds; they keep the
-                # classic first-success selection.
-                return self._run_supervised(
-                    alternatives, spawnable, parent, outcomes, timeline
-                )
-            return self._run_real(
-                alternatives, spawnable, parent, outcomes, timeline,
-                step_plan=step_plan,
+        if self.backend.is_parallel and self.supervisor is not None:
+            # Supervised races retry with fresh worlds; they keep the
+            # classic first-success selection.
+            return self._run_supervised(
+                alternatives, spawnable, parent, outcomes, timeline
             )
-        runs = self._spawn_and_execute(
+        return self._run_race(
             alternatives, spawnable, parent, outcomes, timeline,
-            random.Random(self.seed),
+            step_plan=step_plan, modelled=not self.backend.is_parallel,
         )
-        if step_plan is not None:
-            result = self._race_step(
-                alternatives, runs, parent, outcomes, timeline, step_plan
-            )
-            if result is not None:
-                return result
-        return self._race(alternatives, runs, parent, outcomes, timeline)
 
     def _step_plan(
         self, alternatives, spawnable
@@ -269,7 +255,7 @@ class ConcurrentExecutor:
         return default_engine.plan(declared, page_size)
 
     # ------------------------------------------------------------------
-    # phase 1: pre-spawn guard filtering
+    # plan: guards placed before the spawn
 
     def _filter_before_spawn(self, alternatives, parent, outcomes, timeline):
         spawnable = list(range(len(alternatives)))
@@ -294,15 +280,17 @@ class ConcurrentExecutor:
         return open_arms
 
     # ------------------------------------------------------------------
-    # phase 2: spawn children and execute bodies for real
+    # spawn and collect
 
-    def _build_tasks(
-        self, alternatives, spawnable, children, with_tokens: bool
-    ) -> Tuple[List[ArmTask], Dict[int, AltContext]]:
-        """One :class:`ArmTask` per spawned arm, against its COW child."""
+    def _build_tasks(self, alternatives, spawnable, children) -> List[ArmTask]:
+        """One :class:`ArmTask` per spawned arm, against its COW child.
+
+        Each arm's context carries a cancellation token, and the kernel's
+        termination instruction lands on it (section 3.2.1, delivered for
+        real) until the race is concluded.
+        """
         skip_pre_guard = self.guard_placement is GuardPlacement.BEFORE_SPAWN
         tasks: List[ArmTask] = []
-        contexts: Dict[int, AltContext] = {}
         for index, child in zip(spawnable, children):
             arm = alternatives[index]
             context = AltContext(
@@ -311,10 +299,12 @@ class ConcurrentExecutor:
                 alt_index=index + 1,
                 name=arm.name,
                 process=child,
-                token=CancellationToken() if with_tokens else None,
+                token=CancellationToken(),
             )
             context.trace_block = self._trace_block
-            contexts[index] = context
+            self.manager.attach_elimination_hook(
+                child.pid, context.token.cancel
+            )
             if skip_pre_guard and arm.pre_guard is not None:
                 # Guard already passed in the parent; do not re-run it.
                 to_run = Alternative(
@@ -339,115 +329,49 @@ class ConcurrentExecutor:
                     rng_seed=self.seed * 1000003 + index,
                 )
             )
-        return tasks, contexts
+        return tasks
 
-    def _spawn_and_execute(
-        self, alternatives, spawnable, parent, outcomes, timeline, rng
-    ) -> List[_ChildRun]:
-        children = self.manager.alt_spawn(parent, len(spawnable))
-        tasks, contexts = self._build_tasks(
-            alternatives, spawnable, children, with_tokens=False
-        )
-        tracer = _active_tracer()
-        if tracer.enabled:
-            for index, child in zip(spawnable, children):
-                tracer.emit(
-                    _ev.ARM_SPAWN,
-                    block=self._trace_block,
-                    arm=index,
-                    name=alternatives[index].name,
-                    sim_pid=child.pid,
-                )
-        # Bodies run through the serial backend (the deterministic replay
-        # discipline); the race below is then decided by the timing model.
-        race = SerialBackend().run_arms(tasks)
-        runs: List[_ChildRun] = []
-        fork = self.cost_model.fork_latency
-        for spawn_slot, (index, child) in enumerate(zip(spawnable, children)):
-            arm = alternatives[index]
-            report = race.report(index)
-            arrival = (spawn_slot + 1) * fork
-            duration = arm.sample_cost(rng, contexts[index])
-            if self.guard_placement is GuardPlacement.IN_CHILD:
-                # The child evaluates its own guard as part of its run.
-                duration += arm.guard_cost
-            pages = child.space.pages_written
-            demand = duration + self.cost_model.page_copy_time(pages)
-            outcome = outcomes[index]
-            outcome.pid = child.pid
-            outcome.duration = duration
-            outcome.pages_written = pages
-            outcome.started_at = arrival
-            timeline.append((arrival, f"spawn {arm.name} (pid {child.pid})"))
-            runs.append(
-                _ChildRun(
-                    index=index,
-                    alternative=arm,
-                    child=child,
-                    succeeded=report.succeeded,
-                    value=report.value,
-                    detail=report.detail,
-                    duration=duration,
-                    pages_written=pages,
-                    arrival=arrival,
-                    demand=demand,
-                )
-            )
-        return runs
-
-    # ------------------------------------------------------------------
-    # phase 2': the real race (parallel backends)
-
-    def _run_real(
+    def _run_race(
         self, alternatives, spawnable, parent, outcomes, timeline,
         backend: Optional[ExecutionBackend] = None,
         step_plan: Optional[StepPlan] = None,
+        modelled: bool = False,
     ) -> AltResult:
-        """Race the arms under genuine concurrency, fastest-first.
+        """Spawn the open arms, collect their race, and conclude it.
 
-        The backend decides the winner at the wall clock; this method
-        drives the simulated kernel to the same conclusion (``alt_sync``
-        for the winner, ``fail`` for aborted arms, ``alt_wait`` with
-        elimination for the cancelled losers) so the state semantics --
-        losers' writes never reach the parent -- are enforced by the same
-        mechanism as the deterministic path.
+        ``backend`` (default ``self.backend``) collects the race at the
+        wall clock -- the supervisor's degraded serial replay passes a
+        ``SerialBackend``; ``modelled`` collects it through
+        :meth:`_model_race` instead.  Either race is concluded by
+        :meth:`_conclude`.
 
-        ``backend`` overrides ``self.backend`` (the supervisor's degraded
-        serial replay runs the same machinery on a ``SerialBackend``).
         When a supervisor with an ``arm_deadline`` is configured, a
         :class:`~repro.resilience.Watchdog` delivers the termination
         instruction to every arm still racing at the deadline and
-        escalates to a forcible kill after its grace period.
+        escalates to a forcible kill after its grace period.  A backend
+        that raises leaves nothing behind in the kernel: every child
+        fails, the parent is released, and the error propagates.
         """
         backend = backend if backend is not None else self.backend
         spawn_start = _time.perf_counter()
         children = self.manager.alt_spawn(parent, len(spawnable))
-        tasks, contexts = self._build_tasks(
-            alternatives, spawnable, children, with_tokens=True
-        )
-        by_index = dict(zip(spawnable, children))
-        for index, child in by_index.items():
-            # The kernel's termination instruction lands on the arm's
-            # cancellation token (section 3.2.1, delivered for real).
-            self.manager.attach_elimination_hook(
-                child.pid, contexts[index].token.cancel
-            )
-        spawn_done = _time.perf_counter() - spawn_start
+        tasks = self._build_tasks(alternatives, spawnable, children)
+        # The model times its own forks; a real race starts once the
+        # kernel's spawn is done.
+        spawn_done = 0.0 if modelled else _time.perf_counter() - spawn_start
         tracer = _active_tracer()
-        for index, child in by_index.items():
-            outcomes[index].pid = child.pid
-            timeline.append(
-                (
-                    spawn_done,
-                    f"spawn {alternatives[index].name} (pid {child.pid})",
+        for task, child in zip(tasks, children):
+            outcomes[task.index].pid = child.pid
+            if not modelled:
+                timeline.append(
+                    (spawn_done, f"spawn {task.name} (pid {child.pid})")
                 )
-            )
             if tracer.enabled:
                 tracer.emit(
                     _ev.ARM_SPAWN,
                     block=self._trace_block,
-                    arm=index,
-                    name=alternatives[index].name,
+                    arm=task.index,
+                    name=task.name,
                     sim_pid=child.pid,
                     backend=backend.name,
                 )
@@ -458,15 +382,12 @@ class ConcurrentExecutor:
             and self.supervisor.arm_deadline is not None
             and backend.is_parallel
         ):
-            indexes = list(by_index)
 
             def _terminate(hard: bool) -> None:
-                for index in indexes:
-                    delivered = backend.terminate_arm(index, hard=hard)
+                for task in tasks:
+                    delivered = backend.terminate_arm(task.index, hard=hard)
                     if not delivered and not hard:
-                        token = contexts[index].token
-                        if token is not None:
-                            token.cancel()
+                        task.context.token.cancel()
 
             watchdog = Watchdog(
                 self.supervisor.arm_deadline,
@@ -474,34 +395,207 @@ class ConcurrentExecutor:
                 _terminate,
                 trace_block=self._trace_block,
             ).start()
+        collect_all = step_plan is not None
         try:
-            race = backend.run_arms(
-                tasks,
-                timeout=self.timeout,
-                collect_all=step_plan is not None,
-            )
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
-                if watchdog.fired_soft:
-                    timeline.append(
-                        (
-                            spawn_done + self.supervisor.arm_deadline,
-                            "watchdog: arm deadline expired"
-                            + (" (hard kill)" if watchdog.fired_hard else ""),
-                        )
+            try:
+                if modelled:
+                    race = self._model_race(alternatives, tasks, collect_all)
+                else:
+                    race = backend.run_arms(
+                        tasks, timeout=self.timeout, collect_all=collect_all
                     )
-        self._last_race = race
-        try:
-            return self._conclude_real(
-                race, by_index, parent, outcomes, timeline, spawn_done,
-                step_plan=step_plan,
+            except BaseException:
+                # No race to conclude: fail every child so the parent
+                # can spawn again, and let the error out.
+                for child in children:
+                    self.manager.fail(child)
+                with contextlib.suppress(AltBlockFailure):
+                    self.manager.alt_wait(parent)
+                raise
+            finally:
+                if watchdog is not None:
+                    watchdog.stop()
+                    if watchdog.fired_soft:
+                        timeline.append(
+                            (
+                                spawn_done + self.supervisor.arm_deadline,
+                                "watchdog: arm deadline expired"
+                                + (" (hard kill)" if watchdog.fired_hard
+                                   else ""),
+                            )
+                        )
+            self._last_race = race
+            return self._conclude(
+                race, dict(zip(spawnable, children)), parent, outcomes,
+                timeline, spawn_done, step_plan,
             )
         finally:
             for child in children:
                 self.manager.detach_elimination_hook(child.pid)
 
-    def _conclude_real(
+    def _model_race(
+        self, alternatives, tasks: List[ArmTask], collect_all: bool
+    ) -> BackendRace:
+        """Collect a race by the cost model (see the module docstring).
+
+        The bodies run to completion through a :class:`SerialBackend`
+        (the deterministic replay discipline, which labels each arm's
+        end), then the race is re-timed under :class:`ProcessorSharing`
+        in model seconds from block entry.  The first success wins;
+        failures before it are plain failures; every arm still running
+        is cancelled when its termination instruction lands.  The
+        deadline cuts the race.  A maximal-step plan with two successes
+        runs every arm to completion and resumes once the last success
+        has synchronized.
+        """
+        race = SerialBackend().run_arms(tasks)
+        model = self.cost_model
+        rng = random.Random(self.seed)
+        cpus = self.cpus if self.cpus is not None else max(1, len(tasks))
+        sched = ProcessorSharing(cpus=cpus)
+        labels: Dict[int, str] = {}
+        events: List[Tuple[float, str]] = []
+        for slot, (task, (_, label)) in enumerate(zip(tasks, race.events)):
+            arm = alternatives[task.index]
+            report = race.report(task.index)
+            labels[task.index] = label
+            report.started_at = (slot + 1) * model.fork_latency
+            report.duration = arm.sample_cost(rng, task.context)
+            if self.guard_placement is GuardPlacement.IN_CHILD:
+                # The child evaluates its own guard as part of its run.
+                report.duration += arm.guard_cost
+            child = task.context.process
+            demand = report.duration + model.page_copy_time(
+                child.space.pages_written
+            )
+            sched.add(task.index, arrival=report.started_at, demand=demand)
+            events.append(
+                (report.started_at, f"spawn {task.name} (pid {child.pid})")
+            )
+
+        def synchronized(win_time: float, index: int) -> float:
+            done = win_time + model.sync_latency
+            if self.guard_placement is GuardPlacement.AT_SYNC:
+                # The parent re-evaluates the winner's guard.
+                done += alternatives[index].guard_cost
+            return done
+
+        run_all = collect_all and sum(r.succeeded for r in race.reports) > 1
+        race.winner_index = None
+        finished: List[int] = []
+        while True:
+            step = sched.step_to_next_completion()
+            if step is None:
+                break
+            when, index = step
+            if self.timeout is not None and when > self.timeout:
+                race.timed_out = True
+                break
+            finished.append(index)
+            report = race.report(index)
+            report.finished_at = when
+            events.append((when, labels[index]))
+            if report.succeeded and race.winner_index is None:
+                race.winner_index = index
+                if not run_all:
+                    break
+        race.elapsed = race.total_seconds = sched.now
+        cut = [task.index for task in tasks if task.index not in finished]
+        if race.timed_out:
+            race.elapsed = race.total_seconds = self.timeout
+        elif run_all:
+            successes = sorted(i for i in finished if race.report(i).succeeded)
+            race.elapsed = race.report(race.winner_index).finished_at
+            race.total_seconds = synchronized(
+                max(race.report(i).finished_at for i in successes),
+                successes[0],
+            )
+        elif race.winner_index is not None:
+            winner = sched.job(race.winner_index)
+            race.sharing_delay = sched.now - winner.arrival - winner.demand
+            sync_done = synchronized(sched.now, race.winner_index)
+            # Termination instructions go out serially after the sync;
+            # losers burn CPU until theirs lands.
+            kills = [
+                sync_done + (slot + 1) * model.kill_latency
+                for slot in range(len(cut))
+            ]
+            for index, when in zip(cut, kills):
+                sched.advance_to(when)
+                sched.cancel(index)
+                race.report(index).finished_at = when
+                events.append((when, f"kill {race.report(index).name}"))
+            race.total_seconds = sync_done
+            if self.elimination is EliminationMode.SYNCHRONOUS:
+                last_kill = max(kills, default=sync_done)
+                race.total_seconds = max(sync_done, last_kill)
+        for index in cut:
+            report = race.report(index)
+            report.succeeded, report.value, report.cancelled = False, None, True
+            report.detail = "timeout" if race.timed_out else ""
+            if race.timed_out:
+                report.finished_at = None
+        for report in race.reports:
+            report.work_seconds = sched.job(report.index).consumed
+        race.events = events
+        race.setup_seconds = len(tasks) * model.fork_latency
+        return race
+
+    # ------------------------------------------------------------------
+    # decide, commit, eliminate
+
+    def _record_arms(self, race, by_index, outcomes, spawn_done) -> None:
+        """Copy each arm's timings onto its outcome.  Read *before* the
+        kernel commit: it releases the losers' spaces."""
+        for index, child in by_index.items():
+            report = race.report(index)
+            outcome = outcomes[index]
+            outcome.duration = (
+                report.work_seconds if report.duration is None
+                else report.duration
+            )
+            outcome.started_at = spawn_done + report.started_at
+            outcome.finished_at = (
+                None if report.finished_at is None
+                else spawn_done + report.finished_at
+            )
+            outcome.cpu_consumed = report.work_seconds
+            if report.page_transport is None and report.dirty_pages is None:
+                outcome.pages_written = child.space.pages_written
+            else:
+                outcome.pages_written = report.pages_written
+
+    def _resume(
+        self, race, outcomes, timeline, winner_index, win_time, wasted,
+        spawn_done, label,
+    ) -> AltResult:
+        """The parent resumes: the block's result, overheads and all."""
+        # When the race gave the block back is when the parent resumed,
+        # whatever the mode: the wait is the race's, not a choice made
+        # here.
+        resume_at = spawn_done + race.total_seconds
+        timeline.sort(key=lambda event: event[0])
+        timeline.append((resume_at, label))
+        winner = outcomes[winner_index]
+        report = race.report(winner_index)
+        overhead = OverheadBreakdown(
+            setup=spawn_done + race.setup_seconds,
+            runtime=self.cost_model.page_copy_time(winner.pages_written)
+            + max(0.0, race.sharing_delay),
+            selection=max(0.0, resume_at - win_time),
+        )
+        return AltResult(
+            value=report.value,
+            winner=winner,
+            outcomes=outcomes,
+            elapsed=resume_at,
+            overhead=overhead,
+            wasted_work=wasted,
+            timeline=timeline,
+            page_transport=report.page_transport or race.page_transport,
+        )
+
+    def _conclude(
         self,
         race: BackendRace,
         by_index: Dict[int, SimProcess],
@@ -511,6 +605,16 @@ class ConcurrentExecutor:
         spawn_done: float,
         step_plan: Optional[StepPlan] = None,
     ) -> AltResult:
+        """The one fastest-first conclusion, for every race.
+
+        Drives the kernel to the race's decision -- ``fail`` for aborted
+        arms, ``alt_sync`` for the winner, ``alt_wait`` with elimination
+        for the cancelled losers -- so losers' writes never reach the
+        parent, on any backend.  A maximal-step plan is tried first
+        (:meth:`_conclude_step`).
+        """
+        for when, label in race.events:
+            timeline.append((spawn_done + when, label))
         if step_plan is not None:
             result = self._conclude_step(
                 race, by_index, parent, outcomes, timeline, spawn_done,
@@ -524,28 +628,15 @@ class ConcurrentExecutor:
             # through the classic path, so dispose them now.
             self._dispose_extra_shipments(race)
         winner_index = race.winner_index
-        for when, label in race.events:
-            timeline.append((spawn_done + when, label))
-
-        # Per-arm bookkeeping, read *before* alt_wait releases loser spaces.
-        wasted = 0.0
+        self._record_arms(race, by_index, outcomes, spawn_done)
         for index, child in by_index.items():
             report = race.report(index)
             outcome = outcomes[index]
-            outcome.duration = report.work_seconds
-            outcome.started_at = spawn_done + report.started_at
-            outcome.finished_at = spawn_done + report.finished_at
-            outcome.cpu_consumed = report.work_seconds
-            if report.page_transport is None and report.dirty_pages is None:
-                outcome.pages_written = child.space.pages_written
-            else:
-                outcome.pages_written = report.pages_written
-            if index != winner_index:
-                wasted += report.work_seconds
             if report.succeeded:
                 if index != winner_index:
-                    # A serial replay runs every arm to completion; later
-                    # successes lose the rendezvous like any too-late arm.
+                    # A race that ran every arm to completion (a serial
+                    # replay, a refused step): later successes lose the
+                    # rendezvous like any too-late arm.
                     outcome.status = "eliminated"
                     outcome.detail = "synchronized too late; sibling already won"
                 continue
@@ -676,38 +767,19 @@ class ConcurrentExecutor:
                     )
 
         win_time = spawn_done + race.elapsed
-        # When the backend gave the race back is when the parent resumed,
-        # whatever the mode: the wait is the backend's, not a choice made
-        # here.
-        resume_at = spawn_done + race.total_seconds
         winner_outcome = outcomes[winner_index]
         winner_outcome.status = "won"
         winner_outcome.value = winner_report.value
         winner_outcome.finished_at = win_time
-        timeline.append((resume_at, "parent resumes"))
-        timeline.sort(key=lambda event: event[0])
-        overhead = OverheadBreakdown(
-            setup=spawn_done + race.setup_seconds,
-            runtime=self.cost_model.page_copy_time(
-                winner_outcome.pages_written
-            ),
-            selection=max(0.0, resume_at - win_time),
+        wasted = sum(
+            race.report(index).work_seconds
+            for index in by_index
+            if index != winner_index
         )
-        return AltResult(
-            value=winner_report.value,
-            winner=winner_outcome,
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=wasted,
-            timeline=timeline,
-            page_transport=winner_report.page_transport
-            or race.page_transport,
+        return self._resume(
+            race, outcomes, timeline, winner_index, win_time, wasted,
+            spawn_done, "parent resumes",
         )
-
-    # ------------------------------------------------------------------
-    # maximal-step conclusion (shared independence engine, section 4's
-    # selection-overhead optimisation: no winner semaphore, no kills)
 
     @staticmethod
     def _dispose_extra_shipments(race: BackendRace) -> None:
@@ -719,29 +791,6 @@ class ConcurrentExecutor:
                 report.shm_shipment.slab.dispose()
                 report.shm_shipment = None
 
-    def _emit_step_events(
-        self, committers, actual, reports, winner_index
-    ) -> None:
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            return
-        tracer.emit(
-            _ev.INDEP_STEP,
-            block=self._trace_block,
-            name="maximal-step",
-            arms=list(committers),
-            pages=sum(len(actual[index]) for index in committers),
-        )
-        for index in committers:
-            tracer.emit(
-                _ev.MAXIMAL_COMMIT,
-                block=self._trace_block,
-                arm=index,
-                name=reports[index].name,
-                pages=len(actual[index]),
-                primary=index == winner_index,
-            )
-
     def _conclude_step(
         self,
         race: BackendRace,
@@ -752,7 +801,9 @@ class ConcurrentExecutor:
         spawn_done: float,
         plan: StepPlan,
     ) -> Optional[AltResult]:
-        """Commit every successful arm as one validated step.
+        """The one maximal-step conclusion: commit every successful arm
+        as one validated step (the independence engine's section 4
+        selection-overhead optimisation: no winner semaphore, no kills).
 
         Returns ``None`` whenever the step is ineligible (fewer than two
         successes, an abnormal death, a rejected shipment, a failed
@@ -817,23 +868,7 @@ class ConcurrentExecutor:
             )
             return None
 
-        # Bookkeeping first: the kernel commit below releases the
-        # secondaries' spaces.
-        wasted = 0.0
-        for index, child in by_index.items():
-            report = reports[index]
-            outcome = outcomes[index]
-            outcome.duration = report.work_seconds
-            outcome.started_at = spawn_done + report.started_at
-            outcome.finished_at = spawn_done + report.finished_at
-            outcome.cpu_consumed = report.work_seconds
-            if report.page_transport is None:
-                outcome.pages_written = child.space.pages_written
-            else:
-                outcome.pages_written = report.pages_written
-            if index not in committers:
-                wasted += report.work_seconds
-
+        self._record_arms(race, by_index, outcomes, spawn_done)
         pages_map = {
             by_index[index].pid: sorted(actual[index])
             for index in committers[1:]
@@ -855,352 +890,56 @@ class ConcurrentExecutor:
         # lowest-index committer on every backend and every schedule.
         winner_index = committers[0]
         race.winner_index = winner_index
-        winner_report = reports[winner_index]
-        for index in committers:
-            outcome = outcomes[index]
-            outcome.value = reports[index].value
-            outcome.status = "committed" if index != winner_index else "won"
+        wasted = 0.0
         for index, report in reports.items():
+            outcome = outcomes[index]
             if index in committers:
-                continue
-            outcomes[index].status = "failed"
-            outcomes[index].detail = report.detail
+                outcome.value = report.value
+                outcome.status = "won" if index == winner_index else "committed"
+            else:
+                outcome.status = "failed"
+                outcome.detail = report.detail
+                wasted += report.work_seconds
 
-        self._emit_step_events(committers, actual, reports, winner_index)
         tracer = _active_tracer()
         if tracer.enabled:
+            tracer.emit(
+                _ev.INDEP_STEP,
+                block=self._trace_block,
+                name="maximal-step",
+                arms=list(committers),
+                pages=sum(len(actual[index]) for index in committers),
+            )
+            for index in committers:
+                tracer.emit(
+                    _ev.MAXIMAL_COMMIT,
+                    block=self._trace_block,
+                    arm=index,
+                    name=reports[index].name,
+                    pages=len(actual[index]),
+                    primary=index == winner_index,
+                )
             tracer.emit(
                 _ev.WINNER_COMMIT,
                 block=self._trace_block,
                 arm=winner_index,
-                name=winner_report.name,
+                name=reports[winner_index].name,
                 pages=outcomes[winner_index].pages_written,
-                work_seconds=winner_report.work_seconds,
+                work_seconds=reports[winner_index].work_seconds,
                 maximal_step=True,
             )
 
         win_time = spawn_done + max(
             reports[index].finished_at for index in committers
         )
-        resume_at = spawn_done + race.total_seconds
-        timeline.append((resume_at, "parent resumes (maximal step)"))
-        timeline.sort(key=lambda event: event[0])
-        overhead = OverheadBreakdown(
-            setup=spawn_done + race.setup_seconds,
-            runtime=self.cost_model.page_copy_time(
-                outcomes[winner_index].pages_written
-            ),
-            selection=max(0.0, resume_at - win_time),
+        return self._resume(
+            race, outcomes, timeline, winner_index, win_time, wasted,
+            spawn_done, "parent resumes (maximal step)",
         )
-        return AltResult(
-            value=winner_report.value,
-            winner=outcomes[winner_index],
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=wasted,
-            timeline=timeline,
-            page_transport=winner_report.page_transport
-            or race.page_transport,
-        )
-
-    def _race_step(
-        self, alternatives, runs, parent, outcomes, timeline, plan
-    ) -> Optional[AltResult]:
-        """The deterministic-timing twin of :meth:`_conclude_step`.
-
-        Every body already ran to completion (the serial discipline), so
-        the step needs no collect mode: validate the successes' dirty
-        sets, commit them as one step, and charge only ``sync_latency``
-        as selection overhead -- no termination instructions are issued
-        because the step has no losers to kill.
-        """
-        committers = sorted(run.index for run in runs if run.succeeded)
-        if len(committers) < 2:
-            return None
-        by_index = {run.index: run for run in runs}
-        actual = {
-            index: frozenset(
-                default_engine.summarize(
-                    by_index[index].child.space.table.dirty_pages
-                )
-            )
-            for index in committers
-        }
-        if default_engine.validate(plan, actual) is not None:
-            return None
-        pages_map = {
-            by_index[index].child.pid: sorted(actual[index])
-            for index in committers[1:]
-        }
-        try:
-            self.manager.alt_step_commit(
-                parent,
-                [by_index[index].child for index in committers],
-                pages_map,
-            )
-        except PageApplyError:
-            return None
-
-        model = self.cost_model
-        cpus = self.cpus if self.cpus is not None else max(1, len(runs))
-        sched = ProcessorSharing(cpus=cpus)
-        for run in runs:
-            sched.add(run.index, arrival=run.arrival, demand=run.demand)
-        completion: Dict[int, float] = {}
-        while True:
-            step = sched.step_to_next_completion()
-            if step is None:
-                break
-            when, index = step
-            completion[index] = when
-
-        winner_index = committers[0]
-        winner_run = by_index[winner_index]
-        wasted = 0.0
-        for run in runs:
-            outcome = outcomes[run.index]
-            finished = completion.get(run.index, sched.now)
-            outcome.cpu_consumed = sched.job(run.index).consumed
-            outcome.finished_at = finished
-            if run.succeeded:
-                outcome.status = (
-                    "won" if run.index == winner_index else "committed"
-                )
-                outcome.value = run.value
-                timeline.append(
-                    (finished, f"{run.alternative.name} synchronizes")
-                )
-            else:
-                outcome.status = "failed"
-                outcome.detail = run.detail
-                wasted += sched.job(run.index).consumed
-                timeline.append(
-                    (finished, f"{run.alternative.name} aborts: {run.detail}")
-                )
-
-        win_time = max(completion[index] for index in committers)
-        sync_done = win_time + model.sync_latency
-        if self.guard_placement is GuardPlacement.AT_SYNC:
-            sync_done += alternatives[winner_index].guard_cost
-        resume_at = sync_done
-
-        self._emit_step_events(
-            committers,
-            actual,
-            {index: by_index[index].alternative for index in committers},
-            winner_index,
-        )
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=self._trace_block,
-                arm=winner_index,
-                name=winner_run.alternative.name,
-                pages=winner_run.pages_written,
-                sim_time=win_time,
-                maximal_step=True,
-            )
-        timeline.append((resume_at, "parent resumes (maximal step)"))
-        timeline.sort(key=lambda event: event[0])
-        overhead = OverheadBreakdown(
-            setup=len(runs) * model.fork_latency,
-            runtime=model.page_copy_time(winner_run.pages_written),
-            selection=resume_at - win_time,
-        )
-        return AltResult(
-            value=winner_run.value,
-            winner=outcomes[winner_index],
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=wasted,
-            timeline=timeline,
-        )
-
-    # ------------------------------------------------------------------
-    # phase 3: the timing race + at-most-once selection
-
-    def _race(self, alternatives, runs, parent, outcomes, timeline) -> AltResult:
-        model = self.cost_model
-        cpus = self.cpus if self.cpus is not None else max(1, len(runs))
-        sched = ProcessorSharing(cpus=cpus)
-        by_index = {run.index: run for run in runs}
-        for run in runs:
-            sched.add(run.index, arrival=run.arrival, demand=run.demand)
-
-        winner_run: Optional[_ChildRun] = None
-        win_time: Optional[float] = None
-        while True:
-            step = sched.step_to_next_completion()
-            if step is None:
-                break
-            time, index = step
-            run = by_index[index]
-            if self.timeout is not None and time > self.timeout:
-                return self._timeout(parent, sched, runs, outcomes, timeline)
-            if run.succeeded:
-                winner_run = run
-                win_time = time
-                timeline.append((time, f"{run.alternative.name} synchronizes"))
-                break
-            self.manager.fail(run.child)
-            outcomes[index].status = "failed"
-            outcomes[index].detail = run.detail
-            outcomes[index].finished_at = time
-            timeline.append(
-                (time, f"{run.alternative.name} aborts: {run.detail}")
-            )
-
-        if winner_run is None:
-            for run in runs:
-                outcomes[run.index].cpu_consumed = sched.job(run.index).consumed
-            error = AltBlockFailure(
-                f"all {len(runs)} spawned alternatives failed"
-            )
-            error.outcomes = outcomes
-            error.elapsed = sched.now
-            # The kernel-level wait also observes the failure.
-            try:
-                self.manager.alt_wait(parent)
-            except AltBlockFailure:
-                pass
-            timeline.append((sched.now, "block FAILED"))
-            error.timeline = timeline
-            raise error
-
-        # At-most-once synchronization through the kernel.
-        assert win_time is not None
-        won = self.manager.alt_sync(winner_run.child, guard_ok=True)
-        assert won, "first successful completion must win the rendezvous"
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=self._trace_block,
-                arm=winner_run.index,
-                name=winner_run.alternative.name,
-                pages=winner_run.pages_written,
-                sim_time=win_time,
-            )
-
-        losers = [run for run in runs if run is not winner_run
-                  and not sched.job(run.index).finished]
-        sync_done = win_time + model.sync_latency
-        if self.guard_placement is GuardPlacement.AT_SYNC:
-            # The parent re-evaluates the winner's guard at the rendezvous.
-            sync_done += winner_run.alternative.guard_cost
-        # Termination instructions are issued serially after the sync.
-        kill_times = {
-            run.index: sync_done + (slot + 1) * model.kill_latency
-            for slot, run in enumerate(losers)
-        }
-        # Losers burn CPU until their kill lands.
-        for run in losers:
-            sched.advance_to(kill_times[run.index])
-            sched.cancel(run.index)
-            outcomes[run.index].status = "eliminated"
-            outcomes[run.index].finished_at = kill_times[run.index]
-            timeline.append(
-                (kill_times[run.index], f"kill {run.alternative.name}")
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.LOSER_ELIMINATE,
-                    block=self._trace_block,
-                    arm=run.index,
-                    name=run.alternative.name,
-                    latency_seconds=kill_times[run.index] - win_time,
-                    sim_time=kill_times[run.index],
-                )
-        last_kill = max(kill_times.values(), default=sync_done)
-
-        if self.elimination is EliminationMode.SYNCHRONOUS:
-            resume_at = max(sync_done, last_kill)
-            selection = resume_at - win_time
-        else:
-            resume_at = sync_done
-            selection = sync_done - win_time
-        self.manager.alt_wait(parent, elimination=self.elimination)
-        if self.elimination is EliminationMode.ASYNCHRONOUS:
-            self.manager.drain_eliminations(winner_run.child.group_id)
-
-        winner_outcome = outcomes[winner_run.index]
-        winner_outcome.status = "won"
-        winner_outcome.value = winner_run.value
-        winner_outcome.finished_at = win_time
-        for run in runs:
-            outcomes[run.index].cpu_consumed = sched.job(run.index).consumed
-        timeline.append((resume_at, "parent resumes"))
-
-        sharing_delay = win_time - winner_run.arrival - winner_run.demand
-        overhead = OverheadBreakdown(
-            setup=len(runs) * model.fork_latency,
-            runtime=(
-                model.page_copy_time(winner_run.pages_written)
-                + max(0.0, sharing_delay)
-            ),
-            selection=selection,
-        )
-        return AltResult(
-            value=winner_run.value,
-            winner=winner_outcome,
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=sched.wasted_work(winner_run.index),
-            timeline=timeline,
-        )
-
-    def _timeout(self, parent, sched, runs, outcomes, timeline):
-        # The scheduler may already sit past the deadline (the stepping
-        # that *revealed* the timeout over-ran it); never move backwards.
-        if sched.now < self.timeout:
-            sched.advance_to(self.timeout)
-        tracer = _active_tracer()
-        for run in runs:
-            job = sched.job(run.index)
-            if not job.finished:
-                sched.cancel(run.index)
-            outcomes[run.index].cpu_consumed = sched.job(run.index).consumed
-            if outcomes[run.index].status == "untried":
-                outcomes[run.index].status = "eliminated"
-                outcomes[run.index].detail = "timeout"
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.LOSER_ELIMINATE,
-                        block=self._trace_block,
-                        arm=run.index,
-                        name=run.alternative.name,
-                        latency_seconds=0.0,
-                        detail="timeout",
-                        sim_time=self.timeout,
-                    )
-        timeline.append((self.timeout, "alt_wait TIMEOUT"))
-        try:
-            self.manager.alt_wait(parent, timed_out=True)
-        except (AltTimeout, AltBlockFailure):
-            pass
-        error = AltTimeout(
-            f"no alternative succeeded within {self.timeout} seconds"
-        )
-        error.partial_reports = tuple(
-            {
-                "index": outcome.index,
-                "name": outcome.name,
-                "state": outcome.status,
-                "elapsed": outcome.cpu_consumed,
-            }
-            for outcome in outcomes
-        )
-        error.outcomes = outcomes
-        error.elapsed = self.timeout
-        error.timeline = timeline
-        raise error
 
     # ------------------------------------------------------------------
     # supervision: retries, degradation, autopsies
+
 
     def _demote_winner(
         self, race, winner_index, by_index, parent, outcomes, timeline,
@@ -1313,7 +1052,7 @@ class ConcurrentExecutor:
     ) -> AltResult:
         """The supervised race loop: retry, degrade, always report.
 
-        Each attempt is a full :meth:`_run_real` race against *fresh* COW
+        Each attempt is a full :meth:`_run_race` race against *fresh* COW
         children (a failed ``alt_wait`` restores the parent to RUNNABLE,
         so retries re-spawn from the parent's untouched world).  Abnormal
         deaths are retried with exponential backoff; when the final real
@@ -1337,7 +1076,7 @@ class ConcurrentExecutor:
                 self._reset_outcomes(alternatives, spawnable, outcomes)
             self._last_race = None
             try:
-                result = self._run_real(
+                result = self._run_race(
                     alternatives, spawnable, parent, outcomes, timeline
                 )
             except AltTimeout as exc:
@@ -1424,15 +1163,14 @@ class ConcurrentExecutor:
                     reason="all arms died abnormally",
                     clean_replay=sup.clean_replay,
                 )
+            replay = (
+                _fault_registry.suppressed()
+                if sup.clean_replay
+                else contextlib.nullcontext()
+            )
             try:
-                if sup.clean_replay:
-                    with _fault_registry.suppressed():
-                        result = self._run_real(
-                            alternatives, spawnable, parent, outcomes,
-                            timeline, backend=SerialBackend(),
-                        )
-                else:
-                    result = self._run_real(
+                with replay:
+                    result = self._run_race(
                         alternatives, spawnable, parent, outcomes,
                         timeline, backend=SerialBackend(),
                     )

@@ -40,11 +40,12 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.consensus.majority import MajorityConsensusSemaphore
 from repro.consensus.node import ConsensusNode
+from repro.consensus.semaphore import SyncSemaphore
 from repro.core.alternative import AltContext, Alternative
 from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
 from repro.core.selection import OrderedPolicy
 from repro.core.sequential import SequentialExecutor, _run_body
-from repro.errors import AltBlockFailure, NetworkError
+from repro.errors import AltBlockFailure, ConsensusUnavailable, NetworkError
 from repro.net.lease import Lease, RaceWarden
 from repro.net.network import Network
 from repro.net.rfork import remote_fork
@@ -693,17 +694,13 @@ class DistributedAltExecutor:
             return MajorityConsensusSemaphore(
                 [ConsensusNode(f"sync-{w}") for w in self.workers]
             )
-        from repro.consensus.semaphore import SyncSemaphore
-
         return SyncSemaphore("home")
 
     def _try_sync(self, semaphore, run: _RemoteRun) -> bool:
-        if isinstance(semaphore, MajorityConsensusSemaphore):
-            try:
-                return semaphore.try_acquire("block", run.process.pid)
-            except Exception:
-                return False
-        return semaphore.try_acquire(run.process.pid)
+        try:
+            return semaphore.try_acquire("block", run.process.pid)
+        except ConsensusUnavailable:
+            return False
 
     @staticmethod
     def _apply_remote_state(parent: SimProcess, winner: SimProcess) -> None:

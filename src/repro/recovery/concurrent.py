@@ -165,7 +165,7 @@ class ConcurrentRecoveryExecutor:
         decision = (block.name, next(self._decisions))
         if self.consensus is None:
             semaphore = SyncSemaphore(name=str(decision))
-            if not semaphore.try_acquire(result.winner.name):
+            if not semaphore.try_acquire(decision, result.winner.name):
                 raise SynchronizationError("local 0-1 semaphore refused")
             # Local sync latency is already inside the executor's
             # selection overhead; nothing further to charge.

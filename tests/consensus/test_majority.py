@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.consensus.majority import MajorityConsensusSemaphore
+from repro.consensus.majority import MajorityConsensusSemaphore, quorum_verdict
 from repro.consensus.node import ConsensusNode
 from repro.errors import ConsensusUnavailable
 from repro.sim.costs import HP_9000_350
@@ -16,6 +16,23 @@ from repro.sim.costs import HP_9000_350
 def make_semaphore(n=5):
     nodes = [ConsensusNode(f"n{i}") for i in range(n)]
     return MajorityConsensusSemaphore(nodes), nodes
+
+
+class TestQuorumVerdict:
+    """The one majority rule both the simulated and the TCP acquirer use."""
+
+    def test_quorum_of_grants_wins(self):
+        assert quorum_verdict(grants=3, reachable=3, voters=5) is True
+
+    def test_reachable_majority_without_grants_loses(self):
+        assert quorum_verdict(grants=2, reachable=5, voters=5) is False
+
+    def test_unreachable_majority_is_no_decision(self):
+        with pytest.raises(ConsensusUnavailable):
+            quorum_verdict(grants=2, reachable=2, voters=5)
+
+    def test_grants_win_even_with_voters_unaccounted(self):
+        assert quorum_verdict(grants=2, reachable=2, voters=3) is True
 
 
 class TestBasicVoting:

@@ -1,12 +1,18 @@
 """Tests for the concurrent fastest-first executor (section 3)."""
 
+import errno
+
 import pytest
 
 from repro.core.alternative import Alternative, GuardPlacement
+from repro.core.backends import ThreadBackend
 from repro.core.concurrent import ConcurrentExecutor
 from repro.errors import AltBlockFailure, AltTimeout
+from repro.independence import WriteSet
 from repro.process.primitives import EliminationMode
+from repro.process.process import ProcessState
 from repro.sim.costs import FREE, HP_9000_350, CostModel
+from repro.sim.distributions import Uniform
 
 
 def ok(name, value, cost):
@@ -288,3 +294,860 @@ class TestDeterminism:
         second = ConcurrentExecutor(cost_model=FREE, seed=5).run(build())
         assert first.winner.name == second.winner.name
         assert first.elapsed == second.elapsed
+
+
+class TestBackendFailure:
+    def test_raising_backend_releases_the_parent(self):
+        """A backend that cannot launch its arms (a failing ``fork`` or
+        ``pipe`` raises ``EAGAIN``) must not leave the parent blocked in
+        ``alt_spawn``: the children fail, the hooks go, the error
+        propagates, and the next block on the parent runs."""
+
+        class NoFork(ThreadBackend):
+            def run_arms(self, tasks, timeout=None, collect_all=False):
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        broken = ConcurrentExecutor(cost_model=FREE, backend=NoFork())
+        parent = broken.new_parent()
+        parent.space.put("x", "original")
+        arms = [ok("a", 1, 1.0), ok("b", 2, 2.0)]
+        with pytest.raises(OSError):
+            broken.run(arms, parent=parent)
+        manager = broken.manager
+        assert parent.state is ProcessState.RUNNABLE
+        assert manager._elimination_hooks == {}
+        assert not manager._open_groups
+        working = ConcurrentExecutor(
+            cost_model=FREE, backend=ThreadBackend(), manager=manager
+        )
+        result = working.run(arms, parent=parent)
+        assert result.value in (1, 2)
+        assert parent.space.get("x") == "original"
+
+
+# ----------------------------------------------------------------------
+# The cost-model race, pinned: elimination mode x guard placement x
+# {a winner, every arm failing, the deadline, a maximal step}.  Five arms
+# on two CPUs (so sharing delays show), one arm whose pre-guard is closed,
+# a sampled cost, guard costs and multi-page writes, so every term of the
+# section 4 model reaches the result.  Floats compare to 1e-12 relative:
+# ``sum`` may round differently across Python versions.
+
+PAGE = HP_9000_350.page_size
+
+
+def grid_arm(name, cost, page, pages=1, value=None, fail=None,
+             closed=False, guard_cost=0.0, declare=False):
+    def body(ctx):
+        fill = name.encode() * (pages * PAGE // len(name))
+        ctx.space.write(page * PAGE, fill)
+        if fail is not None:
+            ctx.fail(fail)
+        return value
+
+    return Alternative(
+        name,
+        body=body,
+        pre_guard=(lambda ctx: False) if closed else None,
+        cost=cost,
+        guard_cost=guard_cost,
+        writes=WriteSet(ranges=((page * PAGE, pages * PAGE),))
+        if declare else None,
+    )
+
+
+def grid_block(kind):
+    step = kind == "step"
+    arms = [
+        grid_arm("closed", 0.2, 1, value="shut", closed=True, declare=step),
+        grid_arm("abort", 0.3, 2, fail="no good", guard_cost=0.02,
+                 declare=step),
+    ]
+    if kind == "all-fail":
+        return arms + [
+            grid_arm("refuse", 0.9, 3, fail="refused", guard_cost=0.04),
+            grid_arm("reject", 1.5, 4, fail="rejected"),
+        ]
+    return arms + [
+        grid_arm("win", Uniform(0.8, 1.2), 5, pages=3, value="W",
+                 guard_cost=0.05, declare=step),
+        grid_arm("slow", 2.5, 9, value="S", guard_cost=0.01, declare=step),
+        grid_arm("slower", 4.0, 11, value="T", declare=step),
+    ]
+
+
+def grid_run(elimination, placement, kind):
+    executor = ConcurrentExecutor(
+        cost_model=HP_9000_350,
+        cpus=2,
+        elimination=elimination,
+        guard_placement=placement,
+        timeout=1.0 if kind == "timeout" else None,
+        seed=7,
+    )
+    observed = {}
+    try:
+        result = executor.run(grid_block(kind))
+    except (AltBlockFailure, AltTimeout) as exc:
+        observed["error"] = (type(exc).__name__, exc.elapsed)
+        outcomes, timeline = exc.outcomes, exc.timeline
+    else:
+        observed["result"] = (
+            result.value,
+            result.winner.name,
+            result.elapsed,
+            result.wasted_work,
+            (result.overhead.setup, result.overhead.runtime,
+             result.overhead.selection),
+        )
+        outcomes, timeline = result.outcomes, result.timeline
+    observed["outcomes"] = [
+        (o.name, o.status, o.detail, o.duration, o.cpu_consumed,
+         o.started_at, o.finished_at, o.pages_written)
+        for o in outcomes
+    ]
+    observed["timeline"] = list(timeline)
+    return observed
+
+
+def _pinned(value):
+    """``value`` with every float wrapped for a 1e-12 relative compare."""
+    if isinstance(value, float):
+        return pytest.approx(value, rel=1e-12, abs=1e-15)
+    if isinstance(value, (tuple, list)):
+        return type(value)(_pinned(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _pinned(item) for key, item in value.items()}
+    return value
+
+
+PINNED_GRID = {
+    "synchronous-before_spawn-winner": {
+        "result": (
+            "W",
+            "win",
+            1.5531352488418704,
+            2.1373360377852917,
+            (0.048, 0.5976021429086056, 0.0019999999999997797),
+        ),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.5859342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984488, 0.024,
+             1.5511352488418706, 3),
+            ("slow", "eliminated", "", 2.5, 0.9219344598984486,
+             0.036000000000000004, 1.5526352488418704, 1),
+            ("slower", "eliminated", "", 4.0, 0.9144344598984485, 0.048,
+             1.5531352488418704, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn win (pid 3)"),
+            (0.036000000000000004, "spawn slow (pid 4)"),
+            (0.048, "spawn slower (pid 5)"),
+            (0.5859342359767892, "abort aborts: no good"),
+            (1.5511352488418706, "win synchronizes"),
+            (1.5526352488418704, "kill slow"),
+            (1.5531352488418704, "kill slower"),
+            (1.5531352488418704, "parent resumes"),
+        ],
+    },
+    "synchronous-before_spawn-all-fail": {
+        "error": ("AltBlockFailure", 1.6754506769825919),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.4514506769825919, 1),
+            ("refuse", "failed", "refused", 0.9, 0.9009671179883946, 0.024,
+             1.0634506769825918, 1),
+            ("reject", "failed", "rejected", 1.5, 1.5009671179883946,
+             0.036000000000000004, 1.6754506769825919, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn refuse (pid 3)"),
+            (0.036000000000000004, "spawn reject (pid 4)"),
+            (0.4514506769825919, "abort aborts: no good"),
+            (1.0634506769825918, "refuse aborts: refused"),
+            (1.6754506769825919, "reject aborts: rejected"),
+            (1.6754506769825919, "block FAILED"),
+        ],
+    },
+    "synchronous-before_spawn-timeout": {
+        "error": ("AltTimeout", 1.0),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.5859342359767892, 1),
+            ("win", "eliminated", "timeout", 0.929533105933265,
+             0.9324344598984488, 0.024, None, 3),
+            ("slow", "eliminated", "timeout", 2.5, 0.9204344598984487,
+             0.036000000000000004, None, 1),
+            ("slower", "eliminated", "timeout", 4.0, 0.9124344598984487,
+             0.048, None, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn win (pid 3)"),
+            (0.036000000000000004, "spawn slow (pid 4)"),
+            (0.048, "spawn slower (pid 5)"),
+            (0.5859342359767892, "abort aborts: no good"),
+            (1.0, "alt_wait TIMEOUT"),
+        ],
+    },
+    "synchronous-before_spawn-step": {
+        "result": (
+            "W",
+            "win",
+            4.640667906931816,
+            0.3009671179883946,
+            (0.048, 0.0029013539651837525, 0.001000000000000334),
+        ),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.5859342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984488, 0.024,
+             1.5511352488418706, 3),
+            ("slow", "committed", "", 2.5, 2.5009671179883948,
+             0.036000000000000004, 3.1316679069318165, 1),
+            ("slower", "committed", "", 4.0, 4.000967117988394, 0.048,
+             4.639667906931816, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn win (pid 3)"),
+            (0.036000000000000004, "spawn slow (pid 4)"),
+            (0.048, "spawn slower (pid 5)"),
+            (0.5859342359767892, "abort aborts: no good"),
+            (1.5511352488418706, "win synchronizes"),
+            (3.1316679069318165, "slow synchronizes"),
+            (4.639667906931816, "slower synchronizes"),
+            (4.640667906931816, "parent resumes (maximal step)"),
+        ],
+    },
+    "synchronous-in_child-winner": {
+        "result": (
+            "W",
+            "win",
+            1.74313524884187,
+            2.4673360377852918,
+            (0.06, 0.7256021429086053, 0.0019999999999997797),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.7309342359767892, 1),
+            ("win", "won", "", 0.979533105933265, 0.9824344598984487,
+             0.036000000000000004, 1.7411352488418703, 3),
+            ("slow", "eliminated", "", 2.51, 0.9759344598984485, 0.048,
+             1.7426352488418702, 1),
+            ("slower", "eliminated", "", 4.0, 0.9704344598984485, 0.06,
+             1.74313524884187, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.7309342359767892, "abort aborts: no good"),
+            (1.7411352488418703, "win synchronizes"),
+            (1.7426352488418702, "kill slow"),
+            (1.74313524884187, "kill slower"),
+            (1.74313524884187, "parent resumes"),
+        ],
+    },
+    "synchronous-in_child-all-fail": {
+        "error": ("AltBlockFailure", 1.783450676982592),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.38399999999999995, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.5834506769825919, 1),
+            ("refuse", "failed", "refused", 0.9400000000000001,
+             0.9409671179883945, 0.036000000000000004, 1.215450676982592, 1),
+            ("reject", "failed", "rejected", 1.5, 1.5009671179883946, 0.048,
+             1.783450676982592, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn refuse (pid 4)"),
+            (0.048, "spawn reject (pid 5)"),
+            (0.38399999999999995, "closed aborts: pre-guard not satisfied"),
+            (0.5834506769825919, "abort aborts: no good"),
+            (1.215450676982592, "refuse aborts: refused"),
+            (1.783450676982592, "reject aborts: rejected"),
+            (1.783450676982592, "block FAILED"),
+        ],
+    },
+    "synchronous-in_child-timeout": {
+        "error": ("AltTimeout", 1.0),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.7309342359767892, 1),
+            ("win", "eliminated", "timeout", 0.979533105933265,
+             0.9824344598984487, 0.036000000000000004, None, 3),
+            ("slow", "eliminated", "timeout", 2.51, 0.9744344598984487, 0.048,
+             None, 1),
+            ("slower", "eliminated", "timeout", 4.0, 0.9684344598984487, 0.06,
+             None, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.7309342359767892, "abort aborts: no good"),
+            (1.0, "alt_wait TIMEOUT"),
+        ],
+    },
+    "synchronous-in_child-step": {
+        "result": (
+            "W",
+            "win",
+            4.774667906931817,
+            0.5209671179883946,
+            (0.06, 0.0029013539651837525, 0.001000000000000334),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.7309342359767892, 1),
+            ("win", "won", "", 0.979533105933265, 0.9824344598984487,
+             0.036000000000000004, 1.7411352488418703, 3),
+            ("slow", "committed", "", 2.51, 2.510967117988395, 0.048,
+             3.277667906931817, 1),
+            ("slower", "committed", "", 4.0, 4.000967117988394, 0.06,
+             4.773667906931816, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.7309342359767892, "abort aborts: no good"),
+            (1.7411352488418703, "win synchronizes"),
+            (3.277667906931817, "slow synchronizes"),
+            (4.773667906931816, "slower synchronizes"),
+            (4.774667906931817, "parent resumes (maximal step)"),
+        ],
+    },
+    "synchronous-at_sync-winner": {
+        "result": (
+            "W",
+            "win",
+            1.70813524884187,
+            2.4473360377852913,
+            (0.06, 0.6906021429086051, 0.051999999999999824),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.6909342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984486,
+             0.036000000000000004, 1.6561352488418701, 3),
+            ("slow", "eliminated", "", 2.5, 0.9759344598984485, 0.048,
+             1.70763524884187, 1),
+            ("slower", "eliminated", "", 4.0, 0.9704344598984485, 0.06,
+             1.70813524884187, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.6909342359767892, "abort aborts: no good"),
+            (1.6561352488418701, "win synchronizes"),
+            (1.70763524884187, "kill slow"),
+            (1.70813524884187, "kill slower"),
+            (1.70813524884187, "parent resumes"),
+        ],
+    },
+    "synchronous-at_sync-all-fail": {
+        "error": ("AltBlockFailure", 1.7734506769825917),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.38399999999999995, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.5534506769825919, 1),
+            ("refuse", "failed", "refused", 0.9, 0.9009671179883945,
+             0.036000000000000004, 1.1654506769825916, 1),
+            ("reject", "failed", "rejected", 1.5, 1.5009671179883946, 0.048,
+             1.7734506769825917, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn refuse (pid 4)"),
+            (0.048, "spawn reject (pid 5)"),
+            (0.38399999999999995, "closed aborts: pre-guard not satisfied"),
+            (0.5534506769825919, "abort aborts: no good"),
+            (1.1654506769825916, "refuse aborts: refused"),
+            (1.7734506769825917, "reject aborts: rejected"),
+            (1.7734506769825917, "block FAILED"),
+        ],
+    },
+    "synchronous-at_sync-timeout": {
+        "error": ("AltTimeout", 1.0),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.6909342359767892, 1),
+            ("win", "eliminated", "timeout", 0.929533105933265,
+             0.9324344598984486, 0.036000000000000004, None, 3),
+            ("slow", "eliminated", "timeout", 2.5, 0.9244344598984486, 0.048,
+             None, 1),
+            ("slower", "eliminated", "timeout", 4.0, 0.9184344598984486, 0.06,
+             None, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.6909342359767892, "abort aborts: no good"),
+            (1.0, "alt_wait TIMEOUT"),
+        ],
+    },
+    "synchronous-at_sync-step": {
+        "result": (
+            "W",
+            "win",
+            4.789667906931816,
+            0.5009671179883946,
+            (0.06, 0.0029013539651837525, 0.051000000000000156),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.6909342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984486,
+             0.036000000000000004, 1.6561352488418701, 3),
+            ("slow", "committed", "", 2.5, 2.500967117988395, 0.048,
+             3.232667906931817, 1),
+            ("slower", "committed", "", 4.0, 4.000967117988394, 0.06,
+             4.738667906931816, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.6909342359767892, "abort aborts: no good"),
+            (1.6561352488418701, "win synchronizes"),
+            (3.232667906931817, "slow synchronizes"),
+            (4.738667906931816, "slower synchronizes"),
+            (4.789667906931816, "parent resumes (maximal step)"),
+        ],
+    },
+    "asynchronous-before_spawn-winner": {
+        "result": (
+            "W",
+            "win",
+            1.5521352488418705,
+            2.1373360377852917,
+            (0.048, 0.5976021429086056, 0.0009999999999998899),
+        ),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.5859342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984488, 0.024,
+             1.5511352488418706, 3),
+            ("slow", "eliminated", "", 2.5, 0.9219344598984486,
+             0.036000000000000004, 1.5526352488418704, 1),
+            ("slower", "eliminated", "", 4.0, 0.9144344598984485, 0.048,
+             1.5531352488418704, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn win (pid 3)"),
+            (0.036000000000000004, "spawn slow (pid 4)"),
+            (0.048, "spawn slower (pid 5)"),
+            (0.5859342359767892, "abort aborts: no good"),
+            (1.5511352488418706, "win synchronizes"),
+            (1.5526352488418704, "kill slow"),
+            (1.5531352488418704, "kill slower"),
+            (1.5521352488418705, "parent resumes"),
+        ],
+    },
+    "asynchronous-before_spawn-all-fail": {
+        "error": ("AltBlockFailure", 1.6754506769825919),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.4514506769825919, 1),
+            ("refuse", "failed", "refused", 0.9, 0.9009671179883946, 0.024,
+             1.0634506769825918, 1),
+            ("reject", "failed", "rejected", 1.5, 1.5009671179883946,
+             0.036000000000000004, 1.6754506769825919, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn refuse (pid 3)"),
+            (0.036000000000000004, "spawn reject (pid 4)"),
+            (0.4514506769825919, "abort aborts: no good"),
+            (1.0634506769825918, "refuse aborts: refused"),
+            (1.6754506769825919, "reject aborts: rejected"),
+            (1.6754506769825919, "block FAILED"),
+        ],
+    },
+    "asynchronous-before_spawn-timeout": {
+        "error": ("AltTimeout", 1.0),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.5859342359767892, 1),
+            ("win", "eliminated", "timeout", 0.929533105933265,
+             0.9324344598984488, 0.024, None, 3),
+            ("slow", "eliminated", "timeout", 2.5, 0.9204344598984487,
+             0.036000000000000004, None, 1),
+            ("slower", "eliminated", "timeout", 4.0, 0.9124344598984487,
+             0.048, None, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn win (pid 3)"),
+            (0.036000000000000004, "spawn slow (pid 4)"),
+            (0.048, "spawn slower (pid 5)"),
+            (0.5859342359767892, "abort aborts: no good"),
+            (1.0, "alt_wait TIMEOUT"),
+        ],
+    },
+    "asynchronous-before_spawn-step": {
+        "result": (
+            "W",
+            "win",
+            4.640667906931816,
+            0.3009671179883946,
+            (0.048, 0.0029013539651837525, 0.001000000000000334),
+        ),
+        "outcomes": [
+            ("closed", "not_spawned", "pre-guard closed before spawn", None,
+             0.0, None, None, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.012,
+             0.5859342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984488, 0.024,
+             1.5511352488418706, 3),
+            ("slow", "committed", "", 2.5, 2.5009671179883948,
+             0.036000000000000004, 3.1316679069318165, 1),
+            ("slower", "committed", "", 4.0, 4.000967117988394, 0.048,
+             4.639667906931816, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.0, "closed closed (guard before spawn)"),
+            (0.012, "spawn abort (pid 2)"),
+            (0.024, "spawn win (pid 3)"),
+            (0.036000000000000004, "spawn slow (pid 4)"),
+            (0.048, "spawn slower (pid 5)"),
+            (0.5859342359767892, "abort aborts: no good"),
+            (1.5511352488418706, "win synchronizes"),
+            (3.1316679069318165, "slow synchronizes"),
+            (4.639667906931816, "slower synchronizes"),
+            (4.640667906931816, "parent resumes (maximal step)"),
+        ],
+    },
+    "asynchronous-in_child-winner": {
+        "result": (
+            "W",
+            "win",
+            1.7421352488418702,
+            2.4673360377852918,
+            (0.06, 0.7256021429086053, 0.0009999999999998899),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.7309342359767892, 1),
+            ("win", "won", "", 0.979533105933265, 0.9824344598984487,
+             0.036000000000000004, 1.7411352488418703, 3),
+            ("slow", "eliminated", "", 2.51, 0.9759344598984485, 0.048,
+             1.7426352488418702, 1),
+            ("slower", "eliminated", "", 4.0, 0.9704344598984485, 0.06,
+             1.74313524884187, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.7309342359767892, "abort aborts: no good"),
+            (1.7411352488418703, "win synchronizes"),
+            (1.7426352488418702, "kill slow"),
+            (1.74313524884187, "kill slower"),
+            (1.7421352488418702, "parent resumes"),
+        ],
+    },
+    "asynchronous-in_child-all-fail": {
+        "error": ("AltBlockFailure", 1.783450676982592),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.38399999999999995, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.5834506769825919, 1),
+            ("refuse", "failed", "refused", 0.9400000000000001,
+             0.9409671179883945, 0.036000000000000004, 1.215450676982592, 1),
+            ("reject", "failed", "rejected", 1.5, 1.5009671179883946, 0.048,
+             1.783450676982592, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn refuse (pid 4)"),
+            (0.048, "spawn reject (pid 5)"),
+            (0.38399999999999995, "closed aborts: pre-guard not satisfied"),
+            (0.5834506769825919, "abort aborts: no good"),
+            (1.215450676982592, "refuse aborts: refused"),
+            (1.783450676982592, "reject aborts: rejected"),
+            (1.783450676982592, "block FAILED"),
+        ],
+    },
+    "asynchronous-in_child-timeout": {
+        "error": ("AltTimeout", 1.0),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.7309342359767892, 1),
+            ("win", "eliminated", "timeout", 0.979533105933265,
+             0.9824344598984487, 0.036000000000000004, None, 3),
+            ("slow", "eliminated", "timeout", 2.51, 0.9744344598984487, 0.048,
+             None, 1),
+            ("slower", "eliminated", "timeout", 4.0, 0.9684344598984487, 0.06,
+             None, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.7309342359767892, "abort aborts: no good"),
+            (1.0, "alt_wait TIMEOUT"),
+        ],
+    },
+    "asynchronous-in_child-step": {
+        "result": (
+            "W",
+            "win",
+            4.774667906931817,
+            0.5209671179883946,
+            (0.06, 0.0029013539651837525, 0.001000000000000334),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.32, 0.3209671179883946, 0.024,
+             0.7309342359767892, 1),
+            ("win", "won", "", 0.979533105933265, 0.9824344598984487,
+             0.036000000000000004, 1.7411352488418703, 3),
+            ("slow", "committed", "", 2.51, 2.510967117988395, 0.048,
+             3.277667906931817, 1),
+            ("slower", "committed", "", 4.0, 4.000967117988394, 0.06,
+             4.773667906931816, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.7309342359767892, "abort aborts: no good"),
+            (1.7411352488418703, "win synchronizes"),
+            (3.277667906931817, "slow synchronizes"),
+            (4.773667906931816, "slower synchronizes"),
+            (4.774667906931817, "parent resumes (maximal step)"),
+        ],
+    },
+    "asynchronous-at_sync-winner": {
+        "result": (
+            "W",
+            "win",
+            1.70713524884187,
+            2.4473360377852913,
+            (0.06, 0.6906021429086051, 0.050999999999999934),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.6909342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984486,
+             0.036000000000000004, 1.6561352488418701, 3),
+            ("slow", "eliminated", "", 2.5, 0.9759344598984485, 0.048,
+             1.70763524884187, 1),
+            ("slower", "eliminated", "", 4.0, 0.9704344598984485, 0.06,
+             1.70813524884187, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.6909342359767892, "abort aborts: no good"),
+            (1.6561352488418701, "win synchronizes"),
+            (1.70763524884187, "kill slow"),
+            (1.70813524884187, "kill slower"),
+            (1.70713524884187, "parent resumes"),
+        ],
+    },
+    "asynchronous-at_sync-all-fail": {
+        "error": ("AltBlockFailure", 1.7734506769825917),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.38399999999999995, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.5534506769825919, 1),
+            ("refuse", "failed", "refused", 0.9, 0.9009671179883945,
+             0.036000000000000004, 1.1654506769825916, 1),
+            ("reject", "failed", "rejected", 1.5, 1.5009671179883946, 0.048,
+             1.7734506769825917, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn refuse (pid 4)"),
+            (0.048, "spawn reject (pid 5)"),
+            (0.38399999999999995, "closed aborts: pre-guard not satisfied"),
+            (0.5534506769825919, "abort aborts: no good"),
+            (1.1654506769825916, "refuse aborts: refused"),
+            (1.7734506769825917, "reject aborts: rejected"),
+            (1.7734506769825917, "block FAILED"),
+        ],
+    },
+    "asynchronous-at_sync-timeout": {
+        "error": ("AltTimeout", 1.0),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.6909342359767892, 1),
+            ("win", "eliminated", "timeout", 0.929533105933265,
+             0.9324344598984486, 0.036000000000000004, None, 3),
+            ("slow", "eliminated", "timeout", 2.5, 0.9244344598984486, 0.048,
+             None, 1),
+            ("slower", "eliminated", "timeout", 4.0, 0.9184344598984486, 0.06,
+             None, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.6909342359767892, "abort aborts: no good"),
+            (1.0, "alt_wait TIMEOUT"),
+        ],
+    },
+    "asynchronous-at_sync-step": {
+        "result": (
+            "W",
+            "win",
+            4.789667906931816,
+            0.5009671179883946,
+            (0.06, 0.0029013539651837525, 0.051000000000000156),
+        ),
+        "outcomes": [
+            ("closed", "failed", "pre-guard not satisfied", 0.2,
+             0.19999999999999998, 0.012, 0.4649999999999999, 0),
+            ("abort", "failed", "no good", 0.3, 0.3009671179883946, 0.024,
+             0.6909342359767892, 1),
+            ("win", "won", "", 0.929533105933265, 0.9324344598984486,
+             0.036000000000000004, 1.6561352488418701, 3),
+            ("slow", "committed", "", 2.5, 2.500967117988395, 0.048,
+             3.232667906931817, 1),
+            ("slower", "committed", "", 4.0, 4.000967117988394, 0.06,
+             4.738667906931816, 1),
+        ],
+        "timeline": [
+            (0.0, "block entered"),
+            (0.012, "spawn closed (pid 2)"),
+            (0.024, "spawn abort (pid 3)"),
+            (0.036000000000000004, "spawn win (pid 4)"),
+            (0.048, "spawn slow (pid 5)"),
+            (0.06, "spawn slower (pid 6)"),
+            (0.4649999999999999, "closed aborts: pre-guard not satisfied"),
+            (0.6909342359767892, "abort aborts: no good"),
+            (1.6561352488418701, "win synchronizes"),
+            (3.232667906931817, "slow synchronizes"),
+            (4.738667906931816, "slower synchronizes"),
+            (4.789667906931816, "parent resumes (maximal step)"),
+        ],
+    },
+}
+
+
+class TestPinnedModelGrid:
+    @pytest.mark.parametrize("case", list(PINNED_GRID))
+    def test_model_race_matches_the_pinned_result(self, case):
+        elimination, placement, kind = case.split("-", 2)
+        observed = grid_run(
+            EliminationMode(elimination), GuardPlacement(placement), kind
+        )
+        assert observed == _pinned(PINNED_GRID[case])
