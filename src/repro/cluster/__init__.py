@@ -1,9 +1,10 @@
 """Real-wire HA cluster runtime (localhost-first, multi-host-capable).
 
-Everything the chaos-hardened distributed race does on the simulated
-substrate -- arm shipment, heartbeat leases, incarnation-epoch fencing,
-majority-consensus synchronization, router journal replay -- runs here on
-*real* TCP sockets between *real* OS processes:
+The distributed race is one protocol with two transports (see
+:mod:`repro.net.distributed`): what it does on the simulated substrate
+-- arm shipment, heartbeat leases, incarnation-epoch fencing,
+majority-consensus synchronization -- runs here, with router journal
+replay, on *real* TCP sockets between *real* OS processes:
 
 - :mod:`repro.cluster.stream` frames records over sockets with the exact
   ``core/backends/wire.py`` format the fork children and pool workers
@@ -16,12 +17,15 @@ majority-consensus synchronization, router journal replay -- runs here on
 - :mod:`repro.cluster.proxy` replays the seeded ``CHAOS_SCENARIOS`` on
   the real wire: a frame-aware impairment proxy drops, duplicates,
   reorders, delays, and partitions framed traffic deterministically;
-- :mod:`repro.cluster.executor` is the home-node race driver (the socket
-  transport of :class:`~repro.net.distributed.DistributedAltExecutor`):
-  leases over real heartbeat connections, SIGKILLed daemons detected by
-  connection drop or lease expiry and re-spawned under a fresh epoch,
-  healed-partition zombies fenced at winner-commit, degradation to a
-  home-node serial replay when the cluster cannot answer;
+- :mod:`repro.cluster.executor` is the socket transport of the one
+  home-node ladder (:class:`~repro.net.distributed.HomeLadder`), whose
+  other transport is the simulated network: the same ship, supervise,
+  fence, commit, cancel and degrade steps, fed by records from TCP
+  sessions on the wall clock -- leases renewed by real heartbeats,
+  SIGKILLed daemons detected by connection drop or lease expiry and
+  re-spawned under a fresh epoch, healed-partition zombies fenced at
+  winner-commit, a home-node serial replay when the cluster cannot
+  answer;
 - :mod:`repro.cluster.semaphore` runs the Thomas-1979 majority-consensus
   0-1 semaphore (paper section 3.4) across the worker daemons' voter
   endpoints instead of in-process node objects;

@@ -1,8 +1,10 @@
-"""The home node of the real-wire cluster: race arms across daemons.
+"""The socket transport of the home-node ladder: race arms across daemons.
 
-:class:`ClusterExecutor` is :class:`~repro.net.distributed.
-DistributedAltExecutor` with the simulated substrate swapped out for
-sockets and wall clocks:
+:class:`ClusterExecutor` climbs the one ladder of
+:class:`~repro.net.distributed.HomeLadder` -- ship every arm, supervise
+leases, verdict then epoch fence then optional majority, commit the
+winner's pages, cancel the losers, degrade or raise -- on real sockets
+and the wall clock.  What is particular to this transport:
 
 - the home keeps **one authenticated session per worker endpoint**,
   dialled by the first block that needs it and kept across blocks; a
@@ -15,25 +17,20 @@ sockets and wall clocks:
   bytes of only those frames the session has not been shown.  Frames
   are immutable and a store never reuses a frame id, so "this session
   has been shown ``(uid, frame id)``" holds for the session's life;
-- the remote child's dirty pages come home in its ``result`` record and
-  are written into the parent's storage before the parent resumes;
-- leases are renewed by real heartbeat records on the session; the
-  warden's deadlines are wall-clock instants, and an expired lease
-  triggers a respawn on the next endpoint under a fresh incarnation
-  epoch, with the stale ship left registered on purpose: a
-  healed-partition zombie's late winner shipment must *arrive* so the
-  epoch fence can reject it at commit (the observable form of the
-  section 3.4 at-most-once argument);
-- sibling elimination is a ``cancel`` record naming the ship -- a
-  termination message with genuine network latency, naturally
-  asynchronous;
-- synchronization is either first-finisher-commits at home or a
+- the ladder's events are records: ``hb`` and ``result`` routed by ship
+  id from the session's receiver thread, and a ``drop`` for every ship
+  still waiting when a connection dies; the remote child's dirty pages
+  come home inside its ``result``;
+- a lapsed lease retires its session, but the stale ship stays
+  registered on purpose: a healed-partition zombie's late winner must
+  *arrive* so the epoch fence can reject it at commit (the observable
+  form of the section 3.4 at-most-once argument);
+- sibling elimination is a ``cancel`` record naming the ship;
+- the majority semaphore is a
   :class:`~repro.cluster.semaphore.ClusterMajoritySemaphore` round
-  across the daemons' voters (``use_consensus=True``);
-- when nothing can commit -- no endpoint reachable, respawns exhausted,
-  consensus starved below quorum -- the block degrades to a serial
-  replay on the home node with faults suppressed, the same last resort
-  as the simulated path.
+  across the daemons' voters, one decision id per block;
+- the node rotation is live: membership members lead, per-endpoint
+  circuit breakers (kept across blocks) steer picks away from corpses.
 
 The session's three invariants (:class:`_Session`), and who closes what:
 
@@ -58,7 +55,7 @@ The session's three invariants (:class:`_Session`), and who closes what:
    is no NAK and no reset message.
 
 Determinism caveat, stated honestly: on a real wire the *interleaving*
-is the kernel's, so unlike the simulated executor the timeline here is
+is the kernel's, so unlike the simulated transport the timeline here is
 measured, not derived.  What stays deterministic under a seed is every
 injected decision (chaos draws are keyed by frame ordinal, crash
 instants by arm) and the converged *outcome*: whichever arm commits,
@@ -70,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import queue
-import random
 import secrets
 import threading
 import time
@@ -83,18 +79,22 @@ from repro.cluster.membership import MembershipTable
 from repro.cluster.semaphore import ClusterMajoritySemaphore
 from repro.cluster.stream import StreamClosed, connect
 from repro.core.alternative import Alternative
-from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
-from repro.core.selection import OrderedPolicy
-from repro.core.sequential import SequentialExecutor
-from repro.errors import AltBlockFailure, ConsensusUnavailable
-from repro.net.lease import Lease, RaceWarden
+from repro.core.result import AltResult, OverheadBreakdown
+from repro.errors import ConsensusUnavailable
+from repro.net.distributed import HomeLadder, _Assignment
+from repro.net.lease import RaceWarden
 from repro.obs import events as _ev
 from repro.obs.tracer import active as _active_tracer
 from repro.pages.store import PageStore
 from repro.process.primitives import ProcessManager
 from repro.process.process import SimProcess
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.injector import active as _active_injector, suppressed
+
+#: Consecutive failures that open an endpoint's circuit breaker.
+BREAKER_THRESHOLD = 3
+
+#: Seconds an open breaker waits before admitting a half-open probe.
+BREAKER_COOLDOWN = 0.3
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class _Session:
             or len(self.known) + len(unseen) <= _daemon.SESSION_FRAME_BOUND
         )
 
-    def ship(self, assignment: "_Assignment", events, header: dict,
+    def ship(self, assignment: _Assignment, events, header: dict,
              world: _World, unseen: List[int]) -> bool:
         """Register the ship, then send it; ``False`` when it never left."""
         with self._lock:
@@ -244,32 +244,157 @@ class _Session:
             self.stream.close()
 
 
-@dataclass
-class _Assignment:
-    """One incarnation of one arm shipped to one endpoint."""
+class _SocketWire:
+    """The wall clock: the ladder's events are the records the sessions'
+    receivers route onto one queue for the running block."""
 
-    index: int
-    arm: Alternative
-    endpoint: WorkerEndpoint
-    epoch: int
-    lease: Lease
-    session: _Session
-    started: float
-    """Wall instant (relative to block entry) the shipment left home."""
+    page_transport = "socket"
+    sync_latency = 0.0
 
-    ship: int = 0
-    """The id the session minted for this shipment."""
+    def __init__(self, executor: "ClusterExecutor", parent: SimProcess,
+                 block) -> None:
+        self.executor = executor
+        self.block = block
+        self.t0 = time.monotonic()
+        self.deadline = executor.race_timeout
+        self.world = _World.of(parent.space)
+        self.events: "queue.Queue" = queue.Queue()
+        self.semaphore = None
+        if executor.use_consensus:
+            # One decision per block: the voters' grants are sticky, so
+            # a constant id would let only the first block of a daemon's
+            # life reach a majority.  Respawned arms of this block vote
+            # on the same id -- still at most one commits.  The voters
+            # are the live rotation, or the static list when the
+            # membership table has gone fully dark.
+            self.decision = f"{executor.home_id}/{next(executor._runs)}"
+            voters = [e.address for e in executor._rotation()] or [
+                e.address for e in executor.endpoints
+            ]
+            if voters:
+                self.semaphore = ClusterMajoritySemaphore(
+                    voters, requester=executor.home, secret=executor._key
+                )
 
-    stale: bool = False
-    """The warden gave up on this incarnation (lease lapsed or the
-    connection dropped).  The ship stays registered so a zombie's late
-    result still arrives -- and gets fenced."""
+    def now(self) -> float:
+        return time.monotonic() - self.t0
 
-    finished: bool = False
+    def rotation(self) -> List[WorkerEndpoint]:
+        return self.executor._rotation()
+
+    def healthy(self, endpoint: WorkerEndpoint) -> bool:
+        return self.executor._breaker(endpoint).allow()
+
+    def ship(self, assignment: _Assignment, admit) -> Tuple[bool, str]:
+        """Send one ``ship`` record on the endpoint's session, dialling
+        (or replacing a session that cannot take the parent) first."""
+        executor, world = self.executor, self.world
+        endpoint, arm = assignment.node, assignment.arm
+        with executor._lock:
+            session = executor._sessions.get(str(endpoint))
+        if session is not None:
+            unseen = session.unseen(world)
+            if not session.fits(world, unseen):
+                executor._retire(session)
+                session = None
+        if session is None:
+            try:
+                session = executor._dial(endpoint, world, self.block)
+            except (OSError, StreamClosed, AuthError) as exc:
+                executor._note_endpoint_failure(endpoint, f"dial: {exc}")
+                return False, str(exc)
+            unseen = session.unseen(world)
+        assignment.started = self.now()
+        assignment.carrier = session
+        assignment.who = f"{arm.name}@{endpoint.name}"
+        admit(assignment)
+        if not session.ship(assignment, self.events, {
+            "kind": "ship",
+            "alt": arm,
+            "arm": assignment.index,
+            "epoch": assignment.epoch,
+            "seed": executor.seed,
+            "name": arm.name,
+            "hb_interval": executor.warden.lease_interval,
+            "crash_after": assignment.crash_after,
+        }, world, unseen):
+            executor._forget(session)
+            session.stream.close()
+            executor._note_endpoint_failure(endpoint, "ship-send-failed")
+            return False, "ship-send-failed"
+        executor.ships += 1
+        executor.pages_shipped += len(unseen)
+        executor._note_endpoint_success(endpoint)
+        return True, (
+            f"ship {arm.name} onto {endpoint.name} "
+            f"(epoch {assignment.epoch}, ship {assignment.ship})"
+        )
+
+    def next_event(self, until: float):
+        timeout = max(min(until - self.now(), 0.05), 0.001)
+        try:
+            kind, assignment, msg = self.events.get(timeout=timeout)
+        except queue.Empty:
+            return None
+        tracer = _active_tracer()
+        if kind == "drop" and tracer.enabled:
+            tracer.emit(
+                _ev.CONN_DROP,
+                block=self.block,
+                arm=assignment.index,
+                name=assignment.name,
+                epoch=assignment.epoch,
+                ship=assignment.ship,
+                torn=bool(getattr(msg, "torn", False)),
+                detail=str(msg),
+            )
+        return kind, assignment, msg
+
+    def heard(self, assignment: _Assignment) -> None:
+        """Any record -- even a zombie epoch's -- proves the *endpoint*
+        is alive, so the breaker and membership hear about it."""
+        self.executor._note_endpoint_success(assignment.node)
+        if self.executor.membership is not None:
+            self.executor.membership.observe_ping(assignment.name)
+
+    def blame(self, endpoint: WorkerEndpoint, detail: str) -> None:
+        self.executor._note_endpoint_failure(endpoint, detail)
+
+    def lapsed(self, assignment: _Assignment) -> None:
+        """The ship stays registered as fence bait, but its session
+        takes no new ships: the next one probes with a fresh dial."""
+        self.executor._retire(assignment.carrier)
+
+    def vote(self, assignment: _Assignment) -> bool:
+        if self.semaphore is None:
+            raise ConsensusUnavailable("no voting endpoints")
+        return self.semaphore.try_acquire(
+            self.decision, f"arm-{assignment.index}-epoch-{assignment.epoch}"
+        )
+
+    def bring_home(self, assignment: _Assignment, msg: dict) -> float:
+        return 0.0  # the pages rode in the result record
+
+    def kill_at(self, resume_at: float, slot: int) -> float:
+        return self.now()
+
+    def end(self, assignment: _Assignment, cancel: bool) -> None:
+        """Optional ``cancel`` record, then nobody listens for the ship."""
+        assignment.carrier.dismiss(assignment.ship, cancel)
+
+    def overhead(self, winner: _Assignment, at: float, resume_at: float,
+                 ship_home: float) -> OverheadBreakdown:
+        return OverheadBreakdown(
+            setup=winner.started,
+            runtime=winner.duration or 0.0,
+            selection=max(0.0, resume_at - at),
+        )
 
 
-class ClusterExecutor:
+class ClusterExecutor(HomeLadder):
     """Race an alternative block across live worker daemons."""
+
+    backend = "cluster"
 
     def __init__(
         self,
@@ -279,11 +404,8 @@ class ClusterExecutor:
         use_consensus: bool = False,
         race_timeout: float = 15.0,
         connect_timeout: float = 2.0,
-        manager: Optional[ProcessManager] = None,
         membership: Optional[MembershipTable] = None,
         secret=None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 0.3,
     ) -> None:
         if not endpoints and membership is None:
             raise ValueError(
@@ -298,8 +420,6 @@ class ClusterExecutor:
         moment its ``join`` lands -- no executor restart, no home-node
         restart."""
         self._key = load_secret(secret)
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
         self.breakers: Dict[str, CircuitBreaker] = {}
         """Per-endpoint circuit breakers, persisted *across* blocks: a
         corpse discovered in block N is still skipped in block N+1 until
@@ -312,9 +432,7 @@ class ClusterExecutor:
         self.use_consensus = use_consensus
         self.race_timeout = race_timeout
         self.connect_timeout = connect_timeout
-        self.manager = manager if manager is not None else ProcessManager(
-            PageStore()
-        )
+        self.manager = ProcessManager(PageStore())
         self.home = "home"
         self.home_id = f"{self.home}-{secrets.token_hex(6)}"
         """Names this executor to the daemons' voters: two home nodes
@@ -358,14 +476,16 @@ class ClusterExecutor:
                 "late_records": self.late_records,
             }
 
-    def new_parent(self, space_size: int = 64 * 1024) -> SimProcess:
-        """A fresh parent world on the home node."""
-        return self.manager.create_initial(space_size=space_size)
+    def run(
+        self,
+        alternatives: Sequence[Alternative],
+        parent: Optional[SimProcess] = None,
+    ) -> AltResult:
+        """Execute the block, one arm per daemon (round-robin beyond)."""
+        return self._race(alternatives, parent)
 
-    def _rng_for(self, purpose: str, index: int) -> random.Random:
-        """Keyed RNG, the FaultInjector convention: independent of how
-        many draws other arms or earlier incarnations consumed."""
-        return random.Random(f"{self.seed}:{purpose}:{index}")
+    def _transport(self, parent: SimProcess, block) -> _SocketWire:
+        return _SocketWire(self, parent, block)
 
     # ------------------------------------------------------------------
     # endpoint health plumbing
@@ -376,8 +496,8 @@ class ClusterExecutor:
         if breaker is None:
             breaker = CircuitBreaker(
                 name=key,
-                fail_threshold=self.breaker_threshold,
-                cooldown=self.breaker_cooldown,
+                fail_threshold=BREAKER_THRESHOLD,
+                cooldown=BREAKER_COOLDOWN,
             )
             self.breakers[key] = breaker
         return breaker
@@ -387,7 +507,10 @@ class ClusterExecutor:
 
         Membership members (healthy/joining before suspect, never dead)
         lead at their *current* endpoints; statically configured
-        endpoints the table has never heard of trail as a fallback.
+        endpoints the table has never heard of trail as a fallback.  The
+        ladder keys its tried and dead sets by ``name@host:port``, so a
+        daemon that re-joined on a fresh port stays dialable in the race
+        that buried its predecessor.
         """
         if self.membership is None:
             return self.endpoints
@@ -418,373 +541,7 @@ class ClusterExecutor:
         self._breaker(endpoint).record_success()
 
     # ------------------------------------------------------------------
-
-    def run(
-        self,
-        alternatives: Sequence[Alternative],
-        parent: Optional[SimProcess] = None,
-    ) -> AltResult:
-        """Execute the block, one arm per daemon (round-robin beyond)."""
-        if not alternatives:
-            raise ValueError("an alternative block needs at least one arm")
-        parent = parent if parent is not None else self.new_parent()
-        tracer = _active_tracer()
-        block = tracer.next_block() if tracer.enabled else None
-        if tracer.enabled:
-            tracer.emit(
-                _ev.BLOCK_BEGIN,
-                block=block,
-                name=f"alt-block#{block} [cluster]",
-                backend="cluster",
-                arms=len(alternatives),
-                supervised=True,
-            )
-        try:
-            result = self._run_inner(alternatives, parent, block)
-        except AltBlockFailure as exc:
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.BLOCK_END,
-                    block=block,
-                    outcome=type(exc).__name__,
-                    elapsed_seconds=float(getattr(exc, "elapsed", 0.0) or 0.0),
-                )
-            raise
-        if tracer.enabled:
-            tracer.emit(
-                _ev.BLOCK_END,
-                block=block,
-                outcome="won",
-                winner=result.winner.name,
-                elapsed_seconds=result.elapsed,
-            )
-        return result
-
-    # ------------------------------------------------------------------
-
-    def _run_inner(self, alternatives, parent, block) -> AltResult:
-        t0 = time.monotonic()
-        clock = lambda: time.monotonic() - t0  # noqa: E731
-        timeline: List[Tuple[float, str]] = [(0.0, "block entered")]
-        outcomes = [
-            AltOutcome(index=i, name=a.name, status="untried")
-            for i, a in enumerate(alternatives)
-        ]
-        world = _World.of(parent.space)
-        events: "queue.Queue" = queue.Queue()
-        live: List[_Assignment] = []     # lease still governs these
-        stale: List[_Assignment] = []    # kept open for zombie fencing
-        tried: Dict[int, List[str]] = {i: [] for i in range(len(alternatives))}
-        attempts: Dict[int, int] = {i: 0 for i in range(len(alternatives))}
-        dead: Set[str] = set()
-        fenced = 0
-
-        for index, arm in enumerate(alternatives):
-            assignment = self._ship(
-                index, arm, world, tried, attempts,
-                dead, outcomes, timeline, events, clock, block,
-            )
-            if assignment is not None:
-                live.append(assignment)
-
-        winner_msg: Optional[dict] = None
-        winner_assignment: Optional[_Assignment] = None
-        semaphore = decision = None
-        if self.use_consensus:
-            # One decision per run(): the voters' grants are sticky, so
-            # a constant id would let only the first block of a daemon's
-            # life reach a majority.  Retries and respawned arms of this
-            # block vote on the same id -- still at most one commits.
-            decision = f"{self.home_id}/{next(self._runs)}"
-            # The voting population is the live rotation.  With the
-            # membership table fully dark (every member dead, statics
-            # buried with them) fall back to the static list rather
-            # than crash on an empty quorum; with no endpoints at all,
-            # skip the semaphore entirely -- results are then rejected
-            # as consensus-unavailable and the documented ladder
-            # (reroute -> respawn -> serial replay) stays in charge.
-            voters = [e.address for e in self._rotation()] or [
-                e.address for e in self.endpoints
-            ]
-            if voters:
-                semaphore = ClusterMajoritySemaphore(
-                    voters, requester=self.home, secret=self._key
-                )
-        consensus_starved = False
-        tracer = _active_tracer()
-
-        while live and winner_msg is None and clock() < self.race_timeout:
-            wait = min(
-                [a.lease.deadline - clock() for a in live] + [0.05]
-            )
-            try:
-                item = events.get(timeout=max(wait, 0.001))
-            except queue.Empty:
-                item = None
-            now = clock()
-            if item is not None:
-                kind, assignment, payload = item
-                if kind == "hb":
-                    self._on_heartbeat(assignment, payload, now)
-                elif kind == "result":
-                    assignment.finished = True
-                    self._note_endpoint_success(assignment.endpoint)
-                    ok, reason = self._commit_check(assignment, payload)
-                    if ok and self.use_consensus:
-                        if semaphore is None:
-                            timeline.append(
-                                (now, "consensus unavailable: "
-                                      "no voting endpoints")
-                            )
-                            ok, reason = False, "consensus-unavailable"
-                        else:
-                            ok, reason = self._consensus_round(
-                                semaphore, decision, assignment,
-                                timeline, clock,
-                            )
-                        consensus_starved = (
-                            consensus_starved or reason == "consensus-unavailable"
-                        )
-                    if ok:
-                        winner_msg = payload
-                        winner_assignment = assignment
-                        break
-                    self._reject(
-                        assignment, payload, reason, outcomes,
-                        timeline, now, block,
-                    )
-                    if reason in ("stale-epoch-fence", "lease-expired"):
-                        fenced += 1
-                    if (not assignment.stale
-                            and reason not in ("consensus-denied",)):
-                        # A definitive remote failure: the arm is done,
-                        # its lease settles with the race.
-                        live = [a for a in live if a is not assignment]
-                        stale.append(assignment)
-                elif kind == "drop":
-                    self._on_drop(assignment, payload, timeline, now, block)
-                    if not assignment.stale and not assignment.finished:
-                        assignment.stale = True
-                        if not assignment.lease.terminal:
-                            assignment.lease.expire(now)
-                        dead.add(str(assignment.endpoint))
-                        self._note_endpoint_failure(
-                            assignment.endpoint,
-                            f"conn-drop: {payload}",
-                        )
-                        live = [a for a in live if a is not assignment]
-                        stale.append(assignment)
-                        replacement = self._respawn(
-                            assignment, world, tried,
-                            attempts, dead, outcomes, timeline, events,
-                            clock, block,
-                        )
-                        if replacement is not None:
-                            live.append(replacement)
-            # Wall-clock lease sweep: silence past a deadline is death.
-            now = clock()
-            for assignment in list(live):
-                if assignment.lease.terminal or assignment.finished:
-                    continue
-                if now >= assignment.lease.deadline:
-                    assignment.lease.expire(now)
-                    assignment.stale = True
-                    timeline.append((
-                        now,
-                        f"lease of {assignment.arm.name}@"
-                        f"{assignment.endpoint.name} expired "
-                        f"(epoch {assignment.epoch})",
-                    ))
-                    live = [a for a in live if a is not assignment]
-                    stale.append(assignment)  # stays registered: fence bait
-                    # ...but its session takes no new ships: the next
-                    # one probes this endpoint with a fresh dial.
-                    self._retire(assignment.session)
-                    replacement = self._respawn(
-                        assignment, world, tried,
-                        attempts, dead, outcomes, timeline, events,
-                        clock, block,
-                    )
-                    if replacement is not None:
-                        live.append(replacement)
-
-        now = clock()
-        if winner_msg is None:
-            # Nothing committed: cancel anything still running, settle
-            # every lease, then degrade (or fail) exactly like the
-            # simulated executor.
-            for assignment in live + stale:
-                self._dismiss(assignment, cancel=not assignment.finished)
-            self.warden.table.settle(at=now, winner_arm=None)
-            if not self.warden.table.all_settled:  # pragma: no cover
-                raise AssertionError("leases leaked past settle()")
-            reason = self._failure_reason(
-                live, stale, attempts, consensus_starved, now
-            )
-            if self.warden.degrade_to_serial:
-                return self._degrade_serial(
-                    alternatives, parent, outcomes, timeline, now,
-                    reason, block,
-                )
-            error = AltBlockFailure(reason)
-            error.outcomes = outcomes
-            error.elapsed = now
-            error.timeline = sorted(timeline, key=lambda pair: pair[0])
-            raise error
-
-        # ---- winner commit: pages home, losers cancelled --------------
-        assert winner_assignment is not None
-        commit_started = now
-        self._apply_pages(parent, winner_msg.get("dirty_pages") or {})
-        index = winner_assignment.index
-        timeline.append((now, f"{alternatives[index].name} requests sync"))
-        timeline.append((clock(), "parent resumes (state shipped home)"))
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=block,
-                arm=index,
-                name=alternatives[index].name,
-                pages=int(winner_msg.get("pages_written") or 0),
-                sim_time=now,
-                epoch=winner_assignment.epoch,
-                ship=winner_assignment.ship,
-            )
-        outcome = outcomes[index]
-        outcome.status = "won"
-        outcome.value = winner_msg.get("value")
-        outcome.finished_at = now
-        outcome.duration = float(winner_msg.get("duration") or 0.0)
-        outcome.cpu_consumed = outcome.duration
-        outcome.pages_written = int(winner_msg.get("pages_written") or 0)
-        self._dismiss(winner_assignment, cancel=False)
-
-        wasted = 0.0
-        kill_at = clock()
-        for assignment in live + stale:
-            if assignment is winner_assignment:
-                continue
-            if not assignment.finished and not assignment.stale:
-                timeline.append(
-                    (kill_at,
-                     f"kill message to {assignment.endpoint.name}")
-                )
-                if outcomes[assignment.index].status == "untried":
-                    outcomes[assignment.index].status = "eliminated"
-                    outcomes[assignment.index].finished_at = kill_at
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.LOSER_ELIMINATE,
-                        block=block,
-                        arm=assignment.index,
-                        name=alternatives[assignment.index].name,
-                        reason="sibling-won",
-                    )
-            wasted += max(0.0, kill_at - assignment.started)
-            self._dismiss(assignment, cancel=not assignment.finished)
-        self.warden.table.settle(at=clock(), winner_arm=index)
-        if not self.warden.table.all_settled:  # pragma: no cover
-            raise AssertionError("leases leaked past settle()")
-
-        elapsed = clock()
-        overhead = OverheadBreakdown(
-            setup=winner_assignment.started,
-            runtime=float(winner_msg.get("duration") or 0.0),
-            selection=max(0.0, elapsed - commit_started),
-        )
-        return AltResult(
-            value=winner_msg.get("value"),
-            winner=outcome,
-            outcomes=outcomes,
-            elapsed=elapsed,
-            overhead=overhead,
-            wasted_work=wasted,
-            timeline=sorted(timeline, key=lambda pair: pair[0]),
-            page_transport="socket",
-        )
-
-    # ------------------------------------------------------------------
-    # shipping
-
-    def _ship(
-        self, index, arm, world, tried, attempts, dead,
-        outcomes, timeline, events, clock, block,
-    ) -> Optional[_Assignment]:
-        """Ship one incarnation of ``arm``; None when no endpoint works."""
-        while True:
-            endpoint = self._pick_endpoint(index, tried[index], dead)
-            if endpoint is None:
-                outcomes[index].status = "failed"
-                outcomes[index].detail = "no reachable worker node"
-                timeline.append(
-                    (clock(), f"{arm.name}: no reachable worker node")
-                )
-                return None
-            with self._lock:
-                session = self._sessions.get(str(endpoint))
-            if session is not None:
-                unseen = session.unseen(world)
-                if not session.fits(world, unseen):
-                    self._retire(session)
-                    session = None
-            if session is None:
-                try:
-                    session = self._dial(endpoint, world, block)
-                except (OSError, StreamClosed, AuthError) as exc:
-                    tried[index].append(str(endpoint))
-                    dead.add(str(endpoint))
-                    self._note_endpoint_failure(endpoint, f"dial: {exc}")
-                    timeline.append(
-                        (clock(),
-                         f"{arm.name}: ship to {endpoint.name} failed ({exc})")
-                    )
-                    continue
-                unseen = session.unseen(world)
-            started = clock()
-            lease = self.warden.table.grant(
-                endpoint.name, index, at=started,
-                interval=self.warden.lease_interval,
-                timeout=self.warden.lease_timeout,
-            )
-            assignment = _Assignment(
-                index=index,
-                arm=arm,
-                endpoint=endpoint,
-                epoch=lease.epoch,
-                lease=lease,
-                session=session,
-                started=started,
-            )
-            shipped = session.ship(assignment, events, {
-                "kind": "ship",
-                "alt": arm,
-                "arm": index,
-                "epoch": lease.epoch,
-                "seed": self.seed,
-                "name": arm.name,
-                "hb_interval": self.warden.lease_interval,
-                "crash_after": self._crash_after(index),
-            }, world, unseen)
-            if not shipped:
-                # Stale, so that a drop the receiver may already have
-                # queued for it is not answered with a second respawn.
-                assignment.stale = True
-                lease.expire(clock())
-                self._forget(session)
-                session.stream.close()
-                tried[index].append(str(endpoint))
-                dead.add(str(endpoint))
-                self._note_endpoint_failure(endpoint, "ship-send-failed")
-                continue
-            self.ships += 1
-            self.pages_shipped += len(unseen)
-            self._note_endpoint_success(endpoint)
-            timeline.append(
-                (started, f"ship {arm.name} onto {endpoint.name} "
-                          f"(epoch {lease.epoch}, ship {assignment.ship})")
-            )
-            outcomes[index].started_at = started
-            return assignment
+    # sessions
 
     def _dial(self, endpoint: WorkerEndpoint, world: _World,
               block) -> _Session:
@@ -839,79 +596,6 @@ class ClusterExecutor:
         if session.retire():
             self.sessions_retired += 1
 
-    def _respawn(
-        self, lapsed: _Assignment, world, tried, attempts,
-        dead, outcomes, timeline, events, clock, block,
-    ) -> Optional[_Assignment]:
-        """A fresh incarnation on the next endpoint, if respawns remain."""
-        index = lapsed.index
-        tried[index].append(str(lapsed.endpoint))
-        attempts[index] += 1
-        if not self.warden.respawns_left(attempts[index]):
-            outcomes[index].status = "failed"
-            outcomes[index].detail = (
-                f"lease expired (epoch {lapsed.epoch}); respawns exhausted"
-            )
-            return None
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WORKER_RESPAWN,
-                block=block,
-                arm=index,
-                name=lapsed.arm.name,
-                dead_worker=lapsed.endpoint.name,
-                dead_epoch=lapsed.epoch,
-                dead_ship=lapsed.ship,
-                epoch=lapsed.epoch + 1,
-                at=clock(),
-            )
-        return self._ship(
-            index, lapsed.arm, world, tried, attempts,
-            dead, outcomes, timeline, events, clock, block,
-        )
-
-    def _pick_endpoint(
-        self, index: int, tried: List[str], dead: Set[str]
-    ) -> Optional[WorkerEndpoint]:
-        """Round-robin home over the live rotation, breakers respected.
-
-        ``tried``/``dead`` are keyed by the *full* ``name@host:port``
-        string, not the bare name -- a daemon that died and re-joined on
-        a fresh port is a different endpoint and stays dialable in the
-        same race that buried its predecessor.
-        """
-        everyone = self._rotation()
-        if not everyone:
-            return None
-        start = index % len(everyone)
-        rotation = everyone[start:] + everyone[:start]
-        candidates = [
-            e for e in rotation
-            if str(e) not in tried and str(e) not in dead
-        ]
-        for endpoint in candidates:
-            if self._breaker(endpoint).allow():
-                return endpoint
-        # Every candidate's breaker is open.  The degradation ladder is
-        # reroute -> respawn elsewhere -> serial replay; with untried
-        # endpoints still on the table we probe one anyway rather than
-        # fall straight through to the serial floor.
-        return candidates[0] if candidates else None
-
-    def _crash_after(self, index: int) -> Optional[float]:
-        """The injected ``worker-crash`` instant for this arm, if any."""
-        injector = _active_injector()
-        if injector is None:
-            return None
-        rule = injector.draw("worker-crash", index)
-        if rule is None:
-            return None
-        return rule.duration
-
-    # ------------------------------------------------------------------
-    # the receiver side
-
     def _pump(self, session: _Session) -> None:
         """One session's receiver: route its records to the running
         block by ship id, for as long as the connection lives."""
@@ -929,187 +613,6 @@ class ClusterExecutor:
         session.stream.close()
         for assignment, events in waiting:
             events.put(("drop", assignment, ended))
-
-    def _on_heartbeat(self, assignment, msg, now) -> None:
-        # A duplicated or reordered heartbeat is harmless: renew() keeps
-        # the latest instant, and a stale incarnation's beats fall on an
-        # already-terminal lease, which we must not resurrect.
-        # Any heartbeat -- even a zombie epoch's -- proves the *endpoint*
-        # is alive, so the breaker and membership hear about it.
-        self._breaker(assignment.endpoint).record_success()
-        if self.membership is not None:
-            self.membership.observe_ping(assignment.endpoint.name)
-        if assignment.lease.terminal:
-            return
-        if msg.get("epoch") == assignment.epoch:
-            assignment.lease.renew(now)
-
-    def _on_drop(self, assignment, exc, timeline, now, block) -> None:
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.CONN_DROP,
-                block=block,
-                arm=assignment.index,
-                name=assignment.endpoint.name,
-                epoch=assignment.epoch,
-                ship=assignment.ship,
-                torn=bool(getattr(exc, "torn", False)),
-                detail=str(exc),
-            )
-        if not assignment.finished and not assignment.stale:
-            timeline.append(
-                (now,
-                 f"connection to {assignment.endpoint.name} dropped "
-                 f"({'torn' if getattr(exc, 'torn', False) else 'closed'})")
-            )
-
-    # ------------------------------------------------------------------
-    # commit path
-
-    def _commit_check(
-        self, assignment: _Assignment, msg: dict
-    ) -> Tuple[bool, str]:
-        """The epoch fence plus the arm's own verdict."""
-        if not msg.get("ok"):
-            return False, "arm-failed"
-        if assignment.lease.terminal:
-            return False, "lease-expired"
-        if msg.get("epoch") != assignment.epoch:
-            return False, "stale-epoch-fence"
-        if assignment.epoch != self.warden.table.current_epoch(
-                assignment.index):
-            # A newer incarnation superseded this one mid-flight.
-            return False, "stale-epoch-fence"
-        return True, ""
-
-    def _consensus_round(
-        self, semaphore, decision, assignment, timeline, clock
-    ) -> Tuple[bool, str]:
-        requester = f"arm-{assignment.index}-epoch-{assignment.epoch}"
-        try:
-            granted = semaphore.try_acquire(decision, requester)
-        except ConsensusUnavailable as exc:
-            timeline.append((clock(), f"consensus unavailable: {exc}"))
-            return False, "consensus-unavailable"
-        if not granted:
-            return False, "consensus-denied"
-        timeline.append(
-            (clock(),
-             f"majority grant to {requester} "
-             f"({semaphore.quorum} of {len(semaphore.endpoints)})")
-        )
-        return True, ""
-
-    def _reject(
-        self, assignment, msg, reason, outcomes, timeline, now, block
-    ) -> None:
-        tracer = _active_tracer()
-        name = assignment.arm.name
-        if reason in ("stale-epoch-fence", "lease-expired"):
-            timeline.append(
-                (now,
-                 f"zombie {name}@{assignment.endpoint.name} fenced at "
-                 f"winner-commit (epoch {assignment.epoch})")
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.LOSER_ELIMINATE,
-                    block=block,
-                    arm=assignment.index,
-                    name=name,
-                    reason="stale-epoch-fence",
-                    epoch=assignment.epoch,
-                    ship=assignment.ship,
-                )
-        elif reason == "arm-failed":
-            outcomes[assignment.index].status = "failed"
-            outcomes[assignment.index].detail = msg.get("detail") or ""
-            outcomes[assignment.index].finished_at = now
-            outcomes[assignment.index].cpu_consumed = float(
-                msg.get("duration") or 0.0
-            )
-            timeline.append(
-                (now, f"{name}@{assignment.endpoint.name} aborts: "
-                      f"{msg.get('detail')}")
-            )
-        elif reason in ("consensus-denied", "consensus-unavailable"):
-            timeline.append(
-                (now, f"{name} reached sync but was not granted ({reason})")
-            )
-
-    def _dismiss(self, assignment: _Assignment, cancel: bool) -> None:
-        """End one shipment: optional cancel record, then nobody is
-        listening for its ship id any more."""
-        assignment.session.dismiss(assignment.ship, cancel)
-
-    @staticmethod
-    def _apply_pages(parent: SimProcess, dirty: Dict[int, bytes]) -> None:
-        """'The changed state is updated in the parent's storage.'"""
-        page_size = parent.space.page_size
-        for vpn in sorted(dirty):
-            data = dirty[vpn]
-            offset = vpn * page_size
-            length = min(len(data), parent.space.size - offset)
-            if length > 0:
-                parent.space.write(offset, bytes(data[:length]))
-
-    # ------------------------------------------------------------------
-    # failure / degradation
-
-    def _failure_reason(
-        self, live, stale, attempts, consensus_starved, now
-    ) -> str:
-        if consensus_starved:
-            return "consensus quorum unreachable"
-        if now >= self.race_timeout:
-            return f"race timed out after {self.race_timeout:.1f}s"
-        if not live and not stale:
-            return "no worker node was reachable"
-        return "all remote alternatives failed"
-
-    def _degrade_serial(
-        self, alternatives, parent, outcomes, timeline, clock_now,
-        reason, block,
-    ) -> AltResult:
-        """Serial replay at home, faults suppressed -- the last resort."""
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(_ev.DEGRADE, block=block, reason=reason)
-        timeline.append(
-            (clock_now, f"degrading to serial replay at home ({reason})")
-        )
-        executor = SequentialExecutor(
-            policy=OrderedPolicy(),
-            try_all=True,
-            seed=self.seed,
-            manager=self.manager,
-        )
-        try:
-            with suppressed():
-                replay = executor.run(alternatives, parent=parent)
-        except AltBlockFailure as exc:
-            exc.timeline = sorted(
-                timeline
-                + [(clock_now + t, f"[replay] {label}")
-                   for t, label in getattr(exc, "timeline", [])],
-                key=lambda pair: pair[0],
-            )
-            exc.elapsed = clock_now + (getattr(exc, "elapsed", 0.0) or 0.0)
-            raise
-        merged = timeline + [
-            (clock_now + t, f"[replay] {label}")
-            for t, label in replay.timeline
-        ]
-        return AltResult(
-            value=replay.value,
-            winner=replay.winner,
-            outcomes=replay.outcomes,
-            elapsed=clock_now + replay.elapsed,
-            overhead=replay.overhead,
-            wasted_work=replay.wasted_work,
-            timeline=sorted(merged, key=lambda pair: pair[0]),
-        )
 
     def __repr__(self) -> str:
         counters = ", ".join(

@@ -1,46 +1,60 @@
-"""Distributed execution of an alternative block across network nodes.
+"""The home-node ladder: one distributed race, two transports.
 
-Section 4.1 prices the distributed case explicitly:
+Sections 3.4, 4.1 and 5.1 describe one protocol.  The parent image is
+shipped to each remote child; the first child whose guard holds wins an
+at-most-once (optionally majority) semaphore; its dirty pages come home
+(§4.1: "there is more copying to be performed during synchronization,
+as the changed state is updated in the parent's storage"), and its
+siblings get termination messages, "naturally asynchronous".
+:class:`HomeLadder` writes that protocol once, as the steps a home node
+climbs:
 
-- *Memory copying*: 'In the distributed case we must actually copy state
-  for a remote child so that it can read or write locally' -- here, the
-  parent image is checkpointed once and shipped to each worker node;
-- 'There is more copying to be performed during synchronization, as the
-  changed state is updated in the parent's storage' -- the winner's dirty
-  pages travel back over the network before the parent resumes;
-- *Sibling elimination* becomes termination messages with network
-  latency, naturally asynchronous.
+1. ship every arm, round-robin over the workers;
+2. supervise: an ``hb`` renews a lease; a lapse or a ``drop`` expires
+   it, fences that incarnation, and respawns the arm on the next healthy
+   node while ``max_respawns`` lasts;
+3. on each ``result``: the arm's verdict, then the epoch fence, then the
+   optional majority semaphore;
+4. commit the winner's dirty pages;
+5. cancel the losers and settle every lease;
+6. if nothing can commit: degrade to a serial replay at home, or raise.
 
-Each alternative runs on its own node (real concurrency), and the
-synchronization can be a single home-node semaphore or a majority
-consensus across the workers.
+The ladder consumes time-stamped events from a *transport*, and the two
+transports are two interleaving strategies for that one process
+(Bergstra-Middelburg's strategic interleaving, PAPERS.md):
 
-With a :class:`~repro.net.lease.RaceWarden` attached the race is
-*chaos-hardened*: every remote child holds a lease renewed by heartbeats
-over the (possibly faulty) network, a worker whose lease lapses is
-re-spawned on a healthy node under a fresh incarnation epoch, zombies
-are fenced at winner-commit, a mid-race partition is converted into
-loser-elimination instead of escaping as a raw
-:class:`~repro.errors.NetworkError`, and when remote execution cannot
-complete at all the block degrades to a serial replay on the home node
-(the simulated-substrate analogue of PR 2's ``SerialBackend``
-degradation).
+- :class:`_SimulatedWire` (here, behind :class:`DistributedAltExecutor`)
+  derives every event from :func:`~repro.net.rfork.remote_fork`, the
+  :class:`~repro.sim.costs.CostModel` and the faulty
+  :meth:`~repro.net.network.Network.transmit` / ``transfer``, and hands
+  them over in virtual-time order.  It prices setup (checkpoint, ship,
+  restore), selection (sync message, state return) and kills from the
+  model, so a run is deterministic to the last float;
+- the socket transport (:mod:`repro.cluster.executor`, behind
+  ``ClusterExecutor``) hears the same events from worker daemons over
+  TCP sessions on the wall clock.
+
+Without a :class:`~repro.net.lease.RaceWarden` the simulated race is
+unsupervised: no leases, no reroute, no respawn, no degrade -- an arm
+lives and dies with its round-robin node.
 
 Every random decision is drawn from a *keyed* RNG --
-``Random(f"{seed}:{purpose}:{arm}")``, the same convention as the
-:class:`~repro.resilience.FaultInjector` -- so distributed runs replay
-bit-identically under a seed regardless of arm order or respawn count.
+``Random(f"{seed}:{purpose}:{arm}")``, the convention of the
+:class:`~repro.resilience.FaultInjector` -- so a run replays
+bit-identically under a seed whatever the arm order or respawn count.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.consensus.majority import MajorityConsensusSemaphore
 from repro.consensus.node import ConsensusNode
-from repro.consensus.semaphore import SyncSemaphore
 from repro.core.alternative import AltContext, Alternative
 from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
 from repro.core.selection import OrderedPolicy
@@ -53,127 +67,86 @@ from repro.obs import events as _ev
 from repro.obs.tracer import active as _active_tracer
 from repro.process.process import SimProcess
 from repro.resilience.injector import active as _active_injector, suppressed
-from repro.sim.costs import CostModel
 
 #: Size of one heartbeat message on the wire (control traffic).
 HEARTBEAT_BYTES = 64
 
+#: Verdicts the epoch fence gives a stale incarnation's result.
+_FENCED = ("stale-epoch-fence", "lease-expired")
+
 
 @dataclass
-class _RemoteRun:
+class _Assignment:
+    """One incarnation of one arm shipped to one worker."""
+
     index: int
-    node: str
-    process: SimProcess
-    succeeded: bool
-    value: object
-    detail: str
-    duration: float
-    pages_written: int
-    arrival: float
+    arm: Alternative
+    node: object
+    """What the transport ships to: a worker name or an endpoint."""
+
+    name: str
+    """The worker's name, for the timeline."""
+
+    who: str = ""
+    """Who the timeline says aborted: a remote pid or ``arm@worker``."""
+
+    started: float = 0.0
+    """When the body began (simulated) or the ship left home (wall)."""
+
     epoch: int = 0
     lease: Optional[Lease] = None
-    zombie: bool = False
-    """True for an incarnation the warden already declared dead whose
-    body nonetheless ran to completion on the worker: it reaches the
-    selection point only to be fenced."""
+    crash_after: Optional[float] = None
+    """The injected ``worker-crash`` instant, relative to ``started``."""
 
-    @property
-    def completion(self) -> float:
-        return self.arrival + self.duration
+    ship: int = 0
+    """The id a socket session minted for this shipment (0 simulated)."""
+
+    carrier: object = None
+    """The transport's handle: the shipping session, or the instant the
+    simulated child stops (completes or crashes)."""
+
+    duration: Optional[float] = None
+    pages: int = 0
+    pid: Optional[int] = None
+    stale: bool = False
+    """The warden gave up on this incarnation (lease lapsed or its
+    connection dropped).  A zombie's late result still arrives -- and
+    is fenced."""
+
+    finished: bool = False
 
 
-class DistributedAltExecutor:
-    """Race alternatives across workstations instead of local children."""
+class HomeLadder:
+    """The home node's race, written once; subclasses bring a transport.
 
-    def __init__(
-        self,
-        network: Network,
-        home: str,
-        workers: Sequence[str],
-        cost_model: Optional[CostModel] = None,
-        use_consensus: bool = False,
-        seed: int = 0,
-        warden: Optional[RaceWarden] = None,
-    ) -> None:
-        if not workers:
-            raise ValueError("need at least one worker node")
-        self.network = network
-        self.home = home
-        self.workers = list(workers)
-        self.cost_model = (
-            cost_model if cost_model is not None else network.cost_model
-        )
-        self.use_consensus = use_consensus
-        self.seed = seed
-        self.warden = warden
-        network.node(home)  # validate early
-        for worker in self.workers:
-            network.node(worker)
+    A subclass sets ``backend``, ``seed``, ``warden``, ``use_consensus``
+    and ``manager`` (the home node's kernel), and implements
+    ``_transport(parent, block)`` returning a per-block transport that
+    answers:
+
+    - ``now()``, ``deadline``: the block's clock and its race timeout;
+    - ``rotation()``, ``healthy(node)``: where arms may go;
+    - ``ship(assignment, admit)``: ``(True, timeline label)`` or
+      ``(False, why)``; it calls ``admit`` (lease and crash draw) once
+      the arm has somewhere to run;
+    - ``next_event(until)``: the next ``(kind, assignment, msg)`` --
+      ``hb``, ``result`` or ``drop`` -- no later than ``until``, or
+      ``None`` with the clock at ``until``;
+    - ``heard``, ``blame``, ``lapsed``: endpoint evidence and a lapse;
+    - ``vote``, ``sync_latency``, ``bring_home``: the semaphore and the
+      pages' trip home (which may raise :class:`NetworkError`);
+    - ``kill_at``, ``end``, ``overhead``, ``page_transport``: how losers
+      are told and how a commit is priced.
+    """
+
+    backend = ""
 
     def new_parent(self, space_size: int = 64 * 1024) -> SimProcess:
-        """A fresh parent on the home node."""
-        return self.network.node(self.home).manager.create_initial(
-            space_size=space_size
-        )
+        """A fresh parent world on the home node."""
+        return self.manager.create_initial(space_size=space_size)
 
-    @staticmethod
-    def over_sockets(
-        endpoints,
-        seed: int = 0,
-        warden: Optional[RaceWarden] = None,
-        use_consensus: bool = False,
-        **kwargs,
-    ):
-        """The same executor semantics over real TCP worker daemons.
-
-        ``endpoints`` is a sequence of
-        :class:`~repro.cluster.executor.WorkerEndpoint` (or
-        ``(name, host, port)`` tuples) naming live
-        :class:`~repro.cluster.daemon.WorkerDaemon` processes.  The
-        returned :class:`~repro.cluster.executor.ClusterExecutor` keeps
-        this class's contract -- parent state shipped to the remote
-        child (there: once per session, by frame id, only the frames a
-        daemon has not been shown), dirty-page commit, leases with epoch
-        fencing, degrade-to-serial -- with the simulated wire swapped for
-        sockets and the simulated clock for a wall clock.  It holds one
-        connection per daemon; ``close()`` it when done.
-        """
-        from repro.cluster.executor import ClusterExecutor, WorkerEndpoint
-
-        resolved = [
-            endpoint if isinstance(endpoint, WorkerEndpoint)
-            else WorkerEndpoint(*endpoint)
-            for endpoint in endpoints
-        ]
-        return ClusterExecutor(
-            resolved, seed=seed, warden=warden,
-            use_consensus=use_consensus, **kwargs,
-        )
-
-    # ------------------------------------------------------------------
-    # keyed randomness (the FaultInjector convention)
-
-    def _rng_for(self, purpose: str, index: int) -> random.Random:
-        """A per-``(seed, purpose, arm)`` RNG.
-
-        Keyed derivation means the draw an arm sees never depends on how
-        many draws other arms (or earlier incarnations) consumed -- the
-        property that makes a chaos run replay bit-identically.
-        """
-        return random.Random(f"{self.seed}:{purpose}:{index}")
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        alternatives: Sequence[Alternative],
-        parent: Optional[SimProcess] = None,
-    ) -> AltResult:
-        """Execute the block with one alternative per worker node.
-
-        Alternatives beyond the worker count round-robin onto nodes; each
-        still gets its own shipped copy of the parent image.
-        """
+    def _race(self, alternatives: Sequence[Alternative],
+              parent: Optional[SimProcess]) -> AltResult:
         if not alternatives:
             raise ValueError("an alternative block needs at least one arm")
         parent = parent if parent is not None else self.new_parent()
@@ -183,13 +156,15 @@ class DistributedAltExecutor:
             tracer.emit(
                 _ev.BLOCK_BEGIN,
                 block=block,
-                name=f"alt-block#{block} [distributed]",
-                backend="distributed",
+                name=f"alt-block#{block} [{self.backend}]",
+                backend=self.backend,
                 arms=len(alternatives),
                 supervised=self.warden is not None,
             )
+        race = _Race(self, self._transport(parent, block), alternatives,
+                     parent, block)
         try:
-            result = self._run_inner(alternatives, parent, block)
+            result = race.run()
         except AltBlockFailure as exc:
             if tracer.enabled:
                 tracer.emit(
@@ -209,507 +184,700 @@ class DistributedAltExecutor:
             )
         return result
 
-    def _run_inner(
-        self,
-        alternatives: Sequence[Alternative],
-        parent: SimProcess,
-        block: Optional[int],
-    ) -> AltResult:
-        timeline: List[Tuple[float, str]] = [(0.0, "block entered")]
-        outcomes = [
+    def _commit_check(self, assignment: _Assignment,
+                      msg: dict) -> Tuple[bool, str]:
+        """The arm's own verdict, then the incarnation-epoch fence."""
+        if not msg.get("ok"):
+            return False, "arm-failed"
+        if assignment.lease is None:
+            return True, ""
+        if assignment.lease.terminal:
+            return False, "lease-expired"
+        if msg.get("epoch") != assignment.epoch:
+            return False, "stale-epoch-fence"
+        if assignment.epoch != self.warden.table.current_epoch(
+                assignment.index):
+            # A newer incarnation superseded this one mid-flight.
+            return False, "stale-epoch-fence"
+        return True, ""
+
+
+class _Race:
+    """One block on the ladder: the steps, and the state they share."""
+
+    def __init__(self, ladder: HomeLadder, wire, alternatives, parent,
+                 block) -> None:
+        self.ladder = ladder
+        self.wire = wire
+        self.warden = ladder.warden
+        self.alternatives = alternatives
+        self.parent = parent
+        self.block = block
+        self.tracer = _active_tracer()
+        self.timeline: List[Tuple[float, str]] = [(0.0, "block entered")]
+        self.outcomes = [
             AltOutcome(index=i, name=a.name, status="untried")
             for i, a in enumerate(alternatives)
         ]
-        runs, clock = self._ship_and_execute(
-            alternatives, parent, outcomes, timeline, block
-        )
-        result = None
-        if runs:
-            result = self._select(parent, runs, outcomes, timeline, block)
-        if result is not None:
-            return result
-        # Nothing committed remotely: degrade to a home-node serial
-        # replay when a warden allows it, otherwise fail the block.
-        reason = (
-            "no worker node was reachable"
-            if not runs
-            else f"all {len([r for r in runs if not r.zombie])} remote "
-            "alternatives failed"
-        )
-        if self.warden is not None and self.warden.degrade_to_serial:
-            return self._degrade_serial(
-                alternatives, parent, outcomes, timeline, clock, reason, block
+        self.shipped: List[_Assignment] = []
+        self.live: List[_Assignment] = []
+        """Incarnations whose lease (or verdict) still governs the race."""
+        self.latest: Dict[int, _Assignment] = {}
+        self.tried: Dict[int, List[str]] = {
+            i: [] for i in range(len(alternatives))
+        }
+        self.attempts: Dict[int, int] = dict.fromkeys(self.tried, 0)
+        self.dead: Set[str] = set()
+        self.starved = False
+
+    def run(self) -> AltResult:
+        for index, arm in enumerate(self.alternatives):
+            self._ship(index, arm)
+        wire = self.wire
+        now = wire.now()
+        while self.live and now < wire.deadline:
+            until = min(
+                [a.lease.deadline for a in self.live
+                 if a.lease is not None and not a.finished]
+                + [wire.deadline]
             )
-        latest = max((run.completion for run in runs), default=clock)
-        for run in runs:
-            if not run.zombie:
-                outcomes[run.index].cpu_consumed = run.duration
-        if self.warden is not None:
-            # Failure settles too: no lease may outlive its race.
-            self.warden.table.settle(at=latest, winner_arm=None)
-        error = AltBlockFailure(reason)
-        error.outcomes = outcomes
-        error.elapsed = latest
-        error.timeline = timeline
-        raise error
-
-    # ------------------------------------------------------------------
-    # shipping + remote execution (with optional lease supervision)
-
-    def _ship_and_execute(self, alternatives, parent, outcomes, timeline, block):
-        model = self.cost_model
-        warden = self.warden
-        image_bytes = None
-        clock = 0.0
-        runs: List[_RemoteRun] = []
-        dead_nodes: Set[str] = set()
-        for index, arm in enumerate(alternatives):
-            preferred = self.workers[index % len(self.workers)]
-            tried: List[str] = []
-            attempt = 0
-            while True:
-                if warden is None:
-                    # Unsupervised: the arm lives and dies with its
-                    # round-robin node (the PR-0 semantics).
-                    node_name = (
-                        preferred
-                        if preferred not in tried
-                        and self.network.reachable(self.home, preferred)
-                        else None
-                    )
+            event = wire.next_event(until)
+            now = wire.now()
+            if event is not None:
+                kind, assignment, msg = event
+                if kind == "hb":
+                    wire.heard(assignment)
+                    lease = assignment.lease
+                    if (lease is not None and not lease.terminal
+                            and msg.get("epoch") == assignment.epoch):
+                        lease.renew(now)
+                elif kind == "result":
+                    ship_home = self._verdict(assignment, msg, now)
+                    if ship_home is not None:
+                        return self._commit(assignment, msg, now, ship_home)
                 else:
-                    node_name = self._pick_node(
-                        preferred, tried, dead_nodes, clock
-                    )
-                if node_name is None:
-                    outcomes[index].status = "failed"
-                    outcomes[index].detail = (
-                        f"node {preferred} unreachable"
-                        if not tried
-                        else "no reachable worker node"
-                    )
-                    timeline.append(
-                        (clock,
-                         f"{arm.name}: {preferred} unreachable"
-                         if not tried
-                         else f"{arm.name}: no reachable worker node")
-                    )
-                    break
-                try:
-                    forked = remote_fork(
-                        self.network, self.home, node_name, parent,
-                        cost_model=model,
-                    )
-                except NetworkError as exc:
-                    # A partition opened mid-race: contain it here instead
-                    # of letting it unwind the whole block.
-                    tried.append(node_name)
-                    timeline.append(
-                        (clock, f"{arm.name}: ship to {node_name} failed ({exc})")
-                    )
-                    if warden is None:
-                        outcomes[index].status = "failed"
-                        outcomes[index].detail = f"node {node_name} unreachable"
-                        break
-                    continue
-                if image_bytes is None:
-                    image_bytes = forked.image_bytes
-                    clock += forked.checkpoint_time  # checkpoint happens once
-                # Transfers leave the home node serially; restores overlap.
-                clock += forked.transfer_time
-                arrival = clock + forked.restore_time
-                child = forked.process
-                context = AltContext(
-                    child.space,
-                    rng=self._rng_for("ctx", index),
-                    alt_index=index + 1,
-                    name=arm.name,
-                    process=child,
-                )
-                succeeded, value, detail = _run_body(arm, context)
-                duration = (
-                    arm.sample_cost(self._rng_for("cost", index), context)
-                    + arm.guard_cost
-                )
-                pages = child.space.pages_written
-                duration += model.page_copy_time(pages)
-                outcomes[index].pid = child.pid
-                outcomes[index].duration = duration
-                outcomes[index].pages_written = pages
-                outcomes[index].started_at = arrival
-                timeline.append((arrival, f"rfork {arm.name} onto {node_name}"))
-                run = _RemoteRun(
-                    index=index,
-                    node=node_name,
-                    process=child,
-                    succeeded=succeeded,
-                    value=value,
-                    detail=detail,
-                    duration=duration,
-                    pages_written=pages,
-                    arrival=arrival,
-                )
-                if warden is None:
-                    runs.append(run)
-                    break
+                    self._dropped(assignment, msg, now)
+            self._sweep(now)
+        return self._give_up(wire.now())
 
-                # -- supervised: the incarnation runs under a lease -----
-                lease = warden.table.grant(
-                    node_name, index, at=arrival,
-                    interval=warden.lease_interval,
-                    timeout=warden.lease_timeout,
-                )
-                run.lease = lease
-                run.epoch = lease.epoch
-                crash_at = self._crash_instant(index, arrival, duration)
-                alive_until = crash_at if crash_at is not None else run.completion
-                lapse = self._simulate_lease(
-                    lease, node_name, alive_until,
-                    beats_stop=crash_at is not None,
-                )
-                if lapse is None:
-                    runs.append(run)  # lease held through completion
-                    break
-                # The warden declares this incarnation dead at ``lapse``;
-                # the worker-side lease lapses on the same deadline, so an
-                # orphan self-terminates instead of lingering.
-                lease.expire(lapse)
-                clock = max(clock, lapse)
-                timeline.append(
-                    (lapse, f"lease of {arm.name}@{node_name} expired "
-                            f"(epoch {lease.epoch})")
-                )
-                if crash_at is not None:
-                    dead_nodes.add(node_name)
-                    run.succeeded = False
-                    run.detail = "worker crashed mid-arm"
-                elif run.succeeded:
-                    # Zombie: the body finished remotely after home gave up
-                    # on it.  It may still race to the selection point, but
-                    # the epoch fence bars it from committing.
-                    run.zombie = True
-                    runs.append(run)
-                tried.append(node_name)
-                attempt += 1
-                if not warden.respawns_left(attempt):
-                    outcomes[index].status = "failed"
-                    outcomes[index].detail = (
-                        f"lease expired (epoch {lease.epoch}); "
-                        "respawns exhausted"
-                    )
-                    break
-                tracer = _active_tracer()
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.WORKER_RESPAWN,
-                        block=block,
-                        arm=index,
-                        name=arm.name,
-                        dead_worker=node_name,
-                        epoch=lease.epoch,
-                        at=lapse,
-                    )
-        return runs, clock
+    # -- 1. ship ---------------------------------------------------------
 
-    def _pick_node(
-        self,
-        preferred: str,
-        tried: List[str],
-        dead_nodes: Set[str],
-        clock: float,
-    ) -> Optional[str]:
-        """The preferred node, else the next healthy reachable worker."""
-        start = self.workers.index(preferred)
-        rotation = self.workers[start:] + self.workers[:start]
-        for name in rotation:
-            if name in tried or name in dead_nodes:
+    def _ship(self, index: int, arm: Alternative) -> None:
+        """Ship one incarnation of ``arm``, rotating past failed nodes."""
+        while True:
+            node = self._pick_node(index)
+            if node is None:
+                self.outcomes[index].status = "failed"
+                self.outcomes[index].detail = "no reachable worker node"
+                self.timeline.append(
+                    (self.wire.now(), f"{arm.name}: no reachable worker node")
+                )
+                return
+            assignment = _Assignment(
+                index, arm, node, getattr(node, "name", node)
+            )
+            shipped, text = self.wire.ship(assignment, self._admit)
+            if not shipped:
+                assignment.stale = True
+                if assignment.lease is not None:
+                    assignment.lease.expire(self.wire.now())
+                self.dead.add(str(node))
+                self.timeline.append((
+                    self.wire.now(),
+                    f"{arm.name}: ship to {assignment.name} failed ({text})",
+                ))
                 continue
-            if self.network.reachable(self.home, name, at=clock):
-                return name
-        return None
+            outcome = self.outcomes[index]
+            outcome.started_at = assignment.started
+            if assignment.pid is not None:
+                outcome.pid = assignment.pid
+                outcome.duration = assignment.duration
+                outcome.pages_written = assignment.pages
+            self.timeline.append((assignment.started, text))
+            self.shipped.append(assignment)
+            self.live.append(assignment)
+            self.latest[index] = assignment
+            return
 
-    def _crash_instant(
-        self, index: int, arrival: float, duration: float
-    ) -> Optional[float]:
-        """When the ``worker-crash`` fault kills this arm's node."""
+    def _admit(self, assignment: _Assignment) -> None:
+        """Lease the incarnation from ``started`` and draw its crash;
+        the transport calls this once the arm has somewhere to run."""
+        if self.warden is None:
+            return
+        lease = self.warden.table.grant(
+            assignment.name, assignment.index, at=assignment.started,
+            interval=self.warden.lease_interval,
+            timeout=self.warden.lease_timeout,
+        )
+        assignment.lease, assignment.epoch = lease, lease.epoch
         injector = _active_injector()
-        if injector is None:
-            return None
-        rule = injector.draw("worker-crash", index)
-        if rule is None:
-            return None
-        return arrival + min(rule.duration, duration)
+        rule = (
+            injector.draw("worker-crash", assignment.index)
+            if injector is not None else None
+        )
+        assignment.crash_after = None if rule is None else rule.duration
 
-    def _simulate_lease(
-        self,
-        lease: Lease,
-        node: str,
-        alive_until: float,
-        beats_stop: bool,
-    ) -> Optional[float]:
-        """Heartbeat the lease over the faulty wire until ``alive_until``.
+    def _pick_node(self, index: int):
+        """Round-robin home, else the next untried healthy node; with
+        every candidate unhealthy, probe one rather than give up.  An
+        unsupervised arm only ever tries its round-robin home."""
+        everyone = self.wire.rotation()
+        if not everyone:
+            return None
+        start = index % len(everyone)
+        rotation = everyone[start:] + everyone[:start]
+        if self.warden is None:
+            rotation = rotation[:1]
+        candidates = [
+            node for node in rotation
+            if str(node) not in self.tried[index]
+            and str(node) not in self.dead
+        ]
+        for node in candidates:
+            if self.wire.healthy(node):
+                return node
+        return candidates[0] if candidates else None
 
-        Each beat is one :meth:`Network.transmit` (so injected loss,
-        duplication, and partitions apply); arriving beats renew the
-        lease.  Returns the instant the lease lapses, or ``None`` when it
-        holds through ``alive_until`` (and beyond: the claim message is
-        next).  ``beats_stop`` marks a crashed worker whose silence is
-        permanent.
-        """
-        t = lease.granted_at + lease.interval
-        while t <= alive_until + 1e-12:
-            deliveries = self.network.transmit(
-                node,
-                self.home,
-                ("hb", lease.arm, lease.epoch),
-                nbytes=HEARTBEAT_BYTES,
-                at=t,
+    # -- 2. supervise ----------------------------------------------------
+
+    def _sweep(self, now: float) -> None:
+        """Silence past a lease's deadline is death."""
+        for assignment in list(self.live):
+            lease = assignment.lease
+            if lease is None or lease.terminal or assignment.finished:
+                continue
+            if now >= lease.deadline:
+                self.timeline.append((
+                    now,
+                    f"lease of {assignment.arm.name}@{assignment.name} "
+                    f"expired (epoch {assignment.epoch})",
+                ))
+                self._lapse(assignment, now)
+                self.wire.lapsed(assignment)
+                self._respawn(assignment, now)
+
+    def _dropped(self, assignment: _Assignment, exc, now: float) -> None:
+        """The connection under a running ship died."""
+        if assignment.stale or assignment.finished:
+            return
+        torn = "torn" if getattr(exc, "torn", False) else "closed"
+        self.timeline.append(
+            (now, f"connection to {assignment.name} dropped ({torn})")
+        )
+        self._lapse(assignment, now)
+        self.dead.add(str(assignment.node))
+        self.wire.blame(assignment.node, f"conn-drop: {exc}")
+        self._respawn(assignment, now)
+
+    def _lapse(self, assignment: _Assignment, now: float) -> None:
+        assignment.stale = True
+        if assignment.lease is not None and not assignment.lease.terminal:
+            assignment.lease.expire(now)
+        self.live.remove(assignment)
+
+    def _respawn(self, lapsed: _Assignment, now: float) -> None:
+        """A fresh incarnation on the next node, if respawns remain."""
+        index = lapsed.index
+        self.tried[index].append(str(lapsed.node))
+        self.attempts[index] += 1
+        if not self.warden.respawns_left(self.attempts[index]):
+            self.outcomes[index].status = "failed"
+            self.outcomes[index].detail = (
+                f"lease expired (epoch {lapsed.epoch}); respawns exhausted"
             )
-            for delivery in sorted(deliveries, key=lambda d: d.arrive_at):
-                if delivery.arrive_at > lease.deadline:
-                    return lease.deadline  # lapsed before this beat landed
-                lease.renew(delivery.arrive_at)
-            t += lease.interval
-        if beats_stop:
-            return lease.deadline  # silence is forever: certain lapse
-        if lease.deadline < alive_until:
-            return lease.deadline
+            return
+        if self.tracer.enabled:
+            self.tracer.emit(
+                _ev.WORKER_RESPAWN,
+                block=self.block,
+                arm=index,
+                name=lapsed.arm.name,
+                dead_worker=lapsed.name,
+                dead_epoch=lapsed.epoch,
+                dead_ship=lapsed.ship,
+                epoch=lapsed.epoch + 1,
+                at=now,
+            )
+        self._ship(index, lapsed.arm)
+
+    # -- 3. verdict, fence, semaphore --------------------------------------
+
+    def _verdict(self, assignment: _Assignment, msg: dict,
+                 now: float) -> Optional[float]:
+        """How long the pages take to come home when ``assignment`` may
+        commit; ``None`` (and the reason recorded) when it may not."""
+        assignment.finished = True
+        assignment.duration = float(msg.get("duration") or 0.0)
+        self.wire.heard(assignment)
+        ok, reason = self.ladder._commit_check(assignment, msg)
+        if ok and self.ladder.use_consensus:
+            ok, reason = self._vote(assignment, now)
+        if ok:
+            try:
+                return self.wire.bring_home(assignment, msg)
+            except NetworkError as exc:
+                ok, reason = False, f"unreachable at winner-commit: {exc}"
+        self._reject(assignment, msg, reason, now)
+        if not assignment.stale:
+            # Definitive: the arm is done, its lease settles with the race.
+            self.live.remove(assignment)
         return None
 
-    # ------------------------------------------------------------------
-    # selection / commit (epoch-fenced)
+    def _vote(self, assignment: _Assignment, now: float) -> Tuple[bool, str]:
+        try:
+            granted = self.wire.vote(assignment)
+        except ConsensusUnavailable as exc:
+            self.timeline.append((now, f"consensus unavailable: {exc}"))
+            self.starved = True
+            return False, "consensus-unavailable"
+        return (True, "") if granted else (False, "consensus-denied")
 
-    def _select(
-        self, parent, runs, outcomes, timeline, block
-    ) -> Optional[AltResult]:
-        """Pick and commit a winner; ``None`` when nothing could commit."""
-        model = self.cost_model
-        tracer = _active_tracer()
-        ordered = sorted(runs, key=lambda run: run.completion)
-        semaphore = self._make_semaphore()
-        sync_latency = (
-            MajorityConsensusSemaphore(
-                [ConsensusNode(w) for w in self.workers]
-            ).latency(model)
-            if self.use_consensus
-            else model.network_latency + model.sync_latency
-        )
-        winner: Optional[_RemoteRun] = None
-        state_ship = 0.0
-        for run in ordered:
-            name = outcomes[run.index].name
-            if not run.succeeded:
-                if not run.zombie:
-                    outcomes[run.index].status = "failed"
-                    outcomes[run.index].detail = run.detail
-                    outcomes[run.index].finished_at = run.completion
-                    timeline.append(
-                        (run.completion,
-                         f"{run.process.pid} aborts: {run.detail}")
-                    )
-                continue
-            if not self._commit_allowed(run):
-                # The incarnation-epoch fence: a zombie whose lease lapsed
-                # (or that a newer incarnation superseded) must not ship
-                # pages home, however fast it finished.
-                timeline.append(
-                    (run.completion,
-                     f"zombie {name}@{run.node} fenced at winner-commit "
-                     f"(epoch {run.epoch})")
-                )
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.LOSER_ELIMINATE,
-                        block=block,
-                        arm=run.index,
-                        name=name,
-                        reason="stale-epoch-fence",
-                        epoch=run.epoch,
-                    )
-                continue
-            if not self._try_sync(semaphore, run):
-                continue
-            dirty_bytes = run.pages_written * model.page_size
-            try:
-                state_ship = self.network.transfer(
-                    run.node, self.home, dirty_bytes
-                )
-            except NetworkError as exc:
-                # A mid-race partition cut the winner off before its pages
-                # came home.  The commit never happened, so the grant dies
-                # with the partition: re-arm the rendezvous and promote
-                # the next finisher (loser-elimination, not a raw error).
-                outcomes[run.index].status = "failed"
-                outcomes[run.index].detail = (
-                    f"unreachable at winner-commit: {exc}"
-                )
-                outcomes[run.index].finished_at = run.completion
-                outcomes[run.index].cpu_consumed = run.duration
-                timeline.append(
-                    (run.completion + sync_latency,
-                     f"{name} granted sync but partitioned; grant revoked")
-                )
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.LOSER_ELIMINATE,
-                        block=block,
-                        arm=run.index,
-                        name=name,
-                        reason="partitioned-at-commit",
-                    )
-                semaphore = self._make_semaphore()
-                continue
-            winner = run
-            timeline.append(
-                (run.completion, f"{name} requests sync")
+    def _reject(self, assignment: _Assignment, msg: dict, reason: str,
+                now: float) -> None:
+        name = assignment.arm.name
+        outcome = self.outcomes[assignment.index]
+        if reason in _FENCED:
+            self.timeline.append((
+                now,
+                f"zombie {name}@{assignment.name} fenced at winner-commit "
+                f"(epoch {assignment.epoch})",
+            ))
+            self._eliminated(assignment, "stale-epoch-fence",
+                             epoch=assignment.epoch)
+        elif reason.startswith("consensus-"):
+            self.timeline.append(
+                (now, f"{name} reached sync but was not granted ({reason})")
             )
-            break
-        if winner is None:
-            return None
+        elif not assignment.stale:
+            outcome.status = "failed"
+            outcome.finished_at = now
+            outcome.cpu_consumed = assignment.duration
+            if reason == "arm-failed":
+                outcome.detail = msg.get("detail") or ""
+                self.timeline.append(
+                    (now, f"{assignment.who} aborts: {outcome.detail}")
+                )
+            else:
+                # A partition cut the winner off before its pages came
+                # home: the grant dies with it, the next finisher may win.
+                outcome.detail = reason
+                self.timeline.append((
+                    now + self.wire.sync_latency,
+                    f"{name} granted sync but partitioned; grant revoked",
+                ))
+                self._eliminated(assignment, "partitioned-at-commit")
 
-        # Synchronization: the claim message travels home, then 'the
-        # changed state is updated in the parent's storage'.
-        resume_at = winner.completion + sync_latency + state_ship
-        self._apply_remote_state(parent, winner.process)
-        timeline.append(
-            (winner.completion + sync_latency, "sync granted at home")
-        )
-        timeline.append((resume_at, "parent resumes (state shipped home)"))
-        if tracer.enabled:
-            tracer.emit(
+    def _eliminated(self, assignment: _Assignment, reason: str,
+                    **attrs) -> None:
+        if self.tracer.enabled:
+            self.tracer.emit(
+                _ev.LOSER_ELIMINATE,
+                block=self.block,
+                arm=assignment.index,
+                name=assignment.arm.name,
+                reason=reason,
+                ship=assignment.ship or None,
+                **attrs,
+            )
+
+    # -- 4. commit, 5. cancel and settle -----------------------------------
+
+    def _commit(self, winner: _Assignment, msg: dict, at: float,
+                ship_home: float) -> AltResult:
+        wire = self.wire
+        granted = at + wire.sync_latency
+        name = winner.arm.name
+        self.timeline.append((at, f"{name} requests sync"))
+        self.timeline.append((granted, "sync granted at home"))
+        self._apply_pages(self.parent, msg.get("dirty_pages") or {})
+        resume_at = max(granted + ship_home, wire.now())
+        self.timeline.append((resume_at, "parent resumes (state shipped home)"))
+        pages = int(msg.get("pages_written") or 0)
+        if self.tracer.enabled:
+            self.tracer.emit(
                 _ev.WINNER_COMMIT,
-                block=block,
+                block=self.block,
                 arm=winner.index,
-                name=outcomes[winner.index].name,
-                pages=winner.pages_written,
-                sim_time=winner.completion,
+                name=name,
+                pages=pages,
+                sim_time=at,
                 epoch=winner.epoch or None,
+                ship=winner.ship or None,
             )
+        outcome = self.outcomes[winner.index]
+        outcome.status = "won"
+        outcome.value = msg.get("value")
+        outcome.finished_at = at
+        outcome.duration = outcome.cpu_consumed = winner.duration
+        outcome.pages_written = pages
+        wire.end(winner, cancel=False)
 
-        winner_outcome = outcomes[winner.index]
-        winner_outcome.status = "won"
-        winner_outcome.value = winner.value
-        winner_outcome.finished_at = winner.completion
+        losers = sorted(
+            (a for a in self.latest.values()
+             if a is not winner and not a.stale),
+            key=lambda a: a.index,
+        )
         wasted = 0.0
-        losers = [
-            r for r in runs if r is not winner and not r.zombie
-        ]
-        for slot, run in enumerate(losers):
-            kill_at = resume_at + model.network_latency + slot * model.kill_latency
-            if outcomes[run.index].status == "untried":
-                outcomes[run.index].status = "eliminated"
-                outcomes[run.index].finished_at = min(run.completion, kill_at)
-                timeline.append((kill_at, f"kill message to {run.node}"))
-            consumed = min(run.duration, max(0.0, kill_at - run.arrival))
-            outcomes[run.index].cpu_consumed = consumed
-            wasted += consumed
-        for run in (r for r in runs if r.zombie):
-            # A zombie burned its full body before its lease fenced it.
-            wasted += run.duration
-        winner_outcome.cpu_consumed = winner.duration
+        for slot, loser in enumerate(losers):
+            kill_at = wire.kill_at(resume_at, slot)
+            loser_outcome = self.outcomes[loser.index]
+            if loser_outcome.status == "untried":
+                loser_outcome.status = "eliminated"
+                loser_outcome.finished_at = (
+                    kill_at if loser.duration is None
+                    else min(loser.started + loser.duration, kill_at)
+                )
+                self.timeline.append(
+                    (kill_at, f"kill message to {loser.name}")
+                )
+                self._eliminated(loser, "sibling-won")
+            loser_outcome.cpu_consumed = _consumed(loser, kill_at)
+            wasted += loser_outcome.cpu_consumed
+        for assignment in self.shipped:
+            if assignment.stale:
+                # A zombie or a lapsed incarnation burned until now.
+                wasted += _consumed(assignment, resume_at)
+            if assignment is not winner:
+                wire.end(assignment, cancel=not assignment.finished)
         if self.warden is not None:
             self.warden.table.settle(at=resume_at, winner_arm=winner.index)
-
-        overhead = OverheadBreakdown(
-            setup=winner.arrival,  # checkpoint + ship + restore for winner
-            runtime=model.page_copy_time(winner.pages_written),
-            selection=sync_latency + state_ship,
-        )
         return AltResult(
-            value=winner.value,
-            winner=winner_outcome,
-            outcomes=outcomes,
+            value=msg.get("value"),
+            winner=outcome,
+            outcomes=self.outcomes,
             elapsed=resume_at,
-            overhead=overhead,
+            overhead=wire.overhead(winner, at, resume_at, ship_home),
             wasted_work=wasted,
-            timeline=sorted(timeline, key=lambda pair: pair[0]),
+            timeline=sorted(self.timeline, key=lambda pair: pair[0]),
+            page_transport=wire.page_transport,
         )
 
-    def _commit_allowed(self, run: _RemoteRun) -> bool:
-        """The incarnation-epoch fence checked at winner-commit."""
-        if run.lease is None:
-            return True
-        if run.lease.terminal:
-            return False
-        return run.epoch == self.warden.table.current_epoch(run.index)
+    @staticmethod
+    def _apply_pages(parent: SimProcess, dirty: Dict[int, bytes]) -> None:
+        """'The changed state is updated in the parent's storage.'"""
+        page_size = parent.space.page_size
+        for vpn in sorted(dirty):
+            data = dirty[vpn]
+            offset = vpn * page_size
+            length = min(len(data), parent.space.size - offset)
+            if length > 0:
+                parent.space.write(offset, bytes(data[:length]))
 
-    # ------------------------------------------------------------------
-    # degradation
+    # -- 6. degrade or raise ---------------------------------------------
 
-    def _degrade_serial(
-        self, alternatives, parent, outcomes, timeline, clock, reason, block
-    ) -> AltResult:
-        """Replay the block serially on the home node.
-
-        The simulated-substrate analogue of the supervisor's
-        ``SerialBackend`` degradation: arms run one at a time, in order,
-        in fresh COW worlds of the home parent, with the fault injector
-        suppressed (one clean chance before the block concedes).
-        """
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(_ev.DEGRADE, block=block, reason=reason)
-        timeline.append(
-            (clock, f"degrading to serial replay at home ({reason})")
-        )
+    def _give_up(self, now: float) -> AltResult:
+        """Nothing committed: cancel what runs, settle every lease, then
+        replay serially at home -- or fail the block."""
+        for assignment in self.shipped:
+            self.wire.end(assignment, cancel=not assignment.finished)
+        if self.starved:
+            reason = "consensus quorum unreachable"
+        elif now >= self.wire.deadline:
+            reason = f"race timed out after {self.wire.deadline:.1f}s"
+        elif not self.shipped:
+            reason = "no worker node was reachable"
+        else:
+            reason = "all remote alternatives failed"
         if self.warden is not None:
-            # Remote leases settle before the replay touches the parent:
-            # expired stay expired, anything still active is eliminated.
-            self.warden.table.settle(at=clock, winner_arm=None)
+            self.warden.table.settle(at=now, winner_arm=None)
+            if self.warden.degrade_to_serial:
+                return self._degrade_serial(reason, now)
+        error = AltBlockFailure(reason)
+        error.outcomes = self.outcomes
+        error.elapsed = now
+        error.timeline = sorted(self.timeline, key=lambda pair: pair[0])
+        raise error
+
+    def _degrade_serial(self, reason: str, now: float) -> AltResult:
+        """Replay the block serially on the home node, after the last
+        remote verdict: arms one at a time, in order, in fresh COW worlds
+        of the parent, with faults suppressed -- the last resort."""
+        if self.tracer.enabled:
+            self.tracer.emit(_ev.DEGRADE, block=self.block, reason=reason)
+        self.timeline.append(
+            (now, f"degrading to serial replay at home ({reason})")
+        )
         executor = SequentialExecutor(
             policy=OrderedPolicy(),
             try_all=True,
-            seed=self.seed,
-            manager=self.network.node(self.home).manager,
+            seed=self.ladder.seed,
+            manager=self.ladder.manager,
         )
-        try:
-            with suppressed():
-                replay = executor.run(alternatives, parent=parent)
-        except AltBlockFailure as exc:
-            exc.timeline = sorted(
-                timeline
-                + [(clock + t, f"[replay] {label}")
-                   for t, label in getattr(exc, "timeline", [])],
+
+        def merged(replayed):
+            return sorted(
+                self.timeline
+                + [(now + t, f"[replay] {label}") for t, label in replayed],
                 key=lambda pair: pair[0],
             )
-            exc.elapsed = clock + (getattr(exc, "elapsed", 0.0) or 0.0)
+
+        try:
+            with suppressed():
+                replay = executor.run(self.alternatives, parent=self.parent)
+        except AltBlockFailure as exc:
+            exc.timeline = merged(getattr(exc, "timeline", []))
+            exc.elapsed = now + (getattr(exc, "elapsed", 0.0) or 0.0)
             raise
-        merged = timeline + [
-            (clock + t, f"[replay] {label}") for t, label in replay.timeline
-        ]
         return AltResult(
             value=replay.value,
             winner=replay.winner,
             outcomes=replay.outcomes,
-            elapsed=clock + replay.elapsed,
+            elapsed=now + replay.elapsed,
             overhead=replay.overhead,
             wasted_work=replay.wasted_work,
-            timeline=sorted(merged, key=lambda pair: pair[0]),
+            timeline=merged(replay.timeline),
         )
 
-    # ------------------------------------------------------------------
 
-    def _make_semaphore(self):
-        if self.use_consensus:
-            return MajorityConsensusSemaphore(
-                [ConsensusNode(f"sync-{w}") for w in self.workers]
-            )
-        return SyncSemaphore("home")
+def _consumed(assignment: _Assignment, until: float) -> float:
+    """CPU an incarnation burned from its start to ``until``."""
+    spent = max(0.0, until - assignment.started)
+    if assignment.duration is None:
+        return spent
+    return min(assignment.duration, spent)
 
-    def _try_sync(self, semaphore, run: _RemoteRun) -> bool:
+
+# ----------------------------------------------------------------------
+# the simulated transport
+
+
+class _SimulatedWire:
+    """Virtual time: events from ``remote_fork``, the cost model and the
+    faulty network, delivered in time order from one heap.
+
+    Transfers leave the home node one after another; restores overlap.
+    A heartbeat is sent every ``lease_interval`` while the body runs,
+    through :meth:`Network.transmit`, so injected loss, duplication and
+    partitions apply.  The result reaches home at the body's completion;
+    a crashed worker sends nothing more, and is down for the block.
+    """
+
+    page_transport = None
+    deadline = math.inf
+
+    _SEND, _HB, _RESULT = range(3)
+    """Tie order at one instant: beats leave before heartbeats land,
+    and both before a result."""
+
+    def __init__(self, executor: "DistributedAltExecutor",
+                 parent: SimProcess) -> None:
+        self.executor = executor
+        self.network = executor.network
+        self.model = executor.network.cost_model
+        self.parent = parent
+        self.clock = 0.0
+        self.home_free = 0.0
+        """When the home node's link is next free to ship."""
+        self.checkpointed = False
+        self.down: Dict[str, float] = {}
+        self.events: list = []
+        self._order = itertools.count()
+        self.semaphore: Optional[MajorityConsensusSemaphore] = None
+        self.sync_latency = (
+            MajorityConsensusSemaphore(
+                [ConsensusNode(w) for w in executor.workers]
+            ).latency(self.model)
+            if executor.use_consensus
+            else self.model.network_latency + self.model.sync_latency
+        )
+
+    def now(self) -> float:
+        return self.clock
+
+    def rotation(self) -> List[str]:
+        return self.executor.workers
+
+    def _is_down(self, node: str) -> bool:
+        return self.down.get(node, math.inf) <= self.clock
+
+    def healthy(self, node: str) -> bool:
+        return not self._is_down(node) and self.network.reachable(
+            self.executor.home, node, at=self.clock
+        )
+
+    def ship(self, assignment: _Assignment, admit) -> Tuple[bool, str]:
+        """Checkpoint once, ship, restore, and run the body to its
+        verdict now; what the home learns of it arrives as events."""
+        node, index, arm = assignment.node, assignment.index, assignment.arm
+        if self._is_down(node):
+            return False, f"worker {node} is down"
         try:
-            return semaphore.try_acquire("block", run.process.pid)
-        except ConsensusUnavailable:
-            return False
+            forked = remote_fork(
+                self.network, self.executor.home, node, self.parent,
+                cost_model=self.model,
+            )
+        except NetworkError as exc:
+            # A partition opened mid-race: contained, not a raw error.
+            return False, str(exc)
+        start = max(self.home_free, self.clock)
+        if not self.checkpointed:
+            start += forked.checkpoint_time
+            self.checkpointed = True
+        self.home_free = start + forked.transfer_time
+        child = forked.process
+        context = AltContext(
+            child.space,
+            rng=self.executor._rng_for("ctx", index),
+            alt_index=index + 1,
+            name=arm.name,
+            process=child,
+        )
+        succeeded, value, detail = _run_body(arm, context)
+        duration = (
+            arm.sample_cost(self.executor._rng_for("cost", index), context)
+            + arm.guard_cost
+        )
+        pages = child.space.pages_written
+        duration += self.model.page_copy_time(pages)
+        assignment.started = self.home_free + forked.restore_time
+        assignment.duration, assignment.pages = duration, pages
+        assignment.pid = child.pid
+        assignment.who = str(child.pid)
+        admit(assignment)
+        alive_until = assignment.started + duration
+        if assignment.crash_after is not None:
+            alive_until = assignment.started + min(
+                assignment.crash_after, duration
+            )
+            self.down[node] = alive_until
+            assignment.duration = alive_until - assignment.started
+        else:
+            table = child.space.table
+            self._push(alive_until, self._RESULT, "result", assignment, {
+                "ok": succeeded,
+                "value": value,
+                "detail": detail,
+                "epoch": assignment.epoch,
+                "duration": duration,
+                "pages_written": pages,
+                "dirty_pages": {
+                    vpn: table.read_page(vpn) for vpn in table.dirty_pages
+                } if succeeded else {},
+            })
+        assignment.carrier = alive_until
+        if assignment.lease is not None:
+            self._push(
+                assignment.lease.granted_at + assignment.lease.interval,
+                self._SEND, "beat", assignment, None,
+            )
+        return True, f"rfork {arm.name} onto {node}"
 
-    @staticmethod
-    def _apply_remote_state(parent: SimProcess, winner: SimProcess) -> None:
-        """Write the winner's dirty pages into the parent's storage."""
-        table = winner.space.table
-        page_size = winner.space.page_size
-        for vpn in sorted(table.dirty_pages):
-            data = table.read_page(vpn)
-            offset = vpn * page_size
-            length = min(len(data), parent.space.size - offset)
-            if length > 0:
-                parent.space.write(offset, data[:length])
+    def _push(self, at, order, kind, assignment, msg) -> None:
+        heapq.heappush(
+            self.events, (at, order, next(self._order), kind, assignment, msg)
+        )
+
+    def next_event(self, until: float):
+        while self.events and self.events[0][0] <= until:
+            at, _, _, kind, assignment, msg = heapq.heappop(self.events)
+            self.clock = at
+            if kind != "beat":
+                return kind, assignment, msg
+            self._beat(assignment, at)
+        if until < math.inf:
+            self.clock = until
+        return None
+
+    def _beat(self, assignment: _Assignment, at: float) -> None:
+        """One heartbeat over the faulty wire while the body runs."""
+        if assignment.stale or at > assignment.carrier + 1e-12:
+            return
+        lease = assignment.lease
+        for delivery in self.network.transmit(
+            assignment.node, self.executor.home,
+            ("hb", lease.arm, lease.epoch),
+            nbytes=HEARTBEAT_BYTES, at=at,
+        ):
+            self._push(delivery.arrive_at, self._HB, "hb", assignment,
+                       {"epoch": lease.epoch})
+        self._push(at + lease.interval, self._SEND, "beat", assignment, None)
+
+    def heard(self, assignment: _Assignment) -> None:
+        pass
+
+    def blame(self, node, detail: str) -> None:
+        pass
+
+    def lapsed(self, assignment: _Assignment) -> None:
+        pass
+
+    def vote(self, assignment: _Assignment) -> bool:
+        if self.semaphore is None:
+            self.semaphore = MajorityConsensusSemaphore(
+                [ConsensusNode(f"sync-{w}") for w in self.executor.workers]
+            )
+        return self.semaphore.try_acquire("block", assignment.pid)
+
+    def bring_home(self, assignment: _Assignment, msg: dict) -> float:
+        """The dirty pages' trip home; a partition revokes the grant."""
+        try:
+            return self.network.transfer(
+                assignment.node, self.executor.home,
+                assignment.pages * self.model.page_size,
+            )
+        except NetworkError:
+            self.semaphore = None
+            raise
+
+    def kill_at(self, resume_at: float, slot: int) -> float:
+        return (resume_at + self.model.network_latency
+                + slot * self.model.kill_latency)
+
+    def end(self, assignment: _Assignment, cancel: bool) -> None:
+        pass
+
+    def overhead(self, winner: _Assignment, at: float, resume_at: float,
+                 ship_home: float) -> OverheadBreakdown:
+        return OverheadBreakdown(
+            setup=winner.started,  # checkpoint + ship + restore
+            runtime=self.model.page_copy_time(winner.pages),
+            selection=self.sync_latency + ship_home,
+        )
+
+
+class DistributedAltExecutor(HomeLadder):
+    """Race alternatives across simulated workstations."""
+
+    backend = "distributed"
+
+    def __init__(
+        self,
+        network: Network,
+        home: str,
+        workers: Sequence[str],
+        use_consensus: bool = False,
+        seed: int = 0,
+        warden: Optional[RaceWarden] = None,
+    ) -> None:
+        if not workers:
+            raise ValueError("need at least one worker node")
+        self.network = network
+        self.home = home
+        self.workers = list(workers)
+        self.use_consensus = use_consensus
+        self.seed = seed
+        self.warden = warden
+        self.manager = network.node(home).manager  # validates early
+        for worker in self.workers:
+            network.node(worker)
+
+    def run(
+        self,
+        alternatives: Sequence[Alternative],
+        parent: Optional[SimProcess] = None,
+    ) -> AltResult:
+        """Execute the block with one alternative per worker node.
+
+        Alternatives beyond the worker count round-robin onto nodes; each
+        still gets its own shipped copy of the parent image.
+        """
+        return self._race(alternatives, parent)
+
+    def _transport(self, parent: SimProcess, block) -> _SimulatedWire:
+        return _SimulatedWire(self, parent)
+
+    def _rng_for(self, purpose: str, index: int) -> random.Random:
+        """A per-``(seed, purpose, arm)`` RNG: the draw an arm sees never
+        depends on how many draws other arms (or earlier incarnations)
+        consumed."""
+        return random.Random(f"{self.seed}:{purpose}:{index}")

@@ -17,7 +17,6 @@ from repro.core.alternative import Alternative
 from repro.core.selection import OrderedPolicy
 from repro.core.sequential import SequentialExecutor
 from repro.errors import AltBlockFailure
-from repro.net.distributed import DistributedAltExecutor
 from repro.net.lease import RaceWarden
 from repro.obs import events as _ev
 from repro.obs.tracer import tracing
@@ -153,18 +152,6 @@ class TestCleanRace:
         assert _ev.WINNER_COMMIT in kinds
         assert _ev.BLOCK_BEGIN in kinds and _ev.BLOCK_END in kinds
         assert result.page_transport == "socket"
-        parent.space.release()
-
-    def test_over_sockets_factory_builds_a_cluster_executor(self, cluster):
-        daemons, endpoints = cluster
-        executor = DistributedAltExecutor.over_sockets(
-            [(e.name, e.host, e.port) for e in endpoints], seed=3
-        )
-        parent = executor.new_parent()
-        parent.space.put("shared", "base")
-        result = executor.run(one_success_block(), parent=parent)
-        assert result.winner.name == "the-answer"
-        assert result.value == 42
         parent.space.release()
 
 
