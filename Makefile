@@ -12,7 +12,9 @@ test:
 
 ## test-fast: the fast CI lane -- skips tests marked `slow` (the
 ## cross-backend equivalence matrix, fault-injection races, and other
-## fork-heavy suites); finishes in a few seconds.
+## fork-heavy suites); finishes in a few seconds.  It still checks the
+## world pool: every reachable state of its pure lease ledger
+## (tests/process/test_lease_ledger.py) is enumerated here.
 test-fast:
 	$(PYTHON) -m pytest tests/ -q -m "not slow"
 
@@ -83,7 +85,9 @@ test-check:
 ## faulted arm's for the reaper, a nested pool, 16/1024/16-page spaces,
 ## the bounded spare set, shutdown under a pin; plus the
 ## lease/win/lose/kill/detach/drain/deadline/exit/shutdown state
-## machine) and the detached leases' (TestDetachedLeases: fifty blocks
+## machine on real workers, reading the pool's LeaseLedger -- whose
+## every reachable state test_lease_ledger.py enumerates without a
+## process) and the detached leases' (TestDetachedLeases: fifty blocks
 ## settled by the pool, a late loser's slab kept until its record is
 ## read, a deaf loser killed at its deadline by lease, drain and
 ## shutdown, ship faults and a stale epoch on a detached arm, a retired
@@ -100,15 +104,17 @@ test-matrix-pooled:
 
 ## test-server: the multi-tenant race-server battery -- the
 ## admission/DRR Hypothesis state machine, server basics, the lease
-## ledger under concurrent races, the concurrent equivalence matrix,
-## and the worker-assassination soak.  REPRO_SERVER_SEED varies the
+## ledger enumerated (every reachable state) and under concurrent
+## races, the concurrent equivalence matrix, and the
+## worker-assassination soak.  REPRO_SERVER_SEED varies the
 ## soak's kill schedule; any schedule must leave results untouched.
 ## Per-test timeout when pytest-timeout is available (a hang here
 ## means a stuck dispatcher or an unfinished ticket).
 REPRO_SERVER_SEED ?= 0
 test-server:
 	REPRO_SERVER_SEED=$(REPRO_SERVER_SEED) $(PYTHON) -m pytest \
-		tests/server tests/process/test_pool_concurrency.py -q \
+		tests/server tests/process/test_lease_ledger.py \
+		tests/process/test_pool_concurrency.py -q \
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=180 --timeout-method=thread")
 
 bench-smoke:

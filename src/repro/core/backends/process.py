@@ -323,6 +323,27 @@ races beside two busy nice-0 processes on two cores ran more than
 twice as slow."""
 
 
+def fork_child(body) -> int:
+    """Fork a child that runs ``body()`` and never returns; its pid.
+
+    SIGTERM stays blocked across the fork until the child has its
+    handler (``body`` unblocks it), so a child told before it got that
+    far hears the bell instead of dying of the default disposition.  The
+    calling thread's mask comes back even when the fork raises.
+    """
+    old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                body()
+            finally:  # pragma: no cover - body never returns
+                os._exit(_EXIT_SHIP_FAILED)
+        return pid
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
+
+
 def lower_arm_priority() -> None:
     """Drop the calling arm process :data:`ARM_NICE_STEP` below where it
     was born (once per forked arm or pooled worker, never per lease, so
@@ -404,7 +425,6 @@ class ProcessBackend(ExecutionBackend):
         self,
         kill_grace: float = 2.0,
         pool=None,
-        page_transport: str = "auto",
     ) -> None:
         if not hasattr(os, "fork"):
             raise RuntimeError(
@@ -412,27 +432,14 @@ class ProcessBackend(ExecutionBackend):
             )
         if kill_grace < 0:
             raise ValueError("kill_grace cannot be negative")
-        if page_transport not in ("auto", "shm", "pipe"):
-            raise ValueError(
-                f"page_transport must be 'auto', 'shm', or 'pipe', "
-                f"not {page_transport!r}"
-            )
         self.kill_grace = kill_grace
         self.pool = pool
         """An attached :class:`~repro.process.pool.WorldPool` (or ``None``
         to fork every arm fresh)."""
 
-        self.page_transport = page_transport
         self._race_pids: Dict[int, int] = {}
         self._race_seen: Set[int] = set()
         self._race_leases: Dict[int, object] = {}
-
-    def resolved_transport(self) -> str:
-        """The transport this backend will actually use: shm when asked
-        for (or probing ``auto`` finds) working shared memory, else pipe."""
-        if self.page_transport == "pipe":
-            return "pipe"
-        return "shm" if shm_available() else "pipe"
 
     # ------------------------------------------------------------------
 
@@ -456,7 +463,7 @@ class ProcessBackend(ExecutionBackend):
         self._race_pids = pids
         self._race_seen = seen
         self._race_leases = leases
-        use_shm = self.resolved_transport() == "shm"
+        use_shm = shm_available()
         tracer = _active_tracer()
         race: Optional[BackendRace] = None
         try:
@@ -498,28 +505,17 @@ class ProcessBackend(ExecutionBackend):
                 if lease is not None:
                     continue
                 read_fd, write_fd = os.pipe()
-                # SIGTERM stays blocked across the fork until the child
-                # has its bell, so a loser told before it got that far is
-                # cancelled, not killed by the default disposition.
-                old_mask = signal.pthread_sigmask(
-                    signal.SIG_BLOCK, {signal.SIGTERM}
-                )
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        # Child: drop every parent-side read end inherited.
-                        try:
-                            os.close(read_fd)
-                            for sibling_fd in pipes.values():
-                                os.close(sibling_fd)
-                            self._child_main(
-                                task, write_fd, start, pre_fault,
-                                ship_fault, slab,
-                            )
-                        finally:  # pragma: no cover - never returns
-                            os._exit(_EXIT_SHIP_FAILED)
-                finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
+
+                def child() -> None:
+                    # Drop every parent-side read end inherited.
+                    os.close(read_fd)
+                    for sibling_fd in pipes.values():
+                        os.close(sibling_fd)
+                    self._child_main(
+                        task, write_fd, start, pre_fault, ship_fault, slab,
+                    )
+
+                pid = fork_child(child)
                 os.close(write_fd)
                 pids[task.index] = pid
                 pipes[task.index] = read_fd

@@ -550,19 +550,7 @@ class RaceServer:
                 "empty_takes": int(self._empty_takes.value),
             }
         if self._pool is not None:
-            stats["pool"] = {
-                "leases": self._pool.leases_granted,
-                "fallbacks": self._pool.fallbacks,
-                "respawns": self._pool.respawns,
-                "published_pages": self._pool.pages_published,
-                "arena_rotations": self._pool.arena_rotations,
-                "response_slabs_created": self._pool.response_slabs_created,
-                "response_slabs_reused": self._pool.response_slabs_reused,
-                "parked": self._pool.parked,
-                "inflight": self._pool.inflight,
-                "draining": self._pool.draining,
-                "drained_parked": self._pool.drained_parked,
-                "drained_recycled": self._pool.drained_recycled,
-                "told_before_start": self._pool.told_before_start,
-            }
+            # One reading, and no drain turn: a scrape settles, kills and
+            # forks nothing.
+            stats["pool"] = self._pool.stats()
         return stats

@@ -26,6 +26,7 @@ from repro.obs import events as ev
 from repro.obs.tracer import Tracer, tracing
 from repro.pages.address_space import AddressSpace
 from repro.pages.store import PageStore
+from repro.process.ledger import DIRTY, DRAINING, PARKED
 from repro.process.pool import WorldPool
 
 import os
@@ -191,16 +192,25 @@ class TestLeaseLedger:
         assert pool.parked == pool.size
 
     def test_a_lease_waits_for_the_worker_a_drainer_is_settling(self):
-        """The drainer takes a settled worker out of the draining ledger
-        before it parks it; a lease that looks in between, with nobody
-        parked and nothing left draining, waits for the park instead of
-        forking (a pool as wide as its callers never forks)."""
+        """The drainer has settled a worker and its heir is being forked:
+        the worker is in no hand a lease can take.  A lease that looks
+        then, with nobody parked and nothing left draining, waits for
+        the heir instead of forking (a pool as wide as its callers never
+        forks)."""
         pool = WorldPool(size=1)
+        ledger = pool._ledger
         try:
-            worker = pool._workers[0]
-            with pool._lock:  # mid-settlement: in no ledger, not parked
-                pool._drainer = True
-                worker.busy = True
+            with pool._lock:  # mid-settlement: dead, its heir not born
+                epoch = ledger.grant(time.monotonic())
+                worker = ledger.holder(epoch).proc
+                assert ledger.cancel(epoch, time.monotonic(), 30.0)
+                assert ledger.detach(epoch, None, None)
+                assert ledger.take_drain()
+                assert ("respawn", 0) in ledger.heard(
+                    epoch, time.monotonic(), DIRTY
+                )
+                assert ledger.count(PARKED) == 0
+                assert ledger.count(DRAINING) == 0
             got = []
             leaser = threading.Thread(
                 target=lambda: got.append(
@@ -210,9 +220,9 @@ class TestLeaseLedger:
             leaser.start()
             time.sleep(0.2)
             assert leaser.is_alive()  # waiting, not forking
-            pool._park(worker)
-            with pool._moved:
-                pool._drainer = False
+            with pool._moved:  # the heir is the same process, reborn
+                ledger.born(0, worker)
+                ledger.release_drain()
                 pool._moved.notify_all()
             leaser.join(timeout=10.0)
             assert not leaser.is_alive()

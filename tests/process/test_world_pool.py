@@ -49,6 +49,7 @@ from repro.pages.shm import (
 )
 from repro.pages.store import PageStore
 from repro.process import pool as pool_module
+from repro.process.ledger import DRAINING, LEASED, PARKED
 from repro.process.pool import (
     RESPONSE_SPARE_SLABS,
     WorldPool,
@@ -428,7 +429,7 @@ class TestArena:
             # Drops the frames adopted from the winners' response slabs.
             parent.space.release()
         # The live arena and the response slabs; no retired arena.
-        assert pool._arena.slab.name in assert_only_the_pools_own(
+        assert pool._ledger.arena.slab.name in assert_only_the_pools_own(
             pool, segments
         )
         pool.shutdown()
@@ -459,7 +460,7 @@ class TestArena:
         assert pool.parked == pool.size
         parent.space.release()
         # The arena and the response slabs, nothing of the dead worker's.
-        assert pool._arena.slab.name in assert_only_the_pools_own(
+        assert pool._ledger.arena.slab.name in assert_only_the_pools_own(
             pool, segments
         )
         pool.shutdown()
@@ -695,7 +696,8 @@ def record_leases(pool, monkeypatch):
 
 
 def response_segments(pool, before):
-    arena = pool._arena.slab.name if pool._arena is not None else None
+    arena = pool._ledger.arena
+    arena = None if arena is None else arena.slab.name
     return new_segments(before) - {arena}
 
 
@@ -791,8 +793,9 @@ class TestResponseSlabs:
                 if index == 0 and lease.pid == pid:
                     refs_at_reap.append(
                         next(
-                            w.slab.refs for w in pool._workers
-                            if w.pid == pid
+                            w.slab.refs
+                            for w in pool._ledger.workers.values()
+                            if w.proc.pid == pid
                         )
                     )
             return waitpid(pid, options)
@@ -818,7 +821,8 @@ class TestResponseSlabs:
         assert lost.pid not in pool.worker_pids()
         assert lost.slab.closed
         heir = next(
-            w for w in pool._workers if w.slab.name == lost.slab.name
+            w for w in pool._ledger.workers.values()
+            if w.slab.name == lost.slab.name
         )
         assert heir.slab.refs == 1
         second = executor.new_parent()
@@ -838,11 +842,19 @@ class TestResponseSlabs:
         pinning = executor.new_parent()
         executor.run(rewrite_block(), parent=pinning)
         executor.run(rewrite_block(), parent=executor.new_parent())
-        assert pool._spares  # ours has slabs now, one of them set aside
+        assert pool._ledger.spares  # ours has slabs now, one of them set aside
         # Workers forked *now* inherit this pool, slabs and all, as a
         # forked arm or a nested race would.
-        for worker in list(pool._workers):
-            pool._replace(worker)
+        space = AddressSpace(PageStore(PAGE), SPACE)
+        leases = {
+            index: pool.lease(
+                handmade_task(space, _WritesPage(0, index), index=index),
+                time.perf_counter(),
+            )
+            for index in range(pool.size)
+        }
+        pool.finish(leases, clean=set())  # recycled: every worker an heir
+        space.release()
         ours = {slab.name for slab in pool.owned_slabs()}
         assert len(ours) == 3
         parent = executor.new_parent()
@@ -1006,7 +1018,8 @@ def runs_of(path):
 
 
 def draining_workers(pool):
-    return [record.worker for record in pool._draining.values()]
+    """The draining workers' ledger entries: state, process, slab."""
+    return list(pool._ledger.epochs(DRAINING).values())
 
 
 def three_arm_block():
@@ -1087,7 +1100,7 @@ class TestDetachedLeases:
         assert pool.draining == 1
         (worker,) = draining_workers(pool)
         lost = next(lease for index, lease in granted if index == 1)
-        assert lost.pid == worker.pid
+        assert lost.pid == worker.proc.pid
         # Still somebody's: the handle is in the pool's custody, open.
         assert not lost.slab.closed
         assert worker.slab.name == lost.slab.name and worker.slab.refs == 2
@@ -1096,12 +1109,13 @@ class TestDetachedLeases:
         other = executor.new_parent()
         executor.run(block[:1], parent=other)
         assert lost.slab.name not in {lease.slab.name for _, lease in granted}
-        assert pool.draining == 1 and worker.busy
+        assert pool.draining == 1 and worker.state == DRAINING
         pool.drain()
         # It ran to the end and shipped every page -- into a slab nobody
         # had been lent meanwhile; the record was intact, the worker parks.
         assert (pool.drained_parked, pool.drained_recycled) == (1, 0)
-        assert pool.respawns == 0 and not worker.busy
+        assert pool.respawns == 0
+        assert worker.state == PARKED
         assert lost.slab.closed and worker.slab.refs == 1
         shipped = [
             worker.slab.read_slot(slot)[:5] for slot in range(LATE_PAGES + 8)
@@ -1119,9 +1133,7 @@ class TestDetachedLeases:
         never silent, reads it to the end, and parks it."""
         started = str(tmp_path / "started")
         executor = ConcurrentExecutor(
-            backend=ProcessBackend(
-                kill_grace=0.4, pool=pool, page_transport="pipe"
-            ),
+            backend=ProcessBackend(kill_grace=0.4, pool=pool),
             space_size=BIG_SPACE,
         )
         block = [
@@ -1131,7 +1143,8 @@ class TestDetachedLeases:
             ),
         ]
         parent = executor.new_parent()
-        result = executor.run(block, parent=parent)
+        with injected(FaultInjector(seed=0).shm_attach_fail(times=None)):
+            result = executor.run(block, parent=parent)
         assert result.value == ("quick", 0)
         assert os.path.exists(started)
         assert result.page_transport == "pipe"
@@ -1141,8 +1154,9 @@ class TestDetachedLeases:
         assert pool.draining == 1
         assert pool.drain()
         assert (pool.drained_parked, pool.drained_recycled) == (1, 0)
-        assert pool.respawns == 0 and not worker.busy
-        assert worker.pid in pool.worker_pids()
+        assert pool.respawns == 0
+        assert worker.state == PARKED
+        assert worker.proc.pid in pool.worker_pids()
         assert observe(result, parent) == seen
         assert "late" not in parent.space.names()
 
@@ -1165,7 +1179,7 @@ class TestDetachedLeases:
         began = time.perf_counter()
         assert executor.run(block, parent=parents[0]).value == ("quick", 0)
         assert os.path.exists(started)
-        (victim,) = draining_workers(pool)
+        (victim,) = [w.proc for w in draining_workers(pool)]
         if enforcer == "lease":
             # Two arms, one parked worker: the second lease waits for
             # the deadline, replaces the victim, and does not fork.
@@ -1203,7 +1217,7 @@ class TestDetachedLeases:
         with injected(injector):
             result = executor.run(rewrite_block(), parent=executor.new_parent())
         assert result.value == ("quick", 0)
-        victims = draining_workers(pool)
+        victims = [w.proc for w in draining_workers(pool)]
         pool.drain()
         # The faulted record was the detached loser's, not one the race
         # read (then ``finish`` would have recycled, and this is moot).
@@ -1285,11 +1299,11 @@ class TestDetachedLeases:
         ]
         executor.run(block, parent=five)
         assert os.path.exists(started)
-        retired = pool._arena.slab.name
+        retired = pool._ledger.arena.slab.name
         assert pool.draining == 1
         executor.run(block[:1], parent=six)
         assert pool.arena_rotations == 1
-        assert pool._arena.slab.name != retired
+        assert pool._ledger.arena.slab.name != retired
         assert pool.draining == 1  # still out, still pinning it
         assert retired in own_segments()
         pool.drain()
@@ -1539,19 +1553,23 @@ class ResponseSlabMachine(RuleBasedStateMachine):
         self.expired = []  # deaf leases handed over with no time left
         self.detached = {}  # epoch -> lease, for every lease ever detached
         self.settles = {}  # epoch -> times the pool settled it
-        settle_drained = self.pool._settle_drained
+        settle = self.pool._ledger.settle
 
-        def counting(epoch, record, recycle):
-            self.settles[epoch] = self.settles.get(epoch, 0) + 1
-            return settle_drained(epoch, record, recycle)
+        def counting(epoch, outcome, detached=False):
+            actions = settle(epoch, outcome, detached)
+            if detached and actions:
+                self.settles[epoch] = self.settles.get(epoch, 0) + 1
+            return actions
 
-        self.pool._settle_drained = counting
+        self.pool._ledger.settle = counting
 
     def teardown(self):
         for space in self.spaces:
             space.release()
         # A detached lease's handle is the pool's to dispose.
-        kept = {id(r.lease.slab) for r in self.pool._draining.values()}
+        kept = {
+            id(r.handle) for r in self.pool._ledger.epochs(DRAINING).values()
+        }
         for handle in self.handles:
             if id(handle) not in kept:
                 handle.dispose()
@@ -1607,7 +1625,9 @@ class ResponseSlabMachine(RuleBasedStateMachine):
         assert lease.slab.name not in self.referenced()
         assert lease.slab.slots == self.PAGES
         # A draining worker is never leased.
-        assert lease.pid not in {w.pid for w in draining_workers(self.pool)}
+        assert lease.pid not in {
+            w.proc.pid for w in draining_workers(self.pool)
+        }
         self.handles.append(lease.slab)
         self.outstanding += 1
         lease.world = world
@@ -1639,7 +1659,10 @@ class ResponseSlabMachine(RuleBasedStateMachine):
             return self.abandon(lease)
         assert self.pool.cancel(lease, grace)
         self.pool.finish({lease.index: lease}, set(), detached={lease.index})
-        assert lease.epoch in self.pool._draining or lease.epoch in self.settles
+        assert (
+            lease.epoch in self.pool._ledger.epochs(DRAINING)
+            or lease.epoch in self.settles
+        )
         self.detached[lease.epoch] = lease
         self.outstanding -= 1
         lease.world.release()
@@ -1718,18 +1741,21 @@ class ResponseSlabMachine(RuleBasedStateMachine):
         self.silence_the_deaf()
         self.pool.shutdown()
         self.closed = True
-        assert not self.pool._draining
+        assert not self.pool._ledger.epochs(DRAINING)
 
     # -- invariants --------------------------------------------------------
 
     @invariant()
     def a_detached_lease_is_the_pools_until_settled_once(self):
         pool = self.pool
-        assert not set(pool._draining) & set(pool._active)
-        assert set(pool._draining) <= set(self.detached)
-        for epoch, record in pool._draining.items():
-            # Busy, so never leased; handle open, so its slab never lent.
-            assert record.worker.busy
+        ledger = pool._ledger
+        draining = ledger.epochs(DRAINING)
+        assert not set(draining) & set(ledger.epochs(LEASED))
+        assert set(draining) <= set(self.detached)
+        for epoch, worker in draining.items():
+            # Not parked, so never leased; handle open, so its slab
+            # never lent.
+            assert worker.state != PARKED
             assert not self.detached[epoch].slab.closed
             assert epoch not in self.settles
         assert all(count == 1 for count in self.settles.values())
@@ -1739,8 +1765,8 @@ class ResponseSlabMachine(RuleBasedStateMachine):
 
     @invariant()
     def segments_are_bounded_and_names_are_new(self):
-        if self.pool._arena is not None:
-            self.arenas.add(self.pool._arena.slab.name)
+        if self.pool._ledger.arena is not None:
+            self.arenas.add(self.pool._ledger.arena.slab.name)
         live = own_segments() - self.baseline
         assert not live & self.gone  # names never reused
         self.gone |= self.seen - live

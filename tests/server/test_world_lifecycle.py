@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.alternative import Alternative
 from repro.pages.shm import live_slab_count, orphaned_segments, shm_available
+from repro.process.ledger import LEASED
 from repro.process.pool import RESPONSE_SPARE_SLABS, WorldPool
 from repro.server import RaceServer, ServerConfig
 
@@ -150,7 +151,7 @@ class TestWorldDiesWithItsTicket:
         while pool.inflight < 2:
             assert time.monotonic() < deadline, "arms never leased"
             time.sleep(0.005)
-        victim = next(w.pid for w in pool._workers if w.busy)
+        victim = next(iter(pool._ledger.epochs(LEASED).values())).proc.pid
         os.kill(victim, signal.SIGKILL)
         # Whichever arm survives (or is re-run) wins with the same value.
         assert ticket.result(timeout=60.0) == "k"
@@ -195,3 +196,27 @@ class TestDrainKeepsItsTimeout:
         assert server.drain(timeout=30.0) is True
         assert server.stats()["pool"]["draining"] == 0
         assert pool.drained_parked >= 1 and pool.respawns == 0
+
+
+class TestAScrapeIsOneReading:
+    def test_a_scrape_settles_kills_and_forks_nothing(self, audited_server):
+        """``stats()`` reads one ledger snapshot, under one lock and with
+        no drain turn: a detached loser whose deadline has lapsed is left
+        to the next lease, ``finish`` or ``drain`` -- the scrape neither
+        kills it nor forks its heir."""
+        server, pool, _audit = audited_server
+        block = [
+            Alternative("quick", body=_Writes("quick", seconds=0.2)),
+            Alternative("deaf", body=_SleepsThroughIt(30.0)),
+        ]
+        assert server.submit("tenant", block).result(timeout=60.0) == "quick"
+        pids = pool.worker_pids()
+        time.sleep(2.5)  # past the backend's default kill_grace of 2 s
+        stats = server.stats()["pool"]
+        assert (stats["draining"], stats["respawns"]) == (1, 0)
+        assert stats["parked"] + stats["draining"] == pool.size
+        assert pool.worker_pids() == pids
+        assert pool.respawns == 0
+        assert pool.drain(timeout=30.0)
+        assert (pool.respawns, pool.drained_recycled) == (1, 1)
+        assert pool.worker_pids() != pids
