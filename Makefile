@@ -184,18 +184,20 @@ bench-e2e-smoke:
 
 ## paper-goldens: the paper tables the cost-model race produces (Figure 2,
 ## Table 1, the crossover, wasted work, recovery blocks, OR-parallel
-## Prolog) and the remote fork with the simulated distributed race's
-## section 4.1 setup/runtime/selection decomposition (M2), regenerated
+## Prolog), the remote fork with the simulated distributed race's
+## section 4.1 setup/runtime/selection decomposition (M2), and the
+## simulated COW fork's pages copied and priced response (M1), regenerated
 ## and required byte-identical to the committed copies -- a change to
-## the model race, the home-node ladder or their pricing shows here.
+## the model race, the home-node ladder, the page tables' fork or their
+## pricing shows here.
 PAPER_GOLDENS := F2_timeline T1_table1_pi W1_crossover W2_wasted_work \
-	A1_recovery_blocks A2_prolog_or M2_rfork
+	A1_recovery_blocks A2_prolog_or M2_rfork M1_cow_overhead
 paper-goldens:
 	$(PYTHON) -m pytest -q --benchmark-disable \
 		benchmarks/bench_fig2_timeline.py benchmarks/bench_table1_pi.py \
 		benchmarks/bench_crossover.py benchmarks/bench_wasted_work.py \
 		benchmarks/bench_recovery_blocks.py benchmarks/bench_prolog_or.py \
-		benchmarks/bench_rfork_remote.py
+		benchmarks/bench_rfork_remote.py benchmarks/bench_overhead_cow.py
 	git diff --exit-code -- $(PAPER_GOLDENS:%=benchmarks/results/%.txt)
 
 ## bench: regenerate every paper table/figure (slow).

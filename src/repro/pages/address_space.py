@@ -274,6 +274,26 @@ class AddressSpace:
         )
         return tuple(zip(*live)) if live else ((), ())
 
+    def image_frames(self) -> Tuple[tuple, tuple]:
+        """``(vpns, frame ids)``, in page order, of every non-zero page
+        of the frozen image this space's table shares, within the space
+        and whatever the table itself hides of it; ``((), ())`` without
+        an image.  What a world pool publishes once per image: together
+        with the table's overlay and hidden pages it is the space's
+        :meth:`nonzero_frames`.
+        """
+        image = self.table.image
+        if image is None:
+            return (), ()
+        zero_frame = self.store.zero_frame_id
+        num_pages = self.num_pages
+        with self.store.lock:  # other holders may free pages meanwhile
+            live = sorted(
+                entry for entry in image.frames.items()
+                if entry[1] != zero_frame and entry[0] < num_pages
+            )
+        return tuple(zip(*live)) if live else ((), ())
+
     def map_frames(self, vpns, frames) -> None:
         """Map page ``vpns[i]`` onto live frame ``frames[i]`` of this
         space's store, shared rather than copied.

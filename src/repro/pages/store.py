@@ -281,6 +281,13 @@ class PageStore:
         return frame_id in self._external
 
     @property
+    def lock(self) -> threading.RLock:
+        """The lock every count moves under -- also the bookkeeping that
+        must move with the counts, such as a frozen page-table image
+        shared by tables on several threads (re-entrant)."""
+        return self._lock
+
+    @property
     def zero_frame_id(self) -> Optional[int]:
         """The canonical all-zero frame's id (``None`` when not live).
 

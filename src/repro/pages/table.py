@@ -1,8 +1,8 @@
 """Copy-on-write page tables.
 
 A :class:`PageTable` maps virtual page numbers to frames in a shared
-:class:`~repro.pages.store.PageStore`.  ``fork()`` duplicates the map and
-bumps every frame's reference count -- the cheap operation whose measured
+:class:`~repro.pages.store.PageStore`.  ``fork()`` gives the child the
+parent's map without copying a page -- the cheap operation whose measured
 cost (31 ms on the 3B2, 12 ms on the HP) section 4.4 of the paper reports.
 A write to a shared frame triggers a copy fault: the frame is duplicated
 and the writer's entry is repointed at the private copy.
@@ -11,13 +11,24 @@ A table holds explicit entries only for the pages it has mapped to
 something.  The pages :meth:`PageTable.ensure_zero_filled` covers form an
 *extent*, and a page inside it with no entry reads as the store's shared
 zero frame, on which the table holds **one** reference however many such
-pages it spans.  So fork, release and adopt cost O(pages the table
-holds), not O(pages it spans): a 4 MiB space of which 256 pages were ever
-written forks as 256 entries plus one reference.  Everything a caller
-can observe -- :meth:`~PageTable.frame_of`, ``len``,
-:meth:`~PageTable.mapped_pages`, sharing, COW faults -- still describes
-every page, exactly as if each never-written page held its own
-reference on the zero frame.
+pages it spans.
+
+The page table itself is copy-on-write too, as a kernel that shares page
+tables at fork does.  The first ``fork()`` *freezes* the parent's
+explicit entries into a :class:`PageImage` that parent and child share:
+the image holds one reference on each of its frames, every table holding
+it holds one reference on the image, and each table keeps an *overlay*
+of the pages it has written since the freeze (which hide the image's).
+So fork and release cost O(pages written since the freeze), not
+O(pages the table holds): a 4 MiB space of which 256 pages were ever
+written forks as one image reference plus one zero reference.  An
+overlay that grows as large as its image is frozen into a fresh image at
+the next fork, so the overlay copied per fork stays bounded by what was
+written.  Everything a caller can observe -- :meth:`~PageTable.frame_of`,
+``len``, :meth:`~PageTable.mapped_pages`, sharing, COW faults, the
+store's live frames -- still describes every page, exactly as if each
+page held its own reference: an image page that every holder has
+overwritten is freed at once.
 
 The table tracks ``cow_faults`` (copies actually performed) and
 ``pages_written`` (distinct pages dirtied since the last fork/commit),
@@ -27,8 +38,11 @@ is the important independent variable' for the overhead model.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from typing import Dict, Iterator, Mapping, Optional
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import PageFault
 from repro.pages.page import patch_page
@@ -39,6 +53,133 @@ _TEST_MUTATIONS: set = set()
 checker's mutation tests (``tests/check/mutations.py``).  Empty in any
 production configuration."""
 
+_image_uids = itertools.count(1)
+
+
+class PageImage:
+    """Explicit entries frozen at a fork, shared by every table holding them.
+
+    The image holds one store reference per page, however many tables
+    see the page.  ``masked[vpn]`` counts the holders that no longer see
+    page ``vpn`` (they overwrote or unmapped it), so a page's users are
+    ``holders - masked[vpn]``; a page no holder uses any more is freed
+    at once, and the last holder to let go frees the rest.  Holders may
+    be tables on different threads (siblings racing on the thread
+    backend), so the counts move only under the store's lock, and every
+    method below expects the caller to hold it.  Frames they free are
+    handed back for the caller to drop once the lock is released.
+
+    ``uid`` is unique in the process and never reused, and an image's
+    pages only ever go away: so ``uid`` names one frozen map for good --
+    what lets a world pool publish an image to its workers once.
+    """
+
+    __slots__ = ("uid", "frames", "holders", "masked")
+
+    def __init__(self, frames: Dict[int, int]) -> None:
+        self.uid = next(_image_uids)
+        self.frames = frames
+        """``vpn -> frame id`` for every page some holder still sees."""
+
+        self.holders = 1
+        self.masked: Dict[int, int] = {}
+        """Holders no longer seeing ``vpn``, for pages still in the image."""
+
+    def join(self, hidden: Iterable[int]) -> None:
+        """One more holder, which does not see ``hidden``."""
+        self.holders += 1
+        masked = self.masked
+        for vpn in hidden:
+            if vpn in masked:
+                masked[vpn] += 1
+
+    def mask(self, vpns: Iterable[int], refcount) -> Tuple[int, List[int]]:
+        """One holder stops seeing ``vpns``, pages it saw until now: how
+        many of them were shared (with another holder, or held by
+        anything else -- ``refcount`` is the store's), and the frames no
+        holder uses any more."""
+        frames, masked, holders = self.frames, self.masked, self.holders
+        shared, freed = 0, []
+        for vpn in vpns:
+            count = masked.get(vpn, 0) + 1
+            if count < holders:
+                masked[vpn] = count
+                shared += 1
+                continue
+            frame = frames.pop(vpn)
+            masked.pop(vpn, None)
+            freed.append(frame)
+            if refcount(frame) > 1:
+                shared += 1
+        return shared, freed
+
+    def leave(self, hidden: Iterable[int]) -> List[int]:
+        """One holder, which did not see ``hidden``, lets go: the frames
+        no remaining holder uses (all of them, after the last)."""
+        self.holders -= 1
+        frames, masked = self.frames, self.masked
+        if not self.holders:
+            freed = list(frames.values())
+            frames.clear()
+            masked.clear()
+            return freed
+        for vpn in hidden:
+            count = masked.get(vpn)
+            if count == 1:
+                del masked[vpn]
+            elif count is not None:
+                masked[vpn] = count - 1
+        holders = self.holders
+        done = [vpn for vpn, count in masked.items() if count == holders]
+        for vpn in done:
+            del masked[vpn]
+        return [frames.pop(vpn) for vpn in done]
+
+    def users(self, vpn: int) -> int:
+        """Holders that see page ``vpn``."""
+        return self.holders - self.masked.get(vpn, 0)
+
+
+class _Explicit(Mapping):
+    """The read-only view :attr:`PageTable.explicit` returns: the
+    overlay over the pages of the image the table still sees."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "PageTable") -> None:
+        self._table = table
+
+    def __getitem__(self, vpn: int) -> int:
+        table = self._table
+        frame = table._entries.get(vpn)
+        if frame is None and table._inherits(vpn):
+            frame = table._image.frames.get(vpn)
+        if frame is None:
+            raise KeyError(vpn)
+        return frame
+
+    def __iter__(self) -> Iterator[int]:
+        return (vpn for vpn, _ in self.items())
+
+    def __len__(self) -> int:
+        table = self._table
+        return len(table._entries) + table._inherited()
+
+    def items(self):
+        """``(vpn, frame id)`` pairs, to iterate once."""
+        table = self._table
+        if table._image is None:
+            return table._entries.items()
+        return self._with_image()
+
+    def _with_image(self) -> Iterator[Tuple[int, int]]:
+        table = self._table
+        yield from table._entries.items()
+        hidden = table._hidden
+        for vpn, frame in list(table._image.frames.items()):
+            if vpn not in hidden:
+                yield vpn, frame
+
 
 class PageTable:
     """A virtual-to-physical page map with COW semantics."""
@@ -46,9 +187,16 @@ class PageTable:
     def __init__(self, store: PageStore) -> None:
         self.store = store
         self._entries: Dict[int, int] = {}
-        """Explicit entries: every page mapped to a frame of its own
-        choosing (possibly shared), never a page of the extent that was
-        only zero-filled."""
+        """The overlay: every page mapped to a frame of its own choosing
+        (possibly shared) since the last freeze, never a page of the
+        extent that was only zero-filled."""
+
+        self._image: Optional[PageImage] = None
+        """The frozen entries this table shares, if any."""
+
+        self._hidden: set = set()
+        """Pages of the image this table no longer sees: each is in the
+        overlay, a hole, or outside the extent."""
 
         self._extent = 0
         """Pages ``[0, extent)`` are zero-filled unless explicit or holes."""
@@ -57,7 +205,8 @@ class PageTable:
         """Pages inside the extent unmapped since it was recorded."""
 
         self._implicit = 0
-        """Pages inside the extent with no entry and not a hole."""
+        """Pages inside the extent with no entry, not inherited from the
+        image and not a hole."""
 
         self._zero: Optional[int] = None
         """The zero frame this table holds one reference on -- held
@@ -68,6 +217,80 @@ class PageTable:
         """Copy faults serviced since construction (monotone)."""
 
     # ------------------------------------------------------------------
+    # the image
+
+    def _inherits(self, vpn: int) -> bool:
+        """True when ``vpn`` reads through the image (not the overlay)."""
+        image = self._image
+        return (
+            image is not None
+            and vpn in image.frames
+            and vpn not in self._hidden
+        )
+
+    def _inherited(self) -> int:
+        """Pages this table sees through its image."""
+        image = self._image
+        if image is None:
+            return 0
+        frames = image.frames
+        return len(frames) - sum(1 for vpn in self._hidden if vpn in frames)
+
+    def _mask(self, vpns) -> int:
+        """Stop seeing the image's ``vpns`` (each inherited until now):
+        how many were shared.  Frames nobody uses any more are dropped."""
+        store = self.store
+        self._hidden.update(vpns)
+        with store.lock:
+            shared, freed = self._image.mask(vpns, store.refcount)
+        if freed:
+            store.decref_many(Counter(freed))
+        return shared
+
+    def _freeze(self) -> List[int]:
+        """Make this table's explicit entries an image of their own,
+        with an empty overlay (store lock held).  The overlay's
+        references pass to the image.  Returns frames to drop."""
+        image, frames, freed = self._image, self._entries, []
+        if image is not None:
+            if image.holders == 1:
+                # Sole holder: every page it hid is gone already, so the
+                # old image's map is exactly what it still sees.
+                base, image.frames = image.frames, {}
+                image.holders = 0
+            else:
+                hidden = self._hidden
+                base = {
+                    vpn: frame for vpn, frame in image.frames.items()
+                    if vpn not in hidden
+                }
+                if base:
+                    self.store.incref_many(Counter(base.values()))
+                freed = image.leave(hidden)
+            base.update(frames)
+            frames = base
+        self._image = PageImage(frames)
+        self._entries = {}
+        self._hidden = set()
+        return freed
+
+    @property
+    def image(self) -> Optional[PageImage]:
+        """The frozen image this table shares, or ``None``."""
+        return self._image
+
+    @property
+    def overlay(self) -> Mapping:
+        """A read-only view of the pages written since the freeze (all
+        explicit entries when the table has no image)."""
+        return MappingProxyType(self._entries)
+
+    @property
+    def hidden(self) -> frozenset:
+        """Pages of the image this table does not see."""
+        return frozenset(self._hidden)
+
+    # ------------------------------------------------------------------
     # the extent
 
     def _is_implicit(self, vpn: int) -> bool:
@@ -76,10 +299,12 @@ class PageTable:
             0 <= vpn < self._extent
             and vpn not in self._entries
             and vpn not in self._holes
+            and not self._inherits(vpn)
         )
 
     def _claim(self, vpn: int) -> bool:
-        """Note that ``vpn``, not explicit, is about to get an entry.
+        """Note that ``vpn``, neither explicit nor inherited, is about to
+        get an entry.
 
         A hole just stops being one.  Returns True when ``vpn`` was an
         implicit page, whose share of the zero reference the caller
@@ -122,6 +347,11 @@ class PageTable:
         if vpn < 0:
             raise ValueError("virtual page numbers are non-negative")
         old_frame = self._entries.get(vpn)
+        if old_frame is None and self._inherits(vpn):
+            self._entries[vpn] = self.store.allocate(data)
+            self._mask((vpn,))
+            self._dirty.add(vpn)
+            return
         implicit = old_frame is None and self._claim(vpn)
         self._entries[vpn] = self.store.allocate(data)
         if implicit:
@@ -134,9 +364,12 @@ class PageTable:
         """Remove the mapping for ``vpn`` and release its frame."""
         frame = self._entries.pop(vpn, None)
         if frame is None:
-            if not self._is_implicit(vpn):
+            if self._inherits(vpn):
+                self._mask((vpn,))
+            elif not self._is_implicit(vpn):
                 raise PageFault(f"page {vpn} is not mapped")
-            frame = self._release_implicit(1)
+            else:
+                frame = self._release_implicit(1)
         if vpn < self._extent:
             self._holes.add(vpn)
             self._trim()
@@ -146,28 +379,38 @@ class PageTable:
 
     def is_mapped(self, vpn: int) -> bool:
         """True when ``vpn`` has a frame."""
-        return vpn in self._entries or self._is_implicit(vpn)
+        return (
+            vpn in self._entries
+            or self._inherits(vpn)
+            or self._is_implicit(vpn)
+        )
 
     def frame_of(self, vpn: int) -> int:
         """The frame id backing ``vpn`` (raises :class:`PageFault`)."""
         frame = self._entries.get(vpn)
         if frame is not None:
             return frame
+        image = self._image
+        if image is not None and vpn not in self._hidden:
+            frame = image.frames.get(vpn)
+            if frame is not None:
+                return frame
         if 0 <= vpn < self._extent and vpn not in self._holes:
             return self._zero
         raise PageFault(f"page {vpn} is not mapped")
 
     @property
-    def explicit(self) -> Mapping[int, int]:
+    def explicit(self) -> Mapping:
         """A live, read-only view of the explicit entries: ``vpn ->
         frame id`` for every page mapped to something other than the
-        extent's implicit zero frame.  What a snapshot of the table has
-        to show; the extent it can zero-fill for itself."""
-        return self._entries
+        extent's implicit zero frame -- the overlay and the pages still
+        seen through the image.  What a snapshot of the table has to
+        show; the extent it can zero-fill for itself."""
+        return _Explicit(self)
 
     def items(self) -> Iterator:
         """``(vpn, frame id)`` for every mapped page, implicit ones too."""
-        yield from self._entries.items()
+        yield from self.explicit.items()
         if self._implicit:
             zero = self._zero
             for vpn in range(self._extent):
@@ -179,7 +422,7 @@ class PageTable:
         return iter(sorted(vpn for vpn, _ in self.items()))
 
     def __len__(self) -> int:
-        return len(self._entries) + self._implicit
+        return len(self._entries) + self._inherited() + self._implicit
 
     # ------------------------------------------------------------------
     # reads and writes
@@ -212,7 +455,9 @@ class PageTable:
         An implicit page counts as shared exactly when the zero frame
         would be if every implicit page held its own reference: when
         this table has another implicit page, or anything else holds
-        the zero frame.
+        the zero frame.  A page seen through the image counts as shared
+        when another holder still sees it or anything else holds its
+        frame.
 
         A write whose bytes match the page's current contents is a no-op:
         no fault is serviced, no frame is allocated, and the page is not
@@ -224,8 +469,11 @@ class PageTable:
         """
         frame = self._entries.get(vpn)
         implicit = frame is None
+        inherited = False
         if implicit:
             frame = self.frame_of(vpn)
+            if self._image is not None and self._inherits(vpn):
+                inherited, implicit = True, False
         old = self.store.read(frame)
         if offset < 0 or offset + len(data) > len(old):
             raise ValueError(
@@ -237,6 +485,11 @@ class PageTable:
         if not isinstance(old, bytes):
             old = bytes(old)
         new = patch_page(old, offset, data)
+        if inherited:
+            self._entries[vpn] = self.store.allocate(new)
+            self.cow_faults += self._mask((vpn,))
+            self._dirty.add(vpn)
+            return
         if self.store.is_shared(frame) or (implicit and self._implicit > 1):
             self.cow_faults += 1
         self._entries[vpn] = self.store.allocate(new)
@@ -270,7 +523,10 @@ class PageTable:
         dirty = self._dirty
         holes = self._holes
         extent = self._extent
+        image = self._image
+        hidden = self._hidden
         released = []
+        masked = []
         implicit = 0
         for vpn, frame_id in assignments:
             if vpn < 0:
@@ -278,12 +534,19 @@ class PageTable:
             old_frame = entries.get(vpn)
             if old_frame is not None:
                 released.append(old_frame)
+            elif (
+                image is not None and vpn in image.frames
+                and vpn not in hidden
+            ):
+                masked.append(vpn)
             elif vpn in holes:  # _claim, inlined for the batch
                 holes.discard(vpn)
             elif vpn < extent:
                 implicit += 1
             entries[vpn] = frame_id
             dirty.add(vpn)
+        if masked:
+            self._mask(masked)
         if implicit:
             zero = self._release_implicit(implicit)
             if zero is not None:
@@ -295,8 +558,9 @@ class PageTable:
     # fork / dirty accounting
 
     def _references(self) -> Counter:
-        """The references this table holds, by frame: one per explicit
-        entry, plus one on the zero frame while the extent has a page."""
+        """The store references this table holds itself, by frame: one
+        per overlay entry, plus one on the zero frame while the extent
+        has a page.  (Its image's pages are the image's.)"""
         held = Counter(self._entries.values())
         if self._zero is not None:
             held[self._zero] += 1
@@ -305,20 +569,38 @@ class PageTable:
     def fork(self) -> "PageTable":
         """A child table sharing every frame with this one (COW).
 
-        This is 'page map inheritance from the parent' -- O(explicit
-        pages) bookkeeping plus one reference on the zero frame, no data
-        copies, and one store-lock acquisition: the references are taken
-        per *distinct* frame, not per page.
+        This is 'page map inheritance from the parent': the child holds
+        this table's image, copies the overlay written since the freeze,
+        and takes one reference on the zero frame -- no data copies, and
+        one store-lock acquisition.  A table with no image, or with an
+        overlay as large as its image, is frozen first, so what a fork
+        copies is bounded by what was written since the last freeze.
         """
-        child = PageTable(self.store)
-        child._entries = dict(self._entries)
+        store = self.store
+        child = PageTable(store)
         child._extent = self._extent
         child._holes = set(self._holes)
         child._implicit = self._implicit
         child._zero = self._zero
-        held = self._references()
-        if held:
-            self.store.incref_many(held)
+        freed: List[int] = []
+        with store.lock:
+            image = self._image
+            if self._entries and (
+                image is None
+                or len(self._entries) + len(self._hidden) >= len(image.frames)
+            ):
+                freed = self._freeze()
+                image = self._image
+            if image is not None:
+                image.join(self._hidden)
+                child._image = image
+                child._hidden = set(self._hidden)
+            child._entries = dict(self._entries)
+            held = self._references()
+            if held:
+                store.incref_many(held)
+        if freed:
+            store.decref_many(Counter(freed))
         return child
 
     def clear_dirty(self) -> None:
@@ -337,12 +619,23 @@ class PageTable:
 
     def private_pages(self) -> int:
         """Pages whose frames are not shared with any other table."""
-        is_shared = self.store.is_shared
+        store = self.store
+        is_shared = store.is_shared
         private = sum(
             1 for frame in self._entries.values() if not is_shared(frame)
         )
         if self._implicit == 1 and not is_shared(self._zero):
             private += 1
+        image = self._image
+        if image is not None:
+            hidden = self._hidden
+            with store.lock:
+                users = image.users
+                private += sum(
+                    1 for vpn, frame in image.frames.items()
+                    if vpn not in hidden and users(vpn) == 1
+                    and not is_shared(frame)
+                )
         return private
 
     def shared_pages(self) -> int:
@@ -355,10 +648,16 @@ class PageTable:
     def _drop(self) -> None:
         """Give back every reference and forget the map (dirty set kept)."""
         held = self._references()
+        image, hidden = self._image, self._hidden
         self._entries = {}
+        self._image = None
+        self._hidden = set()
         self._extent = self._implicit = 0
         self._holes = set()
         self._zero = None
+        if image is not None:
+            with self.store.lock:
+                held.update(image.leave(hidden))
         if held:
             self.store.decref_many(held)
 
@@ -384,6 +683,8 @@ class PageTable:
             raise ValueError("cannot adopt a table from a different store")
         self._drop()
         self._entries = other._entries
+        self._image = other._image
+        self._hidden = other._hidden
         self._extent = other._extent
         self._holes = other._holes
         self._implicit = other._implicit
@@ -397,6 +698,8 @@ class PageTable:
         else:
             self._dirty = self._dirty | other._dirty
         other._entries = {}
+        other._image = None
+        other._hidden = set()
         other._extent = other._implicit = 0
         other._holes = set()
         other._zero = None
@@ -427,13 +730,13 @@ class PageTable:
         if stop > self._extent:
             # Pages between the old extent and ``start`` join the extent
             # as holes: the range does not map them.
+            held = self._entries if self._image is None else self.explicit
             self._holes.update(
-                vpn for vpn in range(self._extent, start)
-                if vpn not in self._entries
+                vpn for vpn in range(self._extent, start) if vpn not in held
             )
             low = max(start, self._extent)
             added += (stop - low) - sum(
-                1 for vpn in self._entries if low <= vpn < stop
+                1 for vpn in held if low <= vpn < stop
             )
             self._extent = stop
         if not added:

@@ -304,13 +304,14 @@ class LeaseLedger:
         self.arena_rotations += 1
         return self._unpinned(retired)
 
-    def publish(self, count: int) -> Optional[int]:
+    def publish(self, count: int, pages: Optional[int] = None) -> Optional[int]:
         """The first of ``count`` fresh slots of the live arena, each
-        handed out once; ``None`` when they do not fit."""
+        handed out once, ``pages`` of them (all, by default) for page
+        images; ``None`` when they do not fit."""
         if self.arena is None or self.cursor + count > self.capacity:
             return None
         start, self.cursor = self.cursor, self.cursor + count
-        self.pages_published += count
+        self.pages_published += count if pages is None else pages
         return start
 
     def pin(self, epoch: int) -> bool:

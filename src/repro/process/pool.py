@@ -22,19 +22,23 @@ copy-on-write view of one parent image, not a copy per arm.  The pool
 owns an append-only shared-memory **arena** -- one
 :class:`~repro.pages.shm.ShmSlab`, created by the first lease that has a
 non-zero page to show -- and an index ``(store uid, frame id) -> slot``.
-A lease copies into the arena only the frames it has not published
-before and sends the worker the arena's name plus the slot of each
-non-zero page; the worker keeps its arena mapping and one page store
-across leases, adopts each slot it is shown once as an external frame,
-and copies a page only when the body writes it.  Page images cross the
-control pipe only when shared memory is off (or the arm has no slab).
-Finding the slots is done once per parent *image*, not once per arm:
-the arena keeps the last image resolved against it (store uid, page
-count, the explicit page map walked, the vpns and slots the walk gave),
-and an arm whose space shows exactly that -- every arm of a block is a
-fork of one parent -- reuses it after one comparison, made every time.
-Frame ids are never reused and slots are write-once, so the reuse is
-safe; a rotation starts with no image.
+An arm's space is a page table that shares a frozen
+:class:`~repro.pages.table.PageImage` with its parent and siblings, plus
+an overlay of the pages written since the freeze.  The image is *named*,
+not listed: the first lease that shows it copies the frames the arena
+lacks into fresh slots and writes the image's ``(vpn, slot)`` pairs, once,
+into write-once slots after them; every lease showing that image -- every
+arm of a block, every block on a parent that has not been frozen anew --
+carries only that record's slot range, the slots of its overlay's pages,
+and the image pages its table hides.  The worker keeps its arena mapping
+and one page store across leases, adopts each slot it is shown once as an
+external frame, builds one frozen table per image record and forks it
+for each lease, and copies a page only when the body writes it.  So
+neither the lease message nor the worker's setup grows with the parent.
+Image uids and frame ids are never reused and slots are write-once, so a
+record stays right for as long as its arena lives; a rotation starts with
+none.  Page images cross the control pipe only when shared memory is off
+(or the arm has no slab).
 
 The way *home* is the arena's twin.  The pool keeps one response slab
 per worker -- created by the first lease that needs one, mapped once by
@@ -136,6 +140,7 @@ import signal
 import struct
 import threading
 import time
+from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from operator import attrgetter
@@ -153,6 +158,7 @@ from repro.obs.tracer import active as _active_tracer
 from repro.pages.address_space import AddressSpace
 from repro.pages.shm import ShmSlab
 from repro.pages.store import PageStore
+from repro.pages.table import PageTable
 from repro.process.ledger import (
     CLEAN, COUNTERS, DIRTY, DRAINING, GONE, LEASED, PARKED, PARTIAL,
     SILENT, LeaseLedger,
@@ -175,6 +181,11 @@ ARENA_MIN_SLOTS = 1024
 backed only once written, so room to spare costs address space, not
 memory; an arena that fills is replaced by one twice the demand that
 overflowed it."""
+
+FROZEN_IMAGES = 4
+"""Image tables a worker keeps built: enough for the parents of the
+concurrent races a pool serves, each held until evicted oldest first or
+the arena is left."""
 
 RESPONSE_SPARE_SLABS = 2
 """Response slabs the pool keeps beyond one per worker: slabs set aside
@@ -221,37 +232,43 @@ class Lease:
     ``None`` when the arm ships over the pipe."""
 
 
-class _Image(NamedTuple):
-    """One parent image resolved against an arena: what the walk and the
-    index lookups gave -- the non-zero vpns and each one's slot -- for a
-    space that shows these facts.
+_PAIR = array("I").itemsize * 2
+"""Bytes of one ``(vpn, slot)`` pair in an image record."""
 
-    It holds ids only and pins nothing, because nothing needs pinning:
-    frame ids are never reused within a store uid, so a map naming the
-    same ids names the same page images, and slots are write-once and
-    live as long as their arena, which this image belongs to.
-    """
 
-    facts: tuple
-    """The store uid, the page count, the explicit map that was walked."""
+def _record_slots(pages: int, slot_size: int) -> int:
+    """Arena slots an image record of ``pages`` pairs takes."""
+    return -(-pages * _PAIR // slot_size)
 
-    vpns: tuple
-    slots: List[int]
+
+def _snapshot(record=None, vpns=(), slots=(), zero=(), inline=None) -> dict:
+    """The lease fields that show an arm its world: the image record's
+    ``(first slot, pages)``, the overlay's pages and slots, the image
+    pages to zero-fill -- or every non-zero page inline."""
+    return {
+        "snapshot_image": record,
+        "snapshot_vpns": vpns,
+        "snapshot_slots": slots,
+        "snapshot_zero": zero,
+        "snapshot_inline": {} if inline is None else inline,
+    }
 
 
 class _Arena:
     """Parent-side data of one arena segment (guarded by the pool lock);
     which of its slots are free, and who pins it, is the ledger's."""
 
-    __slots__ = ("slab", "index", "image")
+    __slots__ = ("slab", "index", "images")
 
     def __init__(self, slab: ShmSlab) -> None:
         self.slab = slab
         self.index: Dict[Tuple[int, int], int] = {}
         """``(store uid, frame id) -> slot`` for every published frame."""
 
-        self.image: Optional[_Image] = None
-        """The last parent image resolved against this arena."""
+        self.images: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+        """``(image uid, page count) -> (first slot, pages)`` of every
+        image record written here; ``None`` for an image with no
+        non-zero page within that many pages."""
 
     def extend(self, start: int, uid: int, frames, images) -> None:
         """Publish one page image per frame in the slots from ``start``."""
@@ -260,6 +277,20 @@ class _Arena:
         # never written again.
         for slot, frame in enumerate(frames, start):
             self.index[(uid, frame)] = slot
+
+    def record(self, start: int, key: Tuple[int, int], vpns, slots) -> None:
+        """Write one image's ``(vpn, slot)`` pairs in the slots from
+        ``start``."""
+        size = self.slab.slot_size
+        pairs = array("I", [0]) * (2 * len(vpns))
+        pairs[0::2] = array("I", vpns)
+        pairs[1::2] = array("I", slots)
+        blob = pairs.tobytes()
+        blob += bytes(-len(blob) % size)
+        self.slab.write_slots(start, [
+            blob[offset:offset + size] for offset in range(0, len(blob), size)
+        ])
+        self.images[key] = (start, len(vpns))
 
     def dispose(self) -> None:
         self.slab.dispose()
@@ -428,12 +459,9 @@ class WorldPool:
         slab, slab_reused = self._lend_slab(epoch, want, space.num_pages)
         # A response slab means shared memory works for this arm, so its
         # world goes out through the arena too.
-        vpns, arena, slots, published = self._publish(
+        arena, snapshot, published, shown = self._publish(
             epoch, space, slab is not None
         )
-        snapshot_inline = {} if arena is not None else {
-            vpn: space.table.read_page(vpn) for vpn in vpns
-        }
         message = {
             "kind": "lease",
             "epoch": epoch,
@@ -446,9 +474,7 @@ class WorldPool:
             "arena": None if arena is None else (
                 arena.slab.name, arena.slab.slots, arena.slab.slot_size
             ),
-            "snapshot_vpns": vpns if slots else (),
-            "snapshot_slots": slots,
-            "snapshot_inline": snapshot_inline,
+            **snapshot,
             "slab_name": None if slab is None else slab.name,
             "slab_slots": None if slab is None else slab.slots,
             "slab_slot_size": None if slab is None else slab.slot_size,
@@ -478,7 +504,7 @@ class WorldPool:
                 name=task.name,
                 worker_pid=worker.pid,
                 epoch=epoch,
-                snapshot_pages=len(vpns),
+                snapshot_pages=shown,
                 published_pages=published,
                 transport="shm" if slab is not None else "pipe",
                 slab_reused=slab_reused,
@@ -528,65 +554,120 @@ class WorldPool:
 
     def _publish(
         self, epoch: int, space: AddressSpace, shm: bool
-    ) -> Tuple[tuple, Optional[_Arena], List[int], int]:
-        """Make every non-zero page of ``space`` readable in the live arena.
+    ) -> Tuple[Optional[_Arena], dict, int, int]:
+        """Make the world of ``space`` readable in the live arena.
 
-        A space that shows the arena's last image reuses its resolution:
-        one comparison, no walk.  Otherwise the space is walked once,
-        frames the arena lacks are copied into fresh slots, and the result
-        becomes the arena's image; an arena the lease does not fit in is
-        retired and replaced first.  Returns the non-zero vpns, the arena
-        (pinned by the lease), each page's slot and the pages copied --
-        or ``(vpns, None, [], 0)``, to ship inline.
+        The world is the table's frozen image, named by its record, plus
+        the overlay's non-zero pages, named by slot, and the image pages
+        the table hides, which the worker zero-fills.  An image the
+        arena has no record of is walked once; its frames and the
+        overlay's that the arena lacks are copied into fresh slots, and
+        its record is written after them.  An arena the lease does not
+        fit in is retired and replaced first.  Returns the arena (pinned
+        by the lease), the lease's snapshot fields, the pages copied and
+        the pages shown -- or, to ship inline, no arena and every
+        non-zero page in the fields.
         """
         if not shm:
-            return space.nonzero_frames()[0], None, [], 0
-        explicit = space.table.explicit
-        if not explicit:
-            return (), None, [], 0  # all zero: nothing to show, no lock
-        store = space.store
-        facts = (store.uid, space.num_pages, explicit)
+            return self._inline(space)
+        table = space.table
+        image, overlay = table.image, table.overlay
+        num_pages, zero = space.num_pages, space.store.zero_frame_id
+        if overlay:
+            overlay = sorted(
+                entry for entry in overlay.items()
+                if entry[1] != zero and entry[0] < num_pages
+            )
+        if image is None and not overlay:
+            return None, _snapshot(), 0, 0  # all zero: nothing to show
+        key = None if image is None else (image.uid, num_pages)
         ledger = self._ledger
         with self._lock:
             arena = ledger.arena
-            image = None if arena is None else arena.image
-            shown = image is not None and image.facts == facts
-            if shown and ledger.pin(epoch):
-                return image.vpns, arena, image.slots, 0
-        vpns, frames = space.nonzero_frames()
-        if not vpns:
-            return vpns, None, [], 0
-        with self._lock:
-            if ledger.closed or ledger.holder(epoch) is None:
-                return vpns, None, [], 0
-            arena, start = ledger.arena, None
-            if arena is not None and arena.slab.slot_size == store.page_size:
-                slots = [arena.index.get((store.uid, f)) for f in frames]
-                fresh = {f for f, slot in zip(frames, slots) if slot is None}
-                start = ledger.publish(len(fresh))
-            if start is None:  # no arena, one for another page size, or full
-                arena = self._rotate(store.page_size, frames)
-                fresh = set(frames)
-                start = ledger.publish(len(fresh))
-            if arena is None or not ledger.pin(epoch):
-                return vpns, None, [], 0
-            if fresh:
-                arena.extend(
-                    start, store.uid, fresh, [store.view(f) for f in fresh]
+            if (
+                not overlay and arena is not None and key in arena.images
+                and ledger.pin(epoch)
+            ):
+                # Every arm of a block, and every block on one image,
+                # after the first: one lookup, nothing written.
+                record, fresh, slots = arena.images[key], 0, []
+            else:
+                arena, record, fresh, slots = self._place(
+                    epoch, space, key, overlay
                 )
-                slots = [arena.index.get((store.uid, f)) for f in frames]
-            facts = (store.uid, space.num_pages, dict(explicit))
-            arena.image = _Image(facts, vpns, slots)
-            return vpns, arena, slots, len(fresh)
+        if arena is None:
+            return self._inline(space)
+        vpns = tuple(vpn for vpn, _ in overlay)
+        hidden = table.hidden
+        zero_filled = tuple(sorted(
+            vpn for vpn in hidden.difference(vpns) if vpn < num_pages
+        )) if record is not None and hidden else ()
+        shown = len(vpns) + (0 if record is None else record[1])
+        return (
+            arena, _snapshot(record, vpns, slots, zero_filled), fresh, shown,
+        )
 
-    def _rotate(
-        self, page_size: int, frames: Tuple[int, ...]
-    ) -> Optional[_Arena]:
+    def _place(
+        self, epoch: int, space: AddressSpace, key, overlay: list
+    ) -> Tuple[Optional[_Arena], Optional[Tuple[int, int]], int, List[int]]:
+        """:meth:`_publish`'s general case (lock held): publish what the
+        live arena lacks of image ``key`` and of ``overlay``, rotating it
+        once if it is full.  Returns the arena, pinned by the lease, the
+        image's record, the pages copied and the overlay's slots; no
+        arena when the lease cannot be shown one."""
+        store, ledger = space.store, self._ledger
+        uid, page_size = store.uid, store.page_size
+        walked = start = None
+        for rotated in (False, True):
+            if ledger.closed or ledger.holder(epoch) is None:
+                return None, None, 0, []
+            arena = ledger.arena
+            if arena is not None and arena.slab.slot_size != page_size:
+                arena = None
+            known = arena is not None and (key is None or key in arena.images)
+            if not known and walked is None and key is not None:
+                walked = space.image_frames()
+            vpns, frames = ((), ()) if known or key is None else walked
+            index = {} if arena is None else arena.index
+            fresh = list(dict.fromkeys(
+                frame for frame in frames + tuple(f for _, f in overlay)
+                if (uid, frame) not in index
+            ))
+            records = _record_slots(len(vpns), page_size)
+            start = None if arena is None else ledger.publish(
+                len(fresh) + records, len(fresh)
+            )
+            if start is not None:
+                break
+            if not rotated:
+                self._rotate(page_size, len(fresh) + records)
+        if start is None or not ledger.pin(epoch):
+            return None, None, 0, []
+        if fresh:
+            arena.extend(start, uid, fresh, [store.view(f) for f in fresh])
+        if not known and key is not None:
+            arena.images[key] = None
+            if vpns:
+                arena.record(start + len(fresh), key, vpns, [
+                    arena.index[(uid, f)] for f in frames
+                ])
+        record = None if key is None else arena.images[key]
+        slots = [arena.index[(uid, f)] for _, f in overlay]
+        return arena, record, len(fresh), slots
+
+    @staticmethod
+    def _inline(space: AddressSpace) -> Tuple[None, dict, int, int]:
+        """Every non-zero page of ``space``, to ship over the pipe."""
+        vpns = space.nonzero_frames()[0]
+        pages = {vpn: space.table.read_page(vpn) for vpn in vpns}
+        return None, _snapshot(inline=pages), 0, len(vpns)
+
+    def _rotate(self, page_size: int, demand: int) -> Optional[_Arena]:
         """Retire the live arena, if any, for one sized from the demand
-        (lock held); ``None`` when shared memory refuses."""
+        in slots (lock held); ``None`` when shared memory refuses."""
         try:
             arena = _Arena(ShmSlab.create(
-                max(ARENA_MIN_SLOTS, 2 * len(set(frames))), page_size
+                max(ARENA_MIN_SLOTS, 2 * demand), page_size
             ))
         except Exception:  # /dev/shm full, platform refusal
             arena = None
@@ -843,11 +924,13 @@ class WorldPool:
 class _WorkerWorld:
     """What a pooled worker keeps from one lease to the next.
 
-    The arena mapping, one :class:`PageStore`, and the frame each arena
-    slot was adopted as.  Slots are write-once and arena names are never
-    reused, so a cached frame stays right for as long as the worker
-    stays bound to that arena; binding to another name drops the cached
-    frames and the old mapping.  And the mapping of the one response
+    The arena mapping, one :class:`PageStore`, the frame each arena
+    slot was adopted as, and one frozen table per image record, which
+    every lease showing that image forks.  Slots are write-once and
+    arena names are never reused, so a cached frame or table stays right
+    for as long as the worker stays bound to that arena; binding to
+    another name drops the cached tables, frames and the old mapping.
+    And the mapping of the one response
     slab the pool binds to this worker, replaced only when a lease names
     another.  The worker never unlinks anything.  It is also the arm of
     the lease being served, as :func:`run_arm
@@ -860,6 +943,10 @@ class _WorkerWorld:
         self.arena: Optional[ShmSlab] = None
         self.frames: Dict[int, int] = {}
         """Arena slot -> the external frame adopted over it."""
+
+        self.images: Dict[Tuple[int, int, int], PageTable] = {}
+        """``(first slot, pages, space size)`` of an image record -> the
+        frozen table built from it, newest last."""
 
         self.response: Optional[ShmSlab] = None
         self.lease: Optional[dict] = None
@@ -907,7 +994,11 @@ class _WorkerWorld:
         return held.lend(slots)
 
     def unbind(self) -> None:
-        """Drop the cached frames, then the arena mapping under them."""
+        """Drop the cached tables and frames, then the arena mapping
+        under them."""
+        for table in self.images.values():
+            table.release()
+        self.images = {}
         if self.frames:
             self.store.decref_many(dict.fromkeys(self.frames.values(), 1))
             self.frames = {}
@@ -915,40 +1006,87 @@ class _WorkerWorld:
             self.arena.dispose()
             self.arena = None
 
+    def adopt_slots(self, slots) -> List[int]:
+        """The frame adopted over each arena slot, adopting the slots
+        not shown before (``slot_view`` refuses one outside the arena)."""
+        known, store, arena = self.frames, self.store, self.arena
+        mapped = []
+        for slot in slots:
+            frame = known.get(slot)
+            if frame is None:
+                frame = known[slot] = store.adopt_external(
+                    arena.slot_view(slot)
+                )
+            mapped.append(frame)
+        return mapped
+
+    def frozen(self, record: Tuple[int, int], space_size: int) -> PageTable:
+        """The table of the image whose record starts at ``record``'s
+        first slot: built once, from the record's ``(vpn, slot)``
+        pairs, and kept for every later lease that shows it."""
+        first, pages = record
+        key = (first, pages, space_size)
+        table = self.images.get(key)
+        if table is not None:
+            return table
+        size = self.arena.slot_size
+        blob = b"".join(
+            self.arena.slot_view(slot)
+            for slot in range(first, first + _record_slots(pages, size))
+        )
+        pairs = array("I")
+        pairs.frombytes(blob[:pages * _PAIR])
+        space = AddressSpace(self.store, space_size)
+        try:
+            space.map_frames(pairs[0::2], self.adopt_slots(pairs[1::2]))
+        except BaseException:
+            space.release()
+            raise
+        table = self.images[key] = space.table
+        table.clear_dirty()
+        while len(self.images) > FROZEN_IMAGES:
+            self.images.pop(next(iter(self.images))).release()
+        return table
+
     def build_space(self, message: dict) -> AddressSpace:
         """The lease's racing world, with a clean dirty set so shipback
         carries exactly what the body writes.
 
-        Pages the lease names by arena slot are mapped, not copied: one
-        batched incref on frames adopted when first shown, every vpn
-        checked against the space and every new slot against the arena.
-        ``write_page`` copies such a page on first write, as it does for
-        any shared frame.
+        A lease that names an image record gets a fork of that image's
+        frozen table, its hidden pages zero-filled.  Pages the lease
+        names by arena slot are mapped, not copied: one batched incref
+        on frames adopted when first shown, every vpn checked against
+        the space and every new slot against the arena.  ``write_page``
+        copies such a page on first write, as it does for any shared
+        frame.
         """
         page_size = message["page_size"]
         if self.store is None or self.store.page_size != page_size:
             self.unbind()
             self.store = PageStore(page_size=page_size)
         store = self.store
-        space = AddressSpace(store, message["space_size"])
+        record = message.get("snapshot_image")
+        vpns, slots = message["snapshot_vpns"], message["snapshot_slots"]
+        if record is not None or slots:
+            name, arena_slots, slot_size = message["arena"]
+            if self.arena is None or self.arena.name != name:
+                self.unbind()
+                self.arena = ShmSlab.attach(name, arena_slots, slot_size)
+        space_size = message["space_size"]
+        table = None
+        if record is not None:
+            table = self.frozen(record, space_size).fork()
+        space = AddressSpace(store, space_size, table=table)
         try:
-            vpns, slots = message["snapshot_vpns"], message["snapshot_slots"]
+            zero_filled = message.get("snapshot_zero", ())
+            if zero_filled:
+                zero = store.acquire_zero_frame()
+                try:
+                    space.map_frames(zero_filled, [zero] * len(zero_filled))
+                finally:
+                    store.decref(zero)
             if slots:
-                name, arena_slots, slot_size = message["arena"]
-                if self.arena is None or self.arena.name != name:
-                    self.unbind()
-                    self.arena = ShmSlab.attach(name, arena_slots, slot_size)
-                known = self.frames
-                mapped = []
-                for slot in slots:
-                    frame = known.get(slot)
-                    if frame is None:
-                        # slot_view refuses a slot outside the arena.
-                        frame = known[slot] = store.adopt_external(
-                            self.arena.slot_view(slot)
-                        )
-                    mapped.append(frame)
-                space.map_frames(vpns, mapped)
+                space.map_frames(vpns, self.adopt_slots(slots))
             for vpn, data in message["snapshot_inline"].items():
                 space.table.map_page(vpn, data)
         except BaseException:

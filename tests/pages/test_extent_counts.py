@@ -56,3 +56,41 @@ def test_a_huge_empty_space_costs_one_zero_reference_per_table(monkeypatch):
     # plus the one zero reference.
     assert counted
     assert all(total <= 1 for _, total in counted), counted
+
+
+def test_forking_a_written_space_costs_what_was_written_since(monkeypatch):
+    """A space of 1024 written pages is forked three times, one fork
+    writes two pages and is adopted, the others are released: once the
+    first fork has frozen the parent's entries into a shared image, no
+    whole-table call names more than the two pages written since."""
+    store = PageStore(page_size=PAGE)
+    counted = []
+    for name in ("incref_many", "decref_many"):
+        real = getattr(store, name)
+
+        def counting(counts, _real=real, _name=name):
+            counted.append((_name, sum(counts.values())))
+            return _real(counts)
+
+        monkeypatch.setattr(store, name, counting)
+
+    space = AddressSpace(store, 1024 * PAGE)
+    for vpn in range(1024):
+        space.table.write_page(vpn, b"page-%d" % vpn)
+    frames = store.live_frames
+    forks = [space.fork() for _ in range(3)]
+    forks[0].table.write_page(5, b"five")
+    forks[0].table.write_page(700, b"seven hundred")
+    assert store.live_frames == frames + 2
+    space.adopt(forks[0])
+    for fork in forks[1:]:
+        fork.release()
+    # The two pages every holder overwrote went at once.
+    assert store.live_frames == frames
+    assert space.table.read_page(5).startswith(b"five-5\0")
+    assert space.table.read_page(6).startswith(b"page-6\0")
+    assert space.table.private_pages() == len(space.table) == 1024
+    assert counted
+    assert all(total <= 2 for _, total in counted), counted
+    space.release()
+    assert store.live_frames == 0

@@ -61,7 +61,8 @@ class TestCopyOnWrite:
     def test_fork_shares_frames(self, store, table):
         child = table.fork()
         assert child.frame_of(0) == table.frame_of(0)
-        assert store.is_shared(table.frame_of(0))
+        # One frozen image holds the frame once; sharing is the table's.
+        assert table.shared_pages() == child.shared_pages() == len(table)
 
     def test_fork_allocates_nothing(self, store, table):
         before = store.total_allocations

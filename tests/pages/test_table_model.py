@@ -14,10 +14,12 @@ frame.
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 from collections import Counter
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -25,11 +27,13 @@ from hypothesis.stateful import (
     consumes,
     invariant,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.errors import PageFault
 from repro.pages.address_space import AddressSpace
 from repro.pages.store import PageStore
+from repro.pages.table import PageImage
 
 PAGE = 16
 SPAN = 6
@@ -115,6 +119,9 @@ class TableMachine(RuleBasedStateMachine):
         data=st.binary(min_size=1, max_size=4),
     )
     def write(self, space, vpn, offset, data):
+        self._write(space, vpn, offset, data)
+
+    def _write(self, space, vpn, offset, data):
         data = data[:PAGE - offset]
         model = self._model(space)
         if vpn not in model.pages:
@@ -172,12 +179,57 @@ class TableMachine(RuleBasedStateMachine):
 
     @rule(target=spaces, space=spaces)
     def fork(self, space):
+        return self._fork(space)
+
+    def _fork(self, space):
         child = space.fork()
         model = _Model()
         model.pages = dict(self._model(space).pages)
         for _, token in model.pages.values():
             self.refs[token] += 1
         return self._track(child, model)
+
+    def _written(self, space):
+        """A page ``space`` maps to something other than zeros."""
+        pages = self._model(space).pages
+        return next(
+            (vpn for vpn in sorted(pages) if pages[vpn][1] != ZERO), None
+        )
+
+    @rule(target=spaces, space=spaces)
+    def fork_of_fork(self, space):
+        """A grandchild: the child's own fork of what it inherited."""
+        return self._fork(self._fork(space))
+
+    @rule(space=spaces, data=st.binary(min_size=1, max_size=4))
+    def write_inherited_on_both_sides(self, space, data):
+        """Parent and a fresh child both overwrite one shared page."""
+        vpn = self._written(space)
+        child = self._fork(space)
+        if vpn is None:
+            return
+        self._write(child, vpn, 0, data)
+        self._write(space, vpn, 1, data)
+
+    @rule(space=spaces)
+    def unmap_inherited(self, space):
+        """A fresh child unmaps a page it inherited."""
+        vpn = self._written(space)
+        child = self._fork(space)
+        if vpn is not None:
+            self.unmap_page(child, vpn)
+
+    @rule(space=spaces)
+    def adopt_grandchild(self, space):
+        """A grandchild, written, adopted by its grandparent; the child
+        between them is released."""
+        child = self._fork(space)
+        grandchild = self._fork(child)
+        vpn = self._written(space)
+        if vpn is not None:
+            self._write(grandchild, vpn, 0, b"\xee")
+        self.adopt(space, grandchild)
+        self.release(child)
 
     @rule(space=spaces)
     def fork_and_adopt(self, space):
@@ -265,3 +317,107 @@ TableMachine.TestCase.settings = settings(
     max_examples=150, stateful_step_count=30, deadline=None
 )
 test_tables_agree_with_a_dense_model = TableMachine.TestCase
+
+
+# -- adequacy: each mutant of the shared image must fail the model ---------
+
+
+def _frees_everything_at_any_leave(self, hidden):
+    """The image freed while other tables still point at it."""
+    self.holders -= 1
+    freed = list(self.frames.values())
+    self.frames.clear()
+    self.masked.clear()
+    return freed
+
+
+def _keeps_what_every_holder_overwrote(self, vpns, refcount):
+    """A page every holder overwrote is left alive in the image."""
+    shared = 0
+    for vpn in vpns:
+        count = self.masked.get(vpn, 0) + 1
+        shared += count < self.holders or refcount(self.frames[vpn]) > 1
+        self.masked[vpn] = min(count, self.holders - 1)
+    return shared, []
+
+
+def _shares_by_refcount_alone(self, vpns, refcount):
+    """Sharing read from the store's count, blind to the other holders."""
+    frames = [self.frames[vpn] for vpn in vpns]
+    _, freed = _REAL_MASK(self, vpns, refcount)
+    return sum(refcount(frame) > 1 for frame in frames), freed
+
+
+_REAL_MASK = PageImage.mask
+
+
+@pytest.mark.parametrize("name, patch", [
+    ("leave", _frees_everything_at_any_leave),
+    ("mask", _keeps_what_every_holder_overwrote),
+    ("mask", _shares_by_refcount_alone),
+], ids=["freed-early", "overwritten-kept", "refcount-sharing"])
+def test_the_model_catches_each_image_mutant(monkeypatch, name, patch):
+    monkeypatch.setattr(PageImage, name, patch)
+    with pytest.raises(Exception):
+        run_state_machine_as_test(TableMachine, settings=settings(
+            max_examples=150, stateful_step_count=30, deadline=None,
+            derandomize=True, database=None, print_blob=False,
+            phases=(Phase.generate,), report_multiple_bugs=False,
+        ))
+
+
+def test_threads_overwrite_one_parents_inherited_pages():
+    """Four threads fork one parent and overwrite every page it wrote,
+    concurrently, round after round: each reads its own bytes, the
+    parent its own, and the store holds exactly what it held before
+    once the children go -- a lost update to the shared image's counts
+    would leave a page alive, or free one a sibling still reads."""
+    store = PageStore(page_size=PAGE)
+    parent = AddressSpace(store, 64 * PAGE)
+    for vpn in range(64):
+        parent.table.write_page(vpn, b"parent-%d" % vpn)
+    baseline = store.live_frames
+    errors = []
+
+    def child(tag: int, forked: threading.Barrier) -> None:
+        try:
+            forked.wait()
+            space = parent.fork()
+            forked.wait()
+            for vpn in range(64):
+                space.table.write_page(vpn, b"child-%d-%d" % (tag, vpn))
+            for vpn in range(64):
+                assert space.table.read_page(vpn).startswith(
+                    b"child-%d-%d\0" % (tag, vpn)
+                )
+            assert space.table.private_pages() == len(space.table)
+            space.release()
+        except BaseException as exc:  # reported on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the bookkeeping
+    try:
+        for _ in range(ROUNDS):
+            forked = threading.Barrier(4)
+            threads = [
+                threading.Thread(target=child, args=(tag, forked))
+                for tag in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert store.live_frames == baseline
+    finally:
+        sys.setswitchinterval(interval)
+    for vpn in range(64):
+        assert parent.table.read_page(vpn).startswith(b"parent-%d\0" % vpn)
+    assert parent.table.private_pages() == len(parent.table)
+    parent.release()
+    assert store.live_frames == 0
+
+
+ROUNDS = 300

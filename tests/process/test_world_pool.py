@@ -9,6 +9,7 @@ lease cannot be transparent.
 
 import hashlib
 import os
+import pickle
 import random
 import select
 import signal
@@ -1855,15 +1856,17 @@ class _ReadsPage:
 
 
 def count_walks(monkeypatch):
-    """How often the parent walks a space for its non-zero pages."""
+    """How often the parent walks a space, or the image it shares, for
+    its non-zero pages."""
     walks = []
-    walk = AddressSpace.nonzero_frames
+    for name in ("nonzero_frames", "image_frames"):
+        walk = getattr(AddressSpace, name)
 
-    def counting(space):
-        walks.append(space)
-        return walk(space)
+        def counting(space, _walk=walk):
+            walks.append(space)
+            return _walk(space)
 
-    monkeypatch.setattr(AddressSpace, "nonzero_frames", counting)
+        monkeypatch.setattr(AddressSpace, name, counting)
     return walks
 
 
@@ -1960,3 +1963,169 @@ class TestLeaseImage:
             pool.shutdown()
             for space in spaces + [base, other, crowd]:
                 space.release()
+
+    def test_lease_messages_do_not_grow_with_the_parent(self, monkeypatch):
+        """A 3-arm block over a 256-page parent sends lease messages the
+        size of an empty parent's, give or take the arena's name and the
+        record's slot range -- and so does a second block on the image."""
+        sizes = _LeaseSizes()
+        monkeypatch.setattr(pool_module, "pickle", sizes)
+        pool = WorldPool(size=3)
+        try:
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=0.5, pool=pool),
+                space_size=IMAGE_PAGES * PAGE,
+            )
+            alternatives = [
+                Alternative("first", body=_ReadsPage(8)),
+                Alternative("second", body=_ReadsPage(16, 0.3)),
+                Alternative("third", body=_ReadsPage(24, 0.3)),
+            ]
+            empty = executor.new_parent()
+            assert executor.run(alternatives, parent=empty).value == bytes(16)
+            base = executor.new_parent()
+            for vpn in range(IMAGE_PAGES):
+                base.space.write(vpn * PAGE, f"base-{vpn}".encode())
+            blocks = [sizes.taken()]
+            published = []
+            for _ in range(2):
+                parent = executor.new_parent()
+                parent.space.adopt(base.space.fork())
+                before = pool.pages_published
+                result = executor.run(alternatives, parent=parent)
+                assert result.value == b"base-8".ljust(16, b"\0")
+                published.append(pool.pages_published - before)
+                blocks.append(sizes.taken())
+                pool.drain()
+                parent.space.release()
+            assert published == [IMAGE_PAGES, 0]
+            assert [len(block) for block in blocks] == [3, 3, 3]
+            floor = min(blocks[0])
+            # Listing the image would add two numbers per page, >= 512
+            # bytes; naming it adds the arena's name and two numbers.
+            for block in blocks[1:]:
+                assert max(block) - floor <= 64, blocks
+            assert pool.fallbacks == 0
+            empty.space.release()
+            base.space.release()
+        finally:
+            pool.shutdown()
+
+    def test_a_worker_builds_an_image_once_and_again_when_it_must(
+        self, monkeypatch
+    ):
+        """One worker, one image: the table is built at the first lease
+        and forked at the next; a SIGKILLed worker's heir and an arena
+        rotation each build it afresh, and read it right."""
+        monkeypatch.setattr(pool_module, "ARENA_MIN_SLOTS", 8)
+        pool = WorldPool(size=1)
+        store = PageStore(PAGE)
+        base = image(store, "base")
+        crowd = image(store, "crowd", pages=range(20, 30))
+        spaces = []
+
+        def lease(space, body):
+            task = handmade_task(space.fork(), body)
+            spaces.append(task.context.space)
+            return pool.lease(task, time.perf_counter(), shm=True)
+
+        def read(space, vpn):
+            got = lease(space, _ReportsImage(vpn))
+            record = collect(got)
+            pool.finish({0: got}, {0})
+            got.slab.dispose()
+            return record["value"]
+
+        try:
+            pid, built, page = read(base, 7)
+            assert page == b"base-7".ljust(16, b"\0")
+            assert read(base, 3) == (pid, built, b"base-3".ljust(16, b"\0"))
+            # Killed mid-lease: the heir has no table and builds one.
+            doomed = lease(base, _ReportsImage(3, 30.0))
+            os.kill(doomed.pid, signal.SIGKILL)
+            pool.finish({0: doomed}, set())
+            doomed.slab.dispose()
+            assert pool.respawns == 1
+            heir, built, page = read(base, 11)
+            assert heir != pid and page == b"base-11".ljust(16, b"\0")
+            assert read(base, 3)[:2] == (heir, built)
+            # Ten fresh frames overflow the eight-slot arena: it rotates,
+            # and the worker builds the base image's table again.
+            assert read(crowd, 21)[2] == b"crowd-21".ljust(16, b"\0")
+            assert pool.arena_rotations == 1
+            again = read(base, 7)
+            assert again[0] == heir and again[1] != built
+            assert again[2] == b"base-7".ljust(16, b"\0")
+            assert read(base, 3)[:2] == again[:2]
+        finally:
+            pool.shutdown()
+            for space in spaces + [base, crowd]:
+                space.release()
+
+
+    def test_an_image_page_the_arm_no_longer_sees_reads_as_zero(self):
+        """An arm's table that hides an inherited page behind the zero
+        frame sends the image's record plus that page, to zero-fill."""
+        pool = WorldPool(size=1)
+        store = PageStore(PAGE)
+        base = image(store, "base")
+        child = base.fork()
+        child.table.set_frame(7, store.acquire_zero_frame())
+        spaces = []
+
+        def read(vpn):
+            task = handmade_task(child.fork(), _ReadsPage(vpn))
+            spaces.append(task.context.space)
+            lease = pool.lease(task, time.perf_counter(), shm=True)
+            record = collect(lease)
+            pool.finish({0: lease}, {0})
+            lease.slab.dispose()
+            return record["value"]
+
+        try:
+            assert read(7) == bytes(16)
+            assert read(3) == b"base-3".ljust(16, b"\0")
+            assert base.read(7 * PAGE, 6) == b"base-7"
+        finally:
+            pool.shutdown()
+            for space in spaces + [child, base]:
+                space.release()
+
+
+class _LeaseSizes:
+    """Stands in for ``pickle`` in the pool module: records the size of
+    every lease message the coordinator pickles."""
+
+    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+    loads = staticmethod(pickle.loads)
+
+    def __init__(self):
+        self.sizes = []
+
+    def dumps(self, message, protocol=None):
+        blob = pickle.dumps(message, protocol=protocol)
+        if isinstance(message, dict) and message.get("kind") == "lease":
+            self.sizes.append(len(blob))
+        return blob
+
+    def taken(self):
+        sizes, self.sizes = self.sizes, []
+        return sizes
+
+
+class _ReportsImage:
+    """Picklable arm: which worker ran it, the uid of the image its
+    table forks (the worker's frozen table of the parent image), and
+    the first bytes of one page -- after ``seconds``."""
+
+    def __init__(self, vpn, seconds=0.0):
+        self.vpn = vpn
+        self.seconds = seconds
+
+    def __call__(self, ctx):
+        ctx.sleep(self.seconds)
+        space = ctx.space
+        return (
+            os.getpid(), space.table.image.uid,
+            space.read(self.vpn * space.page_size, 16),
+        )
