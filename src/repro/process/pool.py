@@ -32,9 +32,10 @@ arm of a block, every block on a parent that has not been frozen anew --
 carries only that record's slot range, the slots of its overlay's pages,
 and the image pages its table hides.  The worker keeps its arena mapping
 and one page store across leases, adopts each slot it is shown once as an
-external frame, builds one frozen table per image record and forks it
-for each lease, and copies a page only when the body writes it.  So
-neither the lease message nor the worker's setup grows with the parent.
+external frame, keeps the frozen table of the last image record it was
+shown and forks it for each lease, and copies a page only when the body
+writes it.  So neither the lease message nor the worker's setup grows
+with the parent.
 Image uids and frame ids are never reused and slots are write-once, so a
 record stays right for as long as its arena lives; a rotation starts with
 none.  Page images cross the control pipe only when shared memory is off
@@ -179,13 +180,9 @@ DEFAULT_POOL_SIZE = 2
 ARENA_MIN_SLOTS = 1024
 """Slots in the smallest arena the pool creates.  A segment's pages are
 backed only once written, so room to spare costs address space, not
-memory; an arena that fills is replaced by one twice the demand that
-overflowed it."""
-
-FROZEN_IMAGES = 4
-"""Image tables a worker keeps built: enough for the parents of the
-concurrent races a pool serves, each held until evicted oldest first or
-the arena is left."""
+memory; an arena that fills is replaced by one twice the size of the
+whole world -- image, overlay and record -- of the lease that overflowed
+it."""
 
 RESPONSE_SPARE_SLABS = 2
 """Response slabs the pool keeps beyond one per worker: slabs set aside
@@ -581,20 +578,23 @@ class WorldPool:
         if image is None and not overlay:
             return None, _snapshot(), 0, 0  # all zero: nothing to show
         key = None if image is None else (image.uid, num_pages)
-        ledger = self._ledger
+        ledger, placed = self._ledger, None
         with self._lock:
             arena = ledger.arena
-            if (
-                not overlay and arena is not None and key in arena.images
-                and ledger.pin(epoch)
-            ):
-                # Every arm of a block, and every block on one image,
-                # after the first: one lookup, nothing written.
-                record, fresh, slots = arena.images[key], 0, []
-            else:
-                arena, record, fresh, slots = self._place(
-                    epoch, space, key, overlay
-                )
+            if key is None or (arena is not None and key in arena.images):
+                if not overlay and ledger.pin(epoch):
+                    # Every arm of a block, and every block on one image,
+                    # after the first: one lookup, nothing written.
+                    placed = arena, arena.images[key], 0, []
+                else:
+                    placed = self._place(epoch, space, key, overlay)
+        if placed is None:
+            # A new image is walked outside the lock that concurrent
+            # leases wait on.
+            walked = space.image_frames()
+            with self._lock:
+                placed = self._place(epoch, space, key, overlay, walked)
+        arena, record, fresh, slots = placed
         if arena is None:
             return self._inline(space)
         vpns = tuple(vpn for vpn, _ in overlay)
@@ -608,26 +608,30 @@ class WorldPool:
         )
 
     def _place(
-        self, epoch: int, space: AddressSpace, key, overlay: list
+        self, epoch: int, space: AddressSpace, key, overlay: list,
+        walked: Optional[Tuple[tuple, tuple]] = None,
     ) -> Tuple[Optional[_Arena], Optional[Tuple[int, int]], int, List[int]]:
         """:meth:`_publish`'s general case (lock held): publish what the
         live arena lacks of image ``key`` and of ``overlay``, rotating it
-        once if it is full.  Returns the arena, pinned by the lease, the
-        image's record, the pages copied and the overlay's slots; no
-        arena when the lease cannot be shown one."""
+        once if it is full.  ``walked`` is the image's
+        :meth:`~repro.pages.address_space.AddressSpace.image_frames`,
+        walked here only if the caller did not -- the arena moved since
+        it looked, or must be replaced.  Returns the arena, pinned by the
+        lease, the image's record, the pages copied and the overlay's
+        slots; no arena when the lease cannot be shown one."""
         store, ledger = space.store, self._ledger
         uid, page_size = store.uid, store.page_size
-        walked = start = None
+        start = None
         for rotated in (False, True):
             if ledger.closed or ledger.holder(epoch) is None:
                 return None, None, 0, []
             arena = ledger.arena
             if arena is not None and arena.slab.slot_size != page_size:
                 arena = None
-            known = arena is not None and (key is None or key in arena.images)
-            if not known and walked is None and key is not None:
+            known = key is None or (arena is not None and key in arena.images)
+            if not known and walked is None:
                 walked = space.image_frames()
-            vpns, frames = ((), ()) if known or key is None else walked
+            vpns, frames = ((), ()) if known else walked
             index = {} if arena is None else arena.index
             fresh = list(dict.fromkeys(
                 frame for frame in frames + tuple(f for _, f in overlay)
@@ -640,12 +644,20 @@ class WorldPool:
             if start is not None:
                 break
             if not rotated:
-                self._rotate(page_size, len(fresh) + records)
+                # Sized from the whole world, not from what the old arena
+                # lacked: the new one starts empty.
+                if walked is None and key is not None:
+                    walked = space.image_frames()
+                vpns, frames = walked or ((), ())
+                world = set(frames).union(f for _, f in overlay)
+                self._rotate(
+                    page_size, len(world) + _record_slots(len(vpns), page_size)
+                )
         if start is None or not ledger.pin(epoch):
             return None, None, 0, []
         if fresh:
             arena.extend(start, uid, fresh, [store.view(f) for f in fresh])
-        if not known and key is not None:
+        if not known:
             arena.images[key] = None
             if vpns:
                 arena.record(start + len(fresh), key, vpns, [
@@ -925,11 +937,12 @@ class _WorkerWorld:
     """What a pooled worker keeps from one lease to the next.
 
     The arena mapping, one :class:`PageStore`, the frame each arena
-    slot was adopted as, and one frozen table per image record, which
-    every lease showing that image forks.  Slots are write-once and
-    arena names are never reused, so a cached frame or table stays right
-    for as long as the worker stays bound to that arena; binding to
-    another name drops the cached tables, frames and the old mapping.
+    slot was adopted as, and the frozen table of the last image record a
+    lease showed, which every lease showing that image forks.  Slots are
+    write-once and arena names are never reused, so a cached frame or
+    table stays right for as long as the worker stays bound to that
+    arena; binding to another name drops the cached table, frames and
+    the old mapping.
     And the mapping of the one response
     slab the pool binds to this worker, replaced only when a lease names
     another.  The worker never unlinks anything.  It is also the arm of
@@ -944,9 +957,9 @@ class _WorkerWorld:
         self.frames: Dict[int, int] = {}
         """Arena slot -> the external frame adopted over it."""
 
-        self.images: Dict[Tuple[int, int, int], PageTable] = {}
-        """``(first slot, pages, space size)`` of an image record -> the
-        frozen table built from it, newest last."""
+        self.image: Optional[Tuple[Tuple[int, int, int], PageTable]] = None
+        """``(first slot, pages, space size)`` of the last image record
+        shown, and the frozen table built from it."""
 
         self.response: Optional[ShmSlab] = None
         self.lease: Optional[dict] = None
@@ -994,11 +1007,9 @@ class _WorkerWorld:
         return held.lend(slots)
 
     def unbind(self) -> None:
-        """Drop the cached tables and frames, then the arena mapping
+        """Drop the cached table and frames, then the arena mapping
         under them."""
-        for table in self.images.values():
-            table.release()
-        self.images = {}
+        self.forget_image()
         if self.frames:
             self.store.decref_many(dict.fromkeys(self.frames.values(), 1))
             self.frames = {}
@@ -1020,15 +1031,21 @@ class _WorkerWorld:
             mapped.append(frame)
         return mapped
 
+    def forget_image(self) -> None:
+        """Release the cached image table, if any."""
+        held, self.image = self.image, None
+        if held is not None:
+            held[1].release()
+
     def frozen(self, record: Tuple[int, int], space_size: int) -> PageTable:
         """The table of the image whose record starts at ``record``'s
-        first slot: built once, from the record's ``(vpn, slot)``
-        pairs, and kept for every later lease that shows it."""
+        first slot: built from the record's ``(vpn, slot)`` pairs, and
+        kept until a lease shows another image."""
         first, pages = record
         key = (first, pages, space_size)
-        table = self.images.get(key)
-        if table is not None:
-            return table
+        if self.image is not None and self.image[0] == key:
+            return self.image[1]
+        self.forget_image()
         size = self.arena.slot_size
         blob = b"".join(
             self.arena.slot_view(slot)
@@ -1042,10 +1059,9 @@ class _WorkerWorld:
         except BaseException:
             space.release()
             raise
-        table = self.images[key] = space.table
+        table = space.table
         table.clear_dirty()
-        while len(self.images) > FROZEN_IMAGES:
-            self.images.pop(next(iter(self.images))).release()
+        self.image = key, table
         return table
 
     def build_space(self, message: dict) -> AddressSpace:

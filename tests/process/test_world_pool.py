@@ -2062,6 +2062,58 @@ class TestLeaseImage:
             for space in spaces + [base, crowd]:
                 space.release()
 
+    def test_a_known_image_rotates_into_an_arena_it_fits(self, monkeypatch):
+        """An overlay that overflows the arena of a known image replaces
+        it with one sized for the whole world -- image, overlay and
+        record -- not for the overlay alone: the lease still goes out
+        through shared memory, and the worker builds the image again."""
+        monkeypatch.setattr(pool_module, "ARENA_MIN_SLOTS", 8)
+        pool = WorldPool(size=1)
+        store = PageStore(PAGE)
+        base = image(store, "base", pages=range(10))
+        children = []
+        for first in (40, 50):
+            child = base.fork()
+            for vpn in range(first, first + 6):
+                child.write(vpn * PAGE, f"mine-{vpn}".encode())
+            children.append(child)
+        spaces = []
+
+        def read(space, vpn):
+            task = handmade_task(space.fork(), _ReportsImage(vpn))
+            spaces.append(task.context.space)
+            got = pool.lease(task, time.perf_counter(), shm=True)
+            record = collect(got)
+            pool.finish({0: got}, {0})
+            got.slab.dispose()
+            return record["value"]
+
+        try:
+            # The image's 10 pages and its record take 11 of 22 slots;
+            # the first overlay's 6 fit beside them.
+            pid, built, page = read(base, 3)
+            assert page == b"base-3".ljust(16, b"\0")
+            assert read(children[0], 41) == (
+                pid, built, b"mine-41".ljust(16, b"\0")
+            )
+            assert pool.arena_rotations == 0
+            # The second overlay's 6 do not fit in the 5 left; an arena
+            # sized for them alone (12 slots) would not hold the 17 the
+            # world needs, and the lease would ship every page inline.
+            published = pool.pages_published
+            again = read(children[1], 52)
+            assert pool.arena_rotations == 1
+            assert pool.pages_published - published == 10 + 6
+            assert again[0] == pid and again[1] != built
+            assert again[2] == b"mine-52".ljust(16, b"\0")
+            assert read(children[1], 7)[2] == b"base-7".ljust(16, b"\0")
+            assert pool.pages_published - published == 10 + 6
+            assert pool.fallbacks == 0
+        finally:
+            pool.shutdown()
+            for space in spaces + children + [base]:
+                space.release()
+
 
     def test_an_image_page_the_arm_no_longer_sees_reads_as_zero(self):
         """An arm's table that hides an inherited page behind the zero
