@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -21,6 +22,8 @@ from repro.core.backends.wire import (
 )
 from repro.core.concurrent import ConcurrentExecutor
 from repro.errors import AltBlockFailure
+from repro.pages.shm import shm_available
+from repro.process.pool import WorldPool
 from repro.resilience import FaultInjector, injected
 
 pytestmark = [
@@ -163,4 +166,96 @@ class TestReaping:
         with injected(injector):
             result = executor.run(block(n=3))
         assert result.value == "v0"
+        assert_no_unreaped_children()
+
+
+class _Arm:
+    """Picklable arm body (so a pool leases it): sleep, write, return."""
+
+    def __init__(self, seconds, value):
+        self.seconds = seconds
+        self.value = value
+
+    def __call__(self, ctx):
+        ctx.sleep(self.seconds)
+        ctx.put("who", self.value)
+        return self.value
+
+
+KILLED = signal.SIGKILL
+TOLD = (False, True, False, None, None)
+DIED = (False, True, True, KILLED, None)
+MANGLED = (False, True, True, None, None)
+RAISED = (False, False, True, None, None)
+
+# (fault, faulted arms, winner, forked reports, pooled reports).  In the
+# pooled race arms 0 and 1 lease the two workers and arm 2 falls back.
+# A leased arm still deaf at the commit is left to the pool (told, not
+# abnormal); a forked one is waited for and killed at the grace.
+WON = object()
+ARM_SOURCE_PINS = [
+    (None, (), 0, (WON, TOLD, TOLD), (WON, TOLD, TOLD)),
+    ("arm-sigkill", (0, 2), 1, (DIED, WON, DIED), (DIED, WON, DIED)),
+    ("arm-hang", (0,), 1, (DIED, WON, TOLD), (TOLD, WON, TOLD)),
+    ("arm-hang", (2,), 0, (WON, TOLD, DIED), (WON, TOLD, DIED)),
+    ("arm-raise", (0, 2), 1, (RAISED, WON, RAISED), (RAISED, WON, RAISED)),
+    ("pipe-truncate", (0, 2), 1,
+     (MANGLED, WON, MANGLED), (MANGLED, WON, MANGLED)),
+    ("record-corrupt", (0, 2), 1,
+     (MANGLED, WON, MANGLED), (MANGLED, WON, MANGLED)),
+    ("shm-attach-fail", (0, 2), 0, (WON, TOLD, TOLD), (WON, TOLD, TOLD)),
+]
+
+
+class TestArmSourcePins:
+    """What each arm of a 3-arm block reports, forked and on a 2-worker
+    pool (one arm falls back), with and without each arm-side fault."""
+
+    @pytest.mark.parametrize("source", ["forked", "pooled"])
+    @pytest.mark.parametrize(
+        "fault, arms, winner, forked, pooled", ARM_SOURCE_PINS,
+        ids=[
+            f"{pin[0]}@{'+'.join(map(str, pin[1]))}" if pin[0] else "none"
+            for pin in ARM_SOURCE_PINS
+        ],
+    )
+    def test_every_arm_reports_what_it_did(
+        self, source, fault, arms, winner, forked, pooled, fault_seed
+    ):
+        expected = forked if source == "forked" else pooled
+        transport = "shm" if shm_available() else "pipe"
+        if fault == "shm-attach-fail":
+            transport = "pipe"
+        won = (True, False, False, None, transport)
+        injector = FaultInjector(seed=fault_seed)
+        if fault is not None:
+            injector.add(fault, arms=arms, times=None)
+        pool = WorldPool(2) if source == "pooled" else None
+        try:
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=0.3, pool=pool)
+            )
+            block = [
+                Alternative(f"arm{i}", body=_Arm(seconds, f"v{i}"))
+                for i, seconds in enumerate((0.0, 0.3, 1.0))
+            ]
+            with injected(injector):
+                result = executor.run(block)
+            assert result.winner.name == f"arm{winner}"
+            assert result.value == f"v{winner}"
+            reports = [executor._last_race.report(i) for i in range(3)]
+            seen = [
+                (r.succeeded, r.cancelled, r.abnormal, r.exit_signal,
+                 r.page_transport)
+                for r in reports
+            ]
+            assert seen == [
+                won if pin is WON else pin for pin in expected
+            ], [r.detail for r in reports]
+            if pool is not None:
+                assert pool.fallbacks == 1
+                assert pool.drain(timeout=10.0)
+        finally:
+            if pool is not None:
+                pool.shutdown()
         assert_no_unreaped_children()
