@@ -95,9 +95,9 @@ test-check:
 ## the instruction issued before the lease is read, the stale bell, the
 ## pre-body check).  The default pool
 ## has 2 workers, so every block wider than 2 crosses, in one race, the
-## reissued slab of a leased arm and the create-and-unlink slab of an arm
-## that fell back to a fork: the 13-block matrix staying byte-identical
-## here is the check on both.
+## reissued slab of a leased arm and the slab bound to a one-shot worker
+## forked for the arm no parked worker took, dropped at its settle: the
+## 13-block matrix staying byte-identical here is the check on both.
 test-matrix-pooled:
 	REPRO_WORLD_POOL=1 $(PYTHON) -m pytest \
 		tests/obs/test_equivalence_matrix.py tests/process/test_world_pool.py -q

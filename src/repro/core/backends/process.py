@@ -1,84 +1,57 @@
 """The process execution backend: real ``os.fork`` racing with COW.
 
-One forked child per arm, one result pipe per child.  Each child runs its
+One OS process per arm, one result pipe per process.  Each arm runs its
 body against its private simulated address space (the whole simulated
 store is duplicated by the OS fork's own copy-on-write, so siblings are
 isolated twice over) and ships its outcome back as a checksum-framed
 pickle record.  The first arm whose *intact* success record arrives wins
 the rendezvous -- fastest-first at the wall clock.
 
-Dirty-state shipback has two transports:
+Every arm is a *lease* of a :class:`~repro.process.pool.WorldPool`
+(``pool=``, the ``REPRO_WORLD_POOL`` flag via ``get_backend``, or else
+the process-wide pool of no parked workers,
+:func:`~repro.process.pool.fork_pool`): a pre-warmed parked worker when
+the alternative pickles and one is free, amortizing the paper's
+per-block setup cost, or else a *one-shot* worker forked for the arm as
+section 3.1's ``alt_spawn`` forks a child, which runs it from memory and
+dies with it.  Both run the one :func:`run_arm` below their coordinator
+(:data:`ARM_NICE_STEP`), speak one wire format, and are settled by
+:meth:`WorldPool.finish <repro.process.pool.WorldPool.finish>`.
 
-- **shm** (default where POSIX shared memory works): the parent maps one
-  :class:`~repro.pages.shm.ShmSlab` per forked arm before forking; the
-  child writes its dirty page images straight into slab slots (the
-  mapping is fork-inherited) and the pipe record carries only
-  ``(page, slot)`` pairs.  Winner commit in the parent becomes a pointer
-  swap (``AddressSpace.apply_shm_pages``): slots are adopted as external
-  frames, no page image is ever pickled or copied.  A pooled arm ships
-  the same way into a slab its lease lends it
-  (:attr:`~repro.process.pool.Lease.slab`), which the pool made once and
-  keeps.
-- **pipe**: the historical path -- dirty page images ride inside the
-  pickled record.  Used when shared memory is unavailable, when slab
-  creation fails, when an arm ships nothing page-sized, or when the
-  ``shm-attach-fail`` fault is injected; the fallback is per-arm and
-  byte-equivalent.
-
-A :class:`~repro.process.pool.WorldPool` may be attached (``pool=`` or
-the ``REPRO_WORLD_POOL`` environment flag via ``get_backend``): arms
-whose alternatives pickle are then *leased* to pre-warmed parked workers
-over persistent pipes instead of being forked per race, amortizing the
-paper's per-block setup cost.  Pooled workers speak the identical wire
-format, honor the same cancel / SIGKILL escalation, and fall back to a
-direct fork per arm whenever leasing is impossible.
+Dirty pages ship home through the response slab the lease lends
+(:attr:`~repro.process.pool.Lease.slab`): the record carries only
+``(page, slot)`` pairs, and the winner's commit is a pointer swap
+(``AddressSpace.apply_shm_pages``).  Without shared memory, when a slab
+cannot be made, when an arm ships nothing page-sized, or under the
+``shm-attach-fail`` fault, the page images ride inside the record
+instead -- per arm, byte-equivalent.
 
 Elimination is two-stage, matching the paper's cooperative-then-forcible
-reality: losers first receive the termination instruction -- ``SIGTERM``
-for a forked child, :meth:`WorldPool.cancel
-<repro.process.pool.WorldPool.cancel>` (the epoch on the pool's board,
-then ``SIGTERM`` as the bell) for a leased worker -- whose handler
-cancels the arm's token (the signal-safe :class:`_BellToken`, in either
-kind of child, which runs the arm through the one :func:`run_arm`) so
-the body stops at its next cooperative checkpoint and reports how
-much work it actually did; any child still alive after ``kill_grace``
-seconds is ``SIGKILL``-ed (the asynchronous hard kill of section 3.2.1)
-and its report is synthesized.
+reality: losers first receive the termination instruction through
+:meth:`WorldPool.cancel <repro.process.pool.WorldPool.cancel>`, whose
+``SIGTERM`` handler cancels the arm's signal-safe :class:`_BellToken` so
+the body stops at its next cooperative checkpoint and reports how much
+work it did; any arm still alive after ``kill_grace`` seconds is
+``SIGKILL``-ed (the asynchronous hard kill of section 3.2.1) and its
+report is synthesized.  Selection ends at the commit: once a winner is
+chosen and every sibling still racing has been told, ``run_arms``
+returns.  A one-shot is waited for (it is this race's child); a parked
+worker's lease this race has not read a byte from is *detached* --
+reported ``cancelled`` with the work it burned until told, and left to
+the pool, which hears it out and enforces the same deadline.
+``collect_all``, timeout and no-winner races wait for everyone.
 
-Every arm process runs below its coordinator: a forked child (and a
-pooled worker, once when it starts) adds :data:`ARM_NICE_STEP` to its
-niceness before anything else (:func:`lower_arm_priority`), so spawning
-arms, noticing the winner and committing never wait behind a loser.
-
-Selection ends at the commit.  Once a winner is chosen and every sibling
-still racing has been told, ``run_arms`` returns: a forked child is
-waited for and reaped here (it is this race's child), but a leased
-worker this race has not read a byte from is *detached* -- reported
-``cancelled`` with the work it burned until told, and handed to the pool
-with :meth:`WorldPool.finish <repro.process.pool.WorldPool.finish>`,
-which hears it out later and enforces the same ``kill_grace`` deadline.
-``collect_all``, timeout and no-winner races wait for everyone, as
-before.
-
-Hardening beyond the paper's happy path:
-
-- every record is framed ``magic | length | crc32``; a corrupt record is
-  detected and demotes its arm to an abnormal failure instead of
-  poisoning the race;
-- a child that dies mid-shipback leaves a truncated frame on its private
-  pipe; the parent detects the dangling bytes at EOF, marks the arm dead,
-  and the next intact finisher is promoted -- a winner's death during
-  shipback never fails the block while a sibling can still win;
-- reaping is EINTR-safe, force-kills wedged children as a last resort,
-  records each child's wait status on its report (``exit_signal``), and a
-  module-level orphan sweep reclaims children leaked by a race that died
-  before its own reap;
-- slabs are refcounted with ``atexit`` unlinking, so even a parent crash
-  mid-race leaks no ``/dev/shm`` segment;
-- the :mod:`repro.resilience` fault injector is consulted at the
-  ``arm-raise`` / ``arm-hang`` / ``arm-sigkill`` / ``pipe-truncate`` /
-  ``record-corrupt`` / ``shm-attach-fail`` points, so every one of these
-  failure modes is reproducible in tests.
+Hardening beyond the paper's happy path: every record is framed
+``magic | length | crc32``, so a corrupt record demotes its arm to an
+abnormal failure; an arm that dies mid-shipback leaves a truncated frame
+the parent detects at EOF, and the next intact finisher is promoted;
+the pool reaps every arm, force-kills a wedged one-shot as a last
+resort and hands each dead arm's wait status back (``exit_signal``), and
+reclaims a one-shot whose race never settled it; slabs are refcounted
+with ``atexit`` unlinking; and the :mod:`repro.resilience` injector is
+consulted at ``arm-raise`` / ``arm-hang`` / ``arm-sigkill`` /
+``pipe-truncate`` / ``record-corrupt`` / ``shm-attach-fail``, so each of
+these failure modes is reproducible in tests.
 """
 
 from __future__ import annotations
@@ -87,9 +60,7 @@ import errno
 import os
 import select
 import signal
-import threading
 import time
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.backends import wire
@@ -113,95 +84,10 @@ from repro.obs.tracer import active as _active_tracer
 from repro.pages.shm import ShmShipment, ShmSlab, shm_available
 from repro.resilience.injector import active as _active_injector
 
-__all__ = ["ProcessBackend", "sweep_orphans"]
+__all__ = ["ProcessBackend"]
 
 # ----------------------------------------------------------------------
-# orphan registry: pids forked by any ProcessBackend in this process that
-# have not been reaped yet.  A race that dies before its own reap leaves
-# its children here; the next race (or an explicit sweep) reclaims them.
-# Pool workers are deliberately *not* registered: their lifetime belongs
-# to the WorldPool, which has its own shutdown and atexit discipline.
-#
-# Each pid is tagged with the *race scope* that forked it.  Races may run
-# concurrently (a multi-tenant server races many blocks over one shared
-# pool, with the fork fallback live on all of them), so the sweep must
-# only reclaim children whose owning race has already exited -- killing
-# any registered pid would assassinate a sibling race's healthy arms.
-
-
-class _RaceScope:
-    """Liveness tag for one ``run_arms`` invocation's forked children."""
-
-    __slots__ = ("live",)
-
-    def __init__(self) -> None:
-        self.live = True
-
-
-_orphan_lock = threading.Lock()
-_orphan_pids: Dict[int, Optional[_RaceScope]] = {}
-
-
-def _register_orphan(pid: int, scope: Optional[_RaceScope] = None) -> None:
-    """Track a forked child; ``scope=None`` means immediately sweepable."""
-    with _orphan_lock:
-        _orphan_pids[pid] = scope
-
-
-def _forget_orphan(pid: int) -> None:
-    with _orphan_lock:
-        _orphan_pids.pop(pid, None)
-
-
-def sweep_orphans() -> int:
-    """Force-kill and reap children leaked by a *finished* race.
-
-    Returns the number of processes reclaimed.  Safe to call any time;
-    every ``run_arms`` calls it on entry so no child is ever left
-    unreaped across races, even after a parent-side crash.  Children of
-    races still in flight are left alone -- concurrent races sharing
-    this process must not reap each other's live arms.
-    """
-    with _orphan_lock:
-        leaked = [
-            pid
-            for pid, scope in _orphan_pids.items()
-            if scope is None or not scope.live
-        ]
-    swept = 0
-    for pid in leaked:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-        if _waitpid_blocking(pid) is not None:
-            swept += 1
-        _forget_orphan(pid)
-    return swept
-
-
-def _waitpid_nohang(pid: int) -> Tuple[bool, Optional[int]]:
-    """Non-blocking reap: ``(reaped, status)``.  EINTR is retried by
-    ``os.waitpid`` itself (PEP 475), here and below."""
-    try:
-        done, status = os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True, None  # already reaped elsewhere
-    if done == 0:
-        return False, None
-    return True, status
-
-
-def _waitpid_blocking(pid: int) -> Optional[int]:
-    """Blocking reap; ``None`` when already reaped."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:
-        return None
-
-
-# ----------------------------------------------------------------------
-# the child side of an arm, shared by fork children and pool workers
+# the child side of an arm, shared by one-shots and parked workers
 
 
 def build_result_record(
@@ -258,13 +144,14 @@ def build_result_record(
 
 
 class _BellToken(CancellationToken):
-    """The token of an arm a signal cancels (a forked child's, a pooled
+    """The token of an arm a signal cancels (a one-shot's, a pooled
     worker's), from the handler of the very thread that waits on it.
 
     Not a :class:`threading.Event`, whose lock a handler can find held by
     the ``wait`` it interrupted (about one told sleeper in 1 500 wedged).
     A flag and a self-pipe have no lock.  The pipe is also the process's
-    signal wakeup fd (:func:`bell_pipe`), written by the C-level handler
+    signal wakeup fd (:func:`~repro.process.pool.bell_pipe`), written by
+    the C-level handler
     the instant the bell rings -- the Python one runs only at the next
     bytecode boundary, maybe already inside ``select``; ``wait`` wakes,
     lets it run (``cancelled`` is a Python call) and sleeps on if the bell
@@ -301,19 +188,9 @@ class _BellToken(CancellationToken):
         return self._cancelled
 
 
-def bell_pipe() -> Tuple[int, int]:
-    """A non-blocking self-pipe for :class:`_BellToken`, made this
-    process's signal wakeup fd (once per forked arm or pooled worker)."""
-    wake = os.pipe()
-    for fd in wake:
-        os.set_blocking(fd, False)
-    signal.set_wakeup_fd(wake[1], warn_on_full_buffer=False)
-    return wake
-
-
 ARM_NICE_STEP = 5
 """How far below its coordinator an arm process runs: the niceness a
-forked arm or pooled worker adds to its own once, at birth (the kernel
+one-shot or pooled worker adds to its own once, at birth (the kernel
 caps the result at 19).  Arms share what the coordinator leaves exactly
 as before, so the race alone still decides the winner.  Five steps
 measured as fast as ten on an idle host, and they leave an arm about a
@@ -323,30 +200,9 @@ races beside two busy nice-0 processes on two cores ran more than
 twice as slow."""
 
 
-def fork_child(body) -> int:
-    """Fork a child that runs ``body()`` and never returns; its pid.
-
-    SIGTERM stays blocked across the fork until the child has its
-    handler (``body`` unblocks it), so a child told before it got that
-    far hears the bell instead of dying of the default disposition.  The
-    calling thread's mask comes back even when the fork raises.
-    """
-    old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            try:
-                body()
-            finally:  # pragma: no cover - body never returns
-                os._exit(_EXIT_SHIP_FAILED)
-        return pid
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
-
-
 def lower_arm_priority() -> None:
     """Drop the calling arm process :data:`ARM_NICE_STEP` below where it
-    was born (once per forked arm or pooled worker, never per lease, so
+    was born (once per one-shot or pooled worker, never per lease, so
     it never compounds).  A refusal is ignored: priority is an
     optimization, like pooling and forking themselves."""
     try:
@@ -360,7 +216,7 @@ def run_arm(
     pre_fault: Optional[Tuple] = None, ship_fault: Optional[Tuple] = None,
     epoch: Optional[int] = None, told_before_start: bool = False,
 ) -> int:
-    """The child side of arm ``index``, forked or pooled: pre-body fault,
+    """The child side of arm ``index``, one-shot or pooled: pre-body fault,
     body (``arm.run()`` returns ``(succeeded, value, detail)``), the
     verdict (``Eliminated`` is cancelled, anything else abnormal), the
     record -- dirty pages of ``arm.space`` through ``arm.slab``, both read
@@ -416,16 +272,12 @@ def run_arm(
 
 
 class ProcessBackend(ExecutionBackend):
-    """Race arms in forked OS processes; first intact success wins."""
+    """Race arms in OS processes; first intact success wins."""
 
     name = "process"
     is_parallel = True
 
-    def __init__(
-        self,
-        kill_grace: float = 2.0,
-        pool=None,
-    ) -> None:
+    def __init__(self, kill_grace: float = 2.0, pool=None) -> None:
         if not hasattr(os, "fork"):
             raise RuntimeError(
                 "ProcessBackend requires os.fork; use ThreadBackend instead"
@@ -434,10 +286,10 @@ class ProcessBackend(ExecutionBackend):
             raise ValueError("kill_grace cannot be negative")
         self.kill_grace = kill_grace
         self.pool = pool
-        """An attached :class:`~repro.process.pool.WorldPool` (or ``None``
-        to fork every arm fresh)."""
+        """An attached :class:`~repro.process.pool.WorldPool`, or ``None``
+        to fork every arm fresh (:func:`~repro.process.pool.fork_pool`)."""
 
-        self._race_pids: Dict[int, int] = {}
+        self._race_pool = pool
         self._race_seen: Set[int] = set()
         self._race_leases: Dict[int, object] = {}
 
@@ -449,18 +301,17 @@ class ProcessBackend(ExecutionBackend):
         timeout: Optional[float] = None,
         collect_all: bool = False,
     ) -> BackendRace:
-        sweep_orphans()
-        scope = _RaceScope()
+        pool = self.pool
+        if pool is None:
+            from repro.process.pool import fork_pool
+
+            pool = fork_pool()
         start = time.perf_counter()
-        pids: Dict[int, int] = {}
-        pipes: Dict[int, int] = {}
-        persistent: Set[int] = set()  # pool-owned fds: watched, never closed
         leases: Dict[int, object] = {}
-        slabs: Dict[int, ShmSlab] = {}
         seen: Set[int] = set()
         clean_leases: Set[int] = set()
         detached: Set[int] = set()  # leased, told, left to the pool
-        self._race_pids = pids
+        self._race_pool = pool
         self._race_seen = seen
         self._race_leases = leases
         use_shm = shm_available()
@@ -469,102 +320,40 @@ class ProcessBackend(ExecutionBackend):
         try:
             for task in tasks:
                 pre_fault, ship_fault, shm_fault = self._draw_faults(task.index)
-                arm_shm = use_shm and not shm_fault
-                lease = None
-                if self.pool is not None:
-                    lease = self.pool.lease(
-                        task,
-                        start,
-                        pre_fault=pre_fault,
-                        ship_fault=ship_fault,
-                        shm=arm_shm,
+                lease = leases[task.index] = pool.lease(
+                    task, start, pre_fault=pre_fault, ship_fault=ship_fault,
+                    shm=use_shm and not shm_fault,
+                )
+                slab = lease.slab
+                if slab is not None and tracer.enabled:
+                    tracer.emit(
+                        _ev.SHM_MAP,
+                        block=getattr(task.context, "trace_block", None),
+                        arm=task.index,
+                        name=task.name,
+                        slab=slab.name,
+                        slots=slab.slots,
+                        bytes=slab.size,
                     )
-                # A pooled arm ships into the slab its lease lends it; only
-                # an arm that forks gets a slab of its own.
-                slab: Optional[ShmSlab] = None
-                if lease is not None:
-                    leases[task.index] = lease
-                    pids[task.index] = lease.pid
-                    pipes[task.index] = lease.result_fd
-                    persistent.add(lease.result_fd)
-                    slab = lease.slab
-                elif arm_shm:
-                    slab = self._create_slab(task)
-                if slab is not None:
-                    slabs[task.index] = slab
-                    if tracer.enabled:
-                        tracer.emit(
-                            _ev.SHM_MAP,
-                            block=getattr(task.context, "trace_block", None),
-                            arm=task.index,
-                            name=task.name,
-                            slab=slab.name,
-                            slots=slab.slots,
-                            bytes=slab.size,
-                        )
-                if lease is not None:
-                    continue
-                read_fd, write_fd = os.pipe()
-
-                def child() -> None:
-                    # Drop every parent-side read end inherited.
-                    os.close(read_fd)
-                    for sibling_fd in pipes.values():
-                        os.close(sibling_fd)
-                    self._child_main(
-                        task, write_fd, start, pre_fault, ship_fault, slab,
-                    )
-
-                pid = fork_child(child)
-                os.close(write_fd)
-                pids[task.index] = pid
-                pipes[task.index] = read_fd
-                _register_orphan(pid, scope)
             launched = time.perf_counter() - start
             race = self._collect(
-                tasks, pids, pipes, start, timeout, seen, slabs,
-                persistent, leases, clean_leases, detached, collect_all,
+                tasks, pool, leases, start, timeout, seen, clean_leases,
+                detached, collect_all,
             )
         finally:
-            for fd in pipes.values():
-                if fd in persistent:
-                    continue  # the pool owns its result pipes
-                try:
-                    os.close(fd)
-                except OSError:  # pragma: no cover - defensive
-                    pass
-            forked = {
-                index: pid for index, pid in pids.items() if index not in leases
-            }
-            statuses = self._reap(forked)
-            # Anything _reap could not collect stays registered; marking
-            # the scope dead hands those pids to the next sweep without
-            # exposing live siblings of concurrent races to it.
-            scope.live = False
-            if self.pool is not None and leases:
-                statuses.update(
-                    self.pool.finish(leases, clean_leases, detached)
-                )
-            # Only now, with every child reaped and every worker parked
-            # or replaced: a pooled slab let go of here may be lent again.
-            # A detached arm's is the pool's to let go of, once it has
-            # heard the worker out.
-            for index, slab in slabs.items():
-                if index in detached:
+            statuses = pool.finish(leases, clean_leases, detached)
+            # Only now, every one-shot reaped and every worker parked or
+            # replaced, may a pooled slab let go of here be lent again.  A
+            # detached arm's is the pool's to let go of; a shipment's,
+            # whoever commits (or abandons) the race's -- in collect mode
+            # every successful arm keeps its shipment, not just the winner.
+            for index, lease in leases.items():
+                if lease.slab is None or index in detached or (
+                    race is not None
+                    and race.report(index).shm_shipment is not None
+                ):
                     continue
-                if race is not None:
-                    try:
-                        report = race.report(index)
-                    except KeyError:  # pragma: no cover - defensive
-                        report = None
-                    if report is not None and report.shm_shipment is not None:
-                        # Ownership moved to the shipment: whoever commits
-                        # (or abandons) the race disposes it.  In collect
-                        # mode every successful arm keeps its shipment,
-                        # not just the winner.
-                        continue
-                slab.dispose()
-            self._race_pids = {}
+                lease.slab.dispose()
             self._race_seen = set()
             self._race_leases = {}
         race.page_transport = "shm" if use_shm else "pipe"
@@ -573,43 +362,24 @@ class ProcessBackend(ExecutionBackend):
         return race
 
     def terminate_arm(self, index: int, hard: bool = False) -> bool:
-        """Signal one still-racing child (the watchdog's entry point).
+        """Signal one still-racing arm (the watchdog's entry point).
 
-        A leased arm is told through the pool: a bare ``SIGTERM`` is only
-        a bell to a pooled worker, the instruction is on the board.
+        The instruction goes through the pool: a bare ``SIGTERM`` is only
+        a bell to a parked worker, the instruction is on the board.
         """
-        pid = self._race_pids.get(index)
-        if pid is None or index in self._race_seen:
-            return False
         lease = self._race_leases.get(index)
-        if lease is not None and not hard:
-            return self.pool.cancel(lease, self.kill_grace)
+        if lease is None or index in self._race_seen:
+            return False
+        if not hard:
+            return self._race_pool.cancel(lease, self.kill_grace)
         try:
-            os.kill(pid, signal.SIGKILL if hard else signal.SIGTERM)
+            os.kill(lease.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             return False
         return True
 
     # ------------------------------------------------------------------
-    # child side
-
-    @staticmethod
-    def _create_slab(task: ArmTask) -> Optional[ShmSlab]:
-        """One page-aligned slab sized to a forked arm's space (or
-        ``None``), unlinked when the race and any commit are over.
-
-        Any failure -- no space on the context, ``/dev/shm`` full,
-        platform refusal -- degrades silently to the pipe transport.
-        """
-        space = getattr(task.context, "space", None)
-        if space is None or space.num_pages < 1:
-            return None
-        try:
-            return ShmSlab.create(
-                slots=space.num_pages, slot_size=space.page_size
-            )
-        except Exception:
-            return None
+    # faults, drawn in the parent
 
     @staticmethod
     def _draw_faults(
@@ -617,7 +387,7 @@ class ProcessBackend(ExecutionBackend):
     ) -> Tuple[Optional[Tuple], Optional[Tuple], bool]:
         """Consult the injector for one arm, in the parent, pre-fork.
 
-        Drawing here (instead of in the child) keeps fault counters and
+        Drawing here (instead of in the arm) keeps fault counters and
         the firing log in the parent process: ``times=`` budgets span
         supervised retries correctly, and the autopsy can report what
         fired.  Returns ``(pre_fault, ship_fault, shm_fault)``:
@@ -633,66 +403,31 @@ class ProcessBackend(ExecutionBackend):
         pre_fault: Optional[Tuple] = None
         if injector.draw("arm-sigkill", index) is not None:
             pre_fault = ("sigkill", 0.0, "")
-        else:
-            hang = injector.draw("arm-hang", index)
-            if hang is not None:
-                pre_fault = ("hang", hang.duration, "")
-            else:
-                raised = injector.draw("arm-raise", index)
-                if raised is not None:
-                    pre_fault = (
-                        "raise",
-                        0.0,
-                        raised.detail
-                        or f"injected fault at arm-raise (arm {index})",
-                    )
+        elif (hang := injector.draw("arm-hang", index)) is not None:
+            pre_fault = ("hang", hang.duration, "")
+        elif (raised := injector.draw("arm-raise", index)) is not None:
+            pre_fault = ("raise", 0.0, raised.detail
+                         or f"injected fault at arm-raise (arm {index})")
         ship_fault: Optional[Tuple] = None
         if pre_fault is None or pre_fault[0] == "raise":
             # Only arms that will actually ship a record draw ship faults.
-            truncated = injector.draw("pipe-truncate", index)
-            if truncated is not None:
-                ship_fault = (
-                    "truncate", wire.truncate_offset(truncated.detail)
-                )
+            if (cut := injector.draw("pipe-truncate", index)) is not None:
+                ship_fault = ("truncate", wire.truncate_offset(cut.detail))
             elif injector.draw("record-corrupt", index) is not None:
                 ship_fault = ("corrupt", None)
         shm_fault = injector.draw("shm-attach-fail", index) is not None
         return pre_fault, ship_fault, shm_fault
 
-    @staticmethod
-    def _child_main(
-        task: ArmTask, write_fd: int, start: float,
-        pre_fault: Optional[Tuple] = None, ship_fault: Optional[Tuple] = None,
-        slab: Optional[ShmSlab] = None,
-    ) -> None:
-        """A forked arm: below its coordinator, a bell token of its own,
-        then :func:`run_arm`."""
-        lower_arm_priority()
-        context = task.context
-        if getattr(context, "token", None) is not None:
-            # The child's copy of the context; the handler cancels only it.
-            token = context.token = _BellToken(*bell_pipe())
-            signal.signal(signal.SIGTERM, lambda signum, frame: token.cancel())
-        # SIGTERM was blocked across the fork: one that raced this
-        # child's start is delivered now, to the bell.
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-        arm = SimpleNamespace(
-            run=task.run, space=getattr(context, "space", None), slab=slab
-        )
-        os._exit(
-            run_arm(task.index, arm, write_fd, start, pre_fault, ship_fault)
-        )
-
     # ------------------------------------------------------------------
     # parent side
 
     def _collect(
-        self, tasks, pids, pipes, start, timeout, seen, slabs,
-        persistent, leases, clean_leases, detached, collect_all=False,
+        self, tasks, pool, leases, start, timeout, seen, clean_leases,
+        detached, collect_all=False,
     ) -> BackendRace:
-        readers = {index: _RecordReader() for index in pipes}
-        fd_to_index = {fd: index for index, fd in pipes.items()}
-        open_fds = set(pipes.values())
+        readers = {index: _RecordReader() for index in leases}
+        fd_to_index = {lease.result_fd: i for i, lease in leases.items()}
+        open_fds = set(fd_to_index)
         reports = {
             task.index: ArmReport(index=task.index, name=task.name)
             for task in tasks
@@ -728,14 +463,14 @@ class ProcessBackend(ExecutionBackend):
 
         def signal_racing(sig: int) -> None:
             nonlocal issued_at
-            for index, pid in pids.items():
+            for index, lease in leases.items():
                 if index == winner_index or index in seen:
                     continue
-                if sig == signal.SIGTERM and index in leases:
-                    self.pool.cancel(leases[index], self.kill_grace)
+                if sig == signal.SIGTERM:
+                    pool.cancel(lease, self.kill_grace)
                     continue
                 try:
-                    os.kill(pid, sig)
+                    os.kill(lease.pid, sig)
                 except ProcessLookupError:
                     pass
             if sig == signal.SIGTERM:
@@ -744,14 +479,15 @@ class ProcessBackend(ExecutionBackend):
         def only_detachable_left() -> bool:
             """Selection ends at the commit: a winner is chosen, every
             sibling still racing has been told, and what is left open is
-            leased workers this race has not read one byte from.  Those
-            are the pool's to hear out; a forked arm is this race's
+            parked workers' leases this race has not read one byte from.
+            Those are the pool's to hear out; a one-shot is this race's
             child and is waited for."""
             if winner_index is None or collect_all:
                 return False
             for fd in open_fds:
-                reader = readers[fd_to_index[fd]]
-                if fd not in persistent or reader.pending or reader.corrupt:
+                index = fd_to_index[fd]
+                reader = readers[index]
+                if leases[index].one_shot or reader.pending or reader.corrupt:
                     return False
             return True
 
@@ -809,8 +545,8 @@ class ProcessBackend(ExecutionBackend):
                 reader = readers[index]
                 data = os.read(fd, 65536)
                 if not data:
-                    # EOF: a forked child exited -- or a pooled worker
-                    # died mid-lease (its pipe outlives leases otherwise).
+                    # EOF: a one-shot exited -- or a parked worker died
+                    # mid-lease (its pipe outlives leases otherwise).
                     open_fds.discard(fd)
                     clean_leases.discard(index)
                     if index not in seen:
@@ -826,9 +562,7 @@ class ProcessBackend(ExecutionBackend):
                         # loop, refined by the wait status.
                     continue
                 for record in reader.feed(data):
-                    if index in leases and not self.pool.accepts(
-                        leases[index], record
-                    ):
+                    if not pool.accepts(leases[index], record):
                         # Bytes of some earlier lease (a stale world):
                         # the record is discarded and the stream treated
                         # as poisoned, so the arm concludes abnormally
@@ -840,12 +574,12 @@ class ProcessBackend(ExecutionBackend):
                     winner_index, grace_deadline = self._absorb_record(
                         record, index, reports, seen, events,
                         winner_index, timed_out, grace_deadline,
-                        signal_racing, trace_finish, slabs,
+                        signal_racing, trace_finish, pool, leases[index],
                         collect_all=collect_all,
                     )
                 if reader.corrupt and index not in seen:
                     conclude_abnormal(index, reader.corrupt_detail)
-                if fd in persistent and index in seen:
+                if not leases[index].one_shot and index in seen:
                     # The pooled arm is accounted for; its worker parks.
                     open_fds.discard(fd)
                     if not reader.corrupt and not reader.pending:
@@ -900,7 +634,7 @@ class ProcessBackend(ExecutionBackend):
     def _absorb_record(
         self, record, index, reports, seen, events,
         winner_index, timed_out, grace_deadline, signal_racing,
-        trace_finish, slabs=None, collect_all=False,
+        trace_finish, pool, lease, collect_all=False,
     ):
         """Fold one intact record into the race state."""
         seen.add(index)
@@ -918,12 +652,12 @@ class ProcessBackend(ExecutionBackend):
         report.abnormal = record.get("abnormal", False)
         if record.get("told_before_start"):
             # Only a pooled arm says so: it found its instruction waiting.
-            self.pool.count_told_before_start()
+            pool.count_told_before_start()
         if record["ok"]:
             shipment = None
             shm_pages = record.get("shm_pages")
             if shm_pages is not None:
-                slab = (slabs or {}).get(index)
+                slab = lease.slab
                 if slab is None or record.get("shm_slab") != slab.name:
                     # The record points into a slab this race does not
                     # own: an unusable shipment.  Demote the arm so a
@@ -977,31 +711,6 @@ class ProcessBackend(ExecutionBackend):
             )
         trace_finish(report)
         return winner_index, grace_deadline
-
-    # ------------------------------------------------------------------
-    # reaping
-
-    def _reap(self, pids: Dict[int, int]) -> Dict[int, Optional[int]]:
-        """Reap every forked child; force-kill anything still alive.
-
-        Returns each arm's wait status (``None`` when the child was
-        already reaped elsewhere).  Never blocks indefinitely: a child
-        that has not exited gets SIGKILL before the blocking wait.
-        Pooled workers are excluded -- the pool reaps (and respawns) its
-        own dead.
-        """
-        statuses: Dict[int, Optional[int]] = {}
-        for index, pid in pids.items():
-            reaped, status = _waitpid_nohang(pid)
-            if not reaped:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass
-                status = _waitpid_blocking(pid)
-            statuses[index] = status
-            _forget_orphan(pid)
-        return statuses
 
     @staticmethod
     def _annotate_exit_statuses(race, seen, statuses) -> None:

@@ -7,6 +7,13 @@ the response slab it keeps and the record of the one lease it may carry
 the lent slab handle); the spare slabs; the live arena and its first
 free slot; the drainer role; the closed flag; the counters.
 
+Every arm is a lease.  One that no parked worker takes gets a
+**one-shot** worker (:meth:`LeaseLedger.one_shot`): a slot born leased,
+whose process the shell forks once the arm is known, which is never
+parked, never detached and never told through the board, and which at
+its settle is reaped with no heir, its slot and its slab dropped -- the
+paper's forked child (section 3.1) in ledger terms.
+
 A transition takes the time and whatever facts it needs (a slab's
 reference count, a lease's outcome) as arguments, changes the ledger,
 and returns the actions the shell must carry out, in order:
@@ -24,8 +31,9 @@ So its reachable states can be enumerated, and
 state of two workers, three epochs and one arena rotation, with one
 adequacy mutant per invariant:
 
-1. **no double lease** -- a lease goes only to a parked worker, and each
-   unsettled epoch is carried by exactly one worker;
+1. **no double lease** -- a lease goes only to a parked worker or to a
+   one-shot born for it, each unsettled epoch is carried by exactly one
+   worker, and a one-shot carries no other;
 2. **exactly one settle per epoch** -- whoever settles an epoch first
    (the race's ``finish``, a fallback, the drainer, a reclaim sweep, the
    shutdown) takes its record; every later attempt is a no-op;
@@ -44,7 +52,9 @@ adequacy mutant per invariant:
 7. **at most one drainer** -- two readers of one result pipe would each
    see half a record;
 8. **a lease forks only when every worker is the race's** -- one on its
-   way back (draining, or dead with its heir being forked) is waited for.
+   way back (draining, or dead with its heir being forked) is waited for
+   -- and a one-shot dies with no heir: only a slot of the pool is
+   forked again.
 
 Two more hold outside the ledger: frame ids and store uids are never
 reused (:class:`~repro.pages.store.PageStore`), so an arena's index entry
@@ -85,7 +95,7 @@ class Worker:
 
     Its ``state``; its ``proc``, the shell's handle on the process (while
     dead, the one last reaped; ``None`` before the first is born); the
-    response ``slab`` it keeps.  While it is leased or draining, the
+    response ``slab`` it keeps; whether it is a ``one_shot``.  While it is leased or draining, the
     record of its lease: the ``epoch``, when it was granted, the grace and
     deadline :meth:`LeaseLedger.cancel` set, the arena it pins, and, once
     detached, the lent slab ``handle`` and the drainer's ``reader``.
@@ -96,6 +106,7 @@ class Worker:
         self.state = DEAD
         self.proc = None
         self.slab = None
+        self.one_shot = False
         self.carry(None, 0.0)
 
     def carry(self, epoch: Optional[int], now: float) -> None:
@@ -148,8 +159,11 @@ class LeaseLedger:
         return sum(1 for w in self.workers.values() if w.state == state)
 
     def procs(self) -> List:
-        """The live workers' processes."""
-        return [w.proc for w in self.workers.values() if w.state != DEAD]
+        """The live workers' processes, one-shots' included."""
+        return [
+            w.proc for w in self.workers.values()
+            if w.state != DEAD and w.proc is not None
+        ]
 
     def epochs(self, state: str) -> Dict[int, Worker]:
         """The workers in ``state`` -- leased or draining -- by epoch."""
@@ -214,8 +228,15 @@ class LeaseLedger:
         """``proc`` is the worker forked for ``slot``, or ``None`` when the
         fork failed.  It parks -- a respawn, unless it is the slot's
         first.  A failed fork gives the slot up, and a closed ledger
-        gives up both the slot and the newborn."""
+        gives up both the slot and the newborn.  A one-shot's failed
+        fork settles its lease; one settled before it was born is reaped
+        (a newborn with no slot)."""
         worker, actions = self.workers.get(slot), [("wake",)]
+        if worker is not None and worker.one_shot:
+            if proc is None:
+                return self.settle(worker.epoch, GONE)
+            worker.proc = proc
+            return []
         if worker is not None and proc is not None and not self.closed:
             if worker.proc is not None:
                 self.respawns += 1
@@ -233,17 +254,15 @@ class LeaseLedger:
         self, now: float, want: Optional[Tuple[int, int]] = None, refs=None
     ) -> Optional[int]:
         """Lease a parked worker: the new epoch, or ``None`` when nobody is
-        parked -- the caller waits if :meth:`settling`, and otherwise forks
-        (a fallback).  With ``want`` (slots, slot size) and ``refs`` (a
-        slab's reference count, read when needed), a worker whose slab
-        can go out as it is comes first: it spares the worker a new
-        mapping and the pool a spare."""
+        parked -- the caller waits if :meth:`settling`, and otherwise
+        takes a :meth:`one_shot`.  With ``want`` (slots, slot size) and
+        ``refs`` (a slab's reference count, read when needed), a worker
+        whose slab can go out as it is comes first: it spares the worker
+        a new mapping and the pool a spare."""
         if self.closed:
             return None
         parked = [w for w in self.workers.values() if w.state == PARKED]
         if not parked:
-            if not self.settling():
-                self.fallbacks += 1
             return None
         worker = parked[0] if want is None else next(
             (w for w in parked if self._lendable(w.slab, want, refs)),
@@ -251,6 +270,17 @@ class LeaseLedger:
         )
         self.epoch += 1
         worker.state = LEASED
+        worker.carry(self.epoch, now)
+        return self.epoch
+
+    def one_shot(self, now: float) -> int:
+        """Lease an arm no parked worker takes (a fallback) to a worker
+        born for it: the new epoch.  Its slot, never one of the pool's,
+        is the epoch negated; :meth:`born` reports its process."""
+        self.fallbacks += 1
+        self.epoch += 1
+        worker = self.workers[-self.epoch] = Worker(-self.epoch)
+        worker.one_shot, worker.state = True, LEASED
         worker.carry(self.epoch, now)
         return self.epoch
 
@@ -331,14 +361,17 @@ class LeaseLedger:
         if worker is None:
             return []
         worker.grace, worker.deadline = grace, now + grace
-        return [("bell", worker.proc, worker.slot, epoch)]
+        # A one-shot has no word on the board: the bell is the instruction.
+        slot = None if worker.one_shot else worker.slot
+        return [("bell", worker.proc, slot, epoch)]
 
     def detach(self, epoch: int, handle, reader) -> bool:
         """The race leaves a told lease to the pool at its commit, with its
         lent ``handle`` and a ``reader`` for its pipe.  False when it was
-        never told or is not the race's any more."""
+        never told, is not the race's any more, or is a one-shot: the
+        race waits for those."""
         worker = self.holder(epoch, LEASED)
-        if worker is None or worker.deadline is None:
+        if worker is None or worker.deadline is None or worker.one_shot:
             return False
         worker.handle, worker.reader = handle, reader
         worker.state = DRAINING
@@ -352,12 +385,21 @@ class LeaseLedger:
         somebody settled it already.  The handle goes back only once
         nothing can write its slab any more (its record read, its process
         reaped), and before the worker can be leased again; the pin
-        drops, and a retired arena with no pin left goes."""
+        drops, and a retired arena with no pin left goes.  A one-shot is
+        reaped whatever the outcome, and its slot and slab go with it."""
         worker = self.holder(epoch, DRAINING if detached else LEASED)
         if worker is None:
             return []
         handle, arena = worker.handle, worker.arena
         worker.carry(None, 0.0)
+        if worker.one_shot:
+            del self.workers[worker.slot]
+            actions = [] if worker.proc is None else [
+                ("reap", worker.proc, outcome != GONE)
+            ]
+            if worker.slab is not None:
+                actions.append(("dispose", worker.slab))
+            return actions
         if outcome == CLEAN:
             worker.state = PARKED
             actions = [("wake",)]

@@ -1,21 +1,26 @@
 """A pre-warmed world pool: parked worker processes that race arms on demand.
 
-``alt_spawn`` pays a per-block *setup* cost (section 4.1 item 1): the
-fork-based backend forks one fresh child per arm per race, and the fork
-itself -- duplicating the parent, re-importing nothing but still paying
-the OS -- dominates commit latency for small blocks.  A
-:class:`WorldPool` amortizes it: N blank workers are forked **once** and
-parked on a control pipe; each race *leases* a parked worker instead of
-forking, hands it the arm (by value) plus a snapshot of the racing
-world, and recycles the worker afterwards.
+``alt_spawn`` pays a per-block *setup* cost (section 4.1 item 1): it
+forks one fresh child per arm per race, and the fork itself --
+duplicating the parent, re-importing nothing but still paying the OS --
+dominates commit latency for small blocks.  A :class:`WorldPool`
+amortizes it: N blank workers are forked **once** and parked on a
+control pipe; each race *leases* a parked worker instead of forking,
+hands it the arm (by value) plus a snapshot of the racing world, and
+recycles the worker afterwards.
+
+Every arm is a lease: one that no parked worker can take
+(:meth:`WorldPool.lease`) gets a **one-shot** worker, forked for it and
+reaped with no heir at its settle -- section 3.1's forked child in
+ledger terms.  A pool of no parked workers (:func:`fork_pool`) forks one
+per arm.
 
 A lease travels over the worker's control pipe as a length-prefixed
 pickle; the result comes back over the worker's *persistent* result pipe
-in the exact wire format a freshly forked child would use
-(:mod:`repro.core.backends.wire`), so the collecting loop cannot tell a
-pooled arm from a forked one.  Dirty pages come home through a response
-slab (:mod:`repro.pages.shm`), as a forked child's do -- but a pooled
-arm's slab is the pool's, handed out with the lease (:attr:`Lease.slab`).
+in the exact wire format a one-shot uses on its own pipe
+(:mod:`repro.core.backends.wire`), so the collecting loop reads both
+alike.  Dirty pages come home through a response slab
+(:mod:`repro.pages.shm`), handed out with the lease (:attr:`Lease.slab`).
 
 The racing world goes *out* the way the paper's does (section 3.3): as a
 copy-on-write view of one parent image, not a copy per arm.  The pool
@@ -106,27 +111,29 @@ free slots, the drainer role -- is a pure
 shell that forks, signals, selects, maps and writes as the ledger says.
 The invariants that make all of the above safe are stated there, and
 checked on every reachable ledger state.  One more is per process: a
-pool built in a forked child (a pooled worker, a forked arm, a nested
+pool built in a forked child (a pooled worker, a one-shot, a nested
 race inside an arm) starts with no slab.  :meth:`WorldPool.shutdown`
 drops the pool's claim on every slab it holds; one still pinned by a
 live world is unlinked by that world's exit.
 
-Failure discipline matches direct forks exactly:
+Failure discipline is the same for both kinds of worker:
 
 - a bare ``SIGTERM`` is only a bell, on a leased worker as on a parked
   one; ``SIGKILL`` (watchdog escalation, grace expiry) kills the worker,
   the parent sees EOF, concludes the arm abnormally, and the pool
-  respawns a fresh worker at :meth:`finish`;
+  respawns a fresh worker at :meth:`finish` -- or, for a one-shot, just
+  reaps it and hands its wait status back;
 - a lease whose record never fully arrived leaves the worker's stream
   suspect: the worker is killed and respawned, never re-parked;
 - a mismatched epoch echo (a stale world's leftovers) poisons the worker
   instead of corrupting the race; the ``pool-worker-stale`` fault point
-  injects exactly that, and an injected or real lease failure falls back
-  to a direct fork -- pooling is a pure optimization.
+  injects exactly that, and an injected or real lease failure gives the
+  arm a one-shot -- pooling is a pure optimization.
 
-Workers are *not* in the backend's orphan registry: their lifetime
-belongs to the pool, which kills and reaps every worker at
-:meth:`shutdown` (``atexit``-registered).
+Every process the pool forks is its own to reap: at its settle, at
+:meth:`reclaim_abandoned` when its race never settled it, and at
+:meth:`shutdown` (``atexit``-registered).  A fork that fails while the
+pool fills shuts down what was built before it raises.
 """
 
 from __future__ import annotations
@@ -145,13 +152,13 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Collection, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.alternative import AltContext
 from repro.core.backends import wire
 from repro.core.backends.process import (
-    _BellToken, _waitpid_blocking, _waitpid_nohang, bell_pipe, fork_child,
-    lower_arm_priority, run_arm,
+    _BellToken, lower_arm_priority, run_arm,
 )
 from repro.core.sequential import _run_body
 from repro.obs import events as _ev
@@ -166,7 +173,9 @@ from repro.process.ledger import (
 )
 from repro.resilience.injector import active as _active_injector
 
-__all__ = ["Lease", "WorldPool", "default_pool", "shutdown_default_pool"]
+__all__ = [
+    "Lease", "WorldPool", "default_pool", "fork_pool", "shutdown_default_pool",
+]
 
 _LEN = struct.Struct("!I")
 """Control-pipe framing: 4-byte length prefix, then a pickled message."""
@@ -210,13 +219,45 @@ _refs = attrgetter("refs")
 
 def _close_fds(fds) -> None:
     for fd in fds:
-        with suppress(OSError):
-            os.close(fd)
+        if fd is not None:  # a one-shot has no control pipe
+            with suppress(OSError):
+                os.close(fd)
+
+
+def bell_pipe() -> Tuple[int, int]:
+    """A non-blocking self-pipe for :class:`_BellToken`, made this
+    process's signal wakeup fd (once per one-shot or pooled worker)."""
+    wake = os.pipe()
+    for fd in wake:
+        os.set_blocking(fd, False)
+    signal.set_wakeup_fd(wake[1], warn_on_full_buffer=False)
+    return wake
+
+
+def fork_child(body) -> int:
+    """Fork a child that runs ``body()`` and never returns; its pid.
+
+    SIGTERM stays blocked across the fork until the child has its
+    handler (``body`` unblocks it), so a child told before it got that
+    far hears the bell instead of dying of the default disposition.  The
+    calling thread's mask comes back even when the fork raises.
+    """
+    old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                body()
+            finally:  # pragma: no cover - body never returns
+                os._exit(wire.EXIT_SHIP_FAILED)
+        return pid
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
 
 
 @dataclass
 class Lease:
-    """One arm handed to a parked worker (what ``run_arms`` tracks)."""
+    """One arm handed to a worker (what ``run_arms`` tracks)."""
 
     index: int
     pid: int
@@ -227,6 +268,11 @@ class Lease:
     disposes it once the race is over, after :meth:`WorldPool.finish` --
     unless it detached the lease there, and the handle with it.
     ``None`` when the arm ships over the pipe."""
+
+    one_shot: bool = False
+    """Its worker was forked for this arm and dies with it: the race
+    reads its pipe to the end and is given its wait status, and never
+    detaches it."""
 
 
 _PAIR = array("I").itemsize * 2
@@ -294,10 +340,11 @@ class _Arena:
 
 
 class _Worker(NamedTuple):
-    """Parent-side handle on one pooled process."""
+    """Parent-side handle on one pooled process (a one-shot has no
+    control pipe)."""
 
     pid: int
-    ctrl_fd: int
+    ctrl_fd: Optional[int]
     result_fd: int
 
 
@@ -307,8 +354,8 @@ class WorldPool:
     the pool's own attributes."""
 
     def __init__(self, size: int = DEFAULT_POOL_SIZE) -> None:
-        if size < 1:
-            raise ValueError("a world pool needs at least one worker")
+        if size < 0:
+            raise ValueError("a world pool cannot have fewer than no workers")
         if not hasattr(os, "fork"):
             raise RuntimeError("WorldPool requires os.fork")
         self.size = size
@@ -321,12 +368,16 @@ class WorldPool:
         the drainer hands its role back: what a lease with nobody parked
         waits on while somebody else is the drainer."""
 
-        self._board = mmap.mmap(-1, _WORD.size * size)
+        self._board = mmap.mmap(-1, _WORD.size * size) if size else None
         """One word per worker, shared with every worker forked from
         here on: the epoch of the lease it was last told to stop."""
 
-        for slot in range(size):
-            self._respawn(slot)
+        try:
+            for slot in range(size):
+                self._respawn(slot)
+        except BaseException:
+            self.shutdown()  # the workers forked before the one that failed
+            raise
         atexit.register(self.shutdown)
 
     def __getattr__(self, name: str):
@@ -342,12 +393,7 @@ class WorldPool:
         result_read, result_write = os.pipe()
 
         def worker() -> None:
-            # Sibling workers' parent-end fds leak through the fork; drop
-            # them so a dead sibling's pipes actually EOF.
-            _close_fds([ctrl_write, result_read] + [
-                fd for sibling in self._ledger.procs()
-                for fd in (sibling.ctrl_fd, sibling.result_fd)
-            ])
+            _close_fds([ctrl_write, result_read] + self._parent_fds())
             _worker_main(ctrl_read, result_write, self._board, slot)
 
         try:
@@ -358,6 +404,14 @@ class WorldPool:
             raise
         _close_fds((ctrl_read, result_write))
         return _Worker(pid, ctrl_write, result_read)
+
+    def _parent_fds(self) -> List[Optional[int]]:
+        """Every worker's parent-end fds, which leak through a fork: a
+        child drops them so a dead sibling's pipes actually EOF."""
+        return [
+            fd for sibling in self._ledger.procs()
+            for fd in (sibling.ctrl_fd, sibling.result_fd)
+        ]
 
     def _respawn(self, slot: int) -> None:
         """Fork a worker into ``slot`` -- at start, or as the heir of one
@@ -379,7 +433,8 @@ class WorldPool:
         if kill:
             with suppress(ProcessLookupError, PermissionError):
                 os.kill(worker.pid, signal.SIGKILL)
-            status = _waitpid_blocking(worker.pid)
+            with suppress(ChildProcessError):  # reaped elsewhere
+                status = os.waitpid(worker.pid, 0)[1]
         _close_fds((worker.ctrl_fd, worker.result_fd))
         return status
 
@@ -413,25 +468,27 @@ class WorldPool:
         pre_fault: Optional[Tuple] = None,
         ship_fault: Optional[Tuple] = None,
         shm: bool = False,
-    ) -> Optional[Lease]:
-        """Hand one arm to a parked worker; ``None`` means fork instead.
+    ) -> Lease:
+        """Hand one arm to a parked worker, or to a one-shot one.
 
-        Falls back whenever pooling cannot be transparent: every worker
-        leased to a race still running, an alternative that does not
-        pickle, a context without a space, or an injected
-        ``pool-worker-stale`` fault.  Workers on their way back are waited
-        for instead, so a pool as wide as its caller never forks.  With
-        ``shm`` the lease carries a response slab and the arm's world goes
-        out through the arena; without it, or when shared memory refuses,
-        pages travel both ways on the pipes.
+        A one-shot worker is forked for the arm whenever pooling cannot
+        be transparent: every worker leased to a race still running, an
+        alternative that does not pickle, a context without a space, or
+        an injected ``pool-worker-stale`` fault.  Workers on their way
+        back are waited for instead, so a pool as wide as its caller
+        never forks one.  With ``shm`` the lease carries a response slab
+        and a pooled arm's world goes out through the arena; without it,
+        or when shared memory refuses, pages travel both ways on the
+        pipes.
         """
         ledger = self._ledger
         space = getattr(task.context, "space", None)
+        want = None
+        if shm and space is not None:
+            want = (space.num_pages, space.page_size)
+        arm = (task, start, pre_fault, ship_fault, want)
         if task.alternative is None or space is None:
-            with self._lock:
-                ledger.fallbacks += 1
-            return None
-        want = (space.num_pages, space.page_size) if shm else None
+            return self._one_shot(*arm)
         self._poll()
         while True:
             # Selection, the epoch draw and the ledger entry are ONE
@@ -443,16 +500,18 @@ class WorldPool:
                     worker = ledger.holder(epoch).proc
                     break
                 if ledger.closed or not ledger.settling():
-                    return None
+                    break
             self._drain_until(ledger.someone_parked)
+        if epoch is None:
+            return self._one_shot(*arm)
         injector = _active_injector()
         if (
             injector is not None
             and injector.draw("pool-worker-stale", task.index) is not None
         ):
             # The injected stale world: this worker's state is declared
-            # unusable, so it is recycled and the arm forks directly.
-            return self._fall_back(epoch, None, DIRTY)
+            # unusable, so it is recycled and the arm gets a one-shot.
+            return self._fall_back(epoch, None, DIRTY, arm)
         slab, slab_reused = self._lend_slab(epoch, want, space.num_pages)
         # A response slab means shared memory works for this arm, so its
         # world goes out through the arena too.
@@ -484,12 +543,12 @@ class WorldPool:
             blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             # Closures, local classes, live fds: not portable by value.
-            return self._fall_back(epoch, slab, CLEAN)
+            return self._fall_back(epoch, slab, CLEAN, arm)
         try:
             if not wire.write_all(worker.ctrl_fd, _LEN.pack(len(blob)) + blob):
                 raise BrokenPipeError("pool worker hung up")
         except OSError:
-            return self._fall_back(epoch, slab, DIRTY)
+            return self._fall_back(epoch, slab, DIRTY, arm)
         with self._lock:
             ledger.leases_granted += 1
         tracer = _active_tracer()
@@ -515,17 +574,50 @@ class WorldPool:
         )
 
     def _fall_back(
-        self, epoch: int, slab: Optional[ShmSlab], outcome: str
-    ) -> None:
+        self, epoch: int, slab: Optional[ShmSlab], outcome: str, arm: tuple
+    ) -> Lease:
         """Undo a lease that could not be sent: settle the worker, then
         -- only then, nothing is left that could write it -- give the
-        slab back.  The caller forks the arm instead."""
-        with self._lock:
-            actions = self._ledger.settle(epoch, outcome)
-            self._ledger.fallbacks += 1
-        self._perform(actions)
+        slab back, and fork the arm a one-shot instead."""
+        self._act(self._ledger.settle, epoch, outcome)
         if slab is not None:
             slab.dispose()
+        return self._one_shot(*arm)
+
+    def _one_shot(
+        self, task, start: float, pre_fault: Optional[Tuple],
+        ship_fault: Optional[Tuple], want: Optional[Tuple[int, int]],
+    ) -> Lease:
+        """Fork a one-shot worker for the arm: it runs ``task.run`` from
+        memory (a closure needs no pickle), below its coordinator, with a
+        bell token that a plain ``SIGTERM`` cancels, and ships through a
+        slab lent or bound before the fork."""
+        with self._lock:
+            epoch = self._ledger.one_shot(time.monotonic())
+        space = getattr(task.context, "space", None)
+        pages = 0 if space is None else space.num_pages
+        slab = self._lend_slab(epoch, want, pages)[0]
+        read_fd, write_fd = os.pipe()
+
+        def arm() -> None:
+            _close_fds([read_fd] + self._parent_fds())
+            _one_shot_main(task, write_fd, start, pre_fault, ship_fault, slab)
+
+        try:
+            pid = fork_child(arm)
+        except BaseException:  # fork failed (e.g. EAGAIN): leak nothing
+            _close_fds((read_fd, write_fd))
+            self._act(self._ledger.born, -epoch, None)
+            if slab is not None:
+                slab.dispose()
+            raise
+        os.close(write_fd)
+        with self._lock:
+            actions = self._ledger.born(-epoch, _Worker(pid, None, read_fd))
+        if actions:  # settled (a shutdown) before it was born: reaped
+            self._perform(actions)
+            raise RuntimeError("the pool shut down while an arm was forked")
+        return Lease(task.index, pid, read_fd, epoch, slab, one_shot=True)
 
     def _lend_slab(
         self, epoch: int, want: Optional[Tuple[int, int]], pages: int
@@ -699,7 +791,8 @@ class WorldPool:
             # left the ledger, so this pid is still the lease's.
             bells = self._ledger.cancel(lease.epoch, time.monotonic(), grace)
             for _, worker, slot, epoch in bells:
-                _WORD.pack_into(self._board, slot * _WORD.size, epoch)
+                if slot is not None:  # a one-shot's bell is its instruction
+                    _WORD.pack_into(self._board, slot * _WORD.size, epoch)
                 try:
                     os.kill(worker.pid, signal.SIGTERM)
                 except (ProcessLookupError, PermissionError):
@@ -708,9 +801,10 @@ class WorldPool:
 
     def accepts(self, lease: Lease, record: dict) -> bool:
         """Whether ``record`` is the one ``lease`` is owed: it echoes the
-        lease's epoch.  Anything else on the pipe is a stale world's
-        leftovers, and the worker's stream is poisoned."""
-        return record.get("pool_epoch") == lease.epoch
+        lease's epoch, or it is the only record a one-shot's own pipe
+        carries.  Anything else on a pooled worker's pipe is a stale
+        world's leftovers, and the worker's stream is poisoned."""
+        return lease.one_shot or record.get("pool_epoch") == lease.epoch
 
     def count_told_before_start(self) -> None:
         """One more arm found its instruction waiting and never ran;
@@ -731,10 +825,11 @@ class WorldPool:
         ``detached`` holds those the race left behind at its commit: told
         to stop, not one byte of their record read; such a lease, and its
         :attr:`Lease.slab`, is the pool's from here.  Any other leased
-        worker is recycled: bytes may still be in flight on its pipe.
-        Settling goes by epoch, never by pid, so a lease settled already
-        is skipped.  Returns wait statuses for workers that died, keyed
-        by arm index, for exit-status annotation.
+        worker is recycled: bytes may still be in flight on its pipe.  A
+        one-shot is reaped, killed first if it has not exited.  Settling
+        goes by epoch, never by pid, so a lease settled already is
+        skipped.  Returns wait statuses for workers that died, keyed by
+        arm index, for exit-status annotation.
         """
         self._poll()
         ledger = self._ledger
@@ -754,8 +849,12 @@ class WorldPool:
                 if worker is None:
                     continue  # already settled elsewhere: idempotent
                 # Reaped under the lock: nobody else reaps the worker of a
-                # lease that is still the race's.
-                reaped, status = _waitpid_nohang(worker.proc.pid)
+                # lease that is still the race's.  EINTR is retried by
+                # ``os.waitpid`` itself (PEP 475).
+                try:
+                    reaped, status = os.waitpid(worker.proc.pid, os.WNOHANG)
+                except ChildProcessError:  # reaped elsewhere
+                    reaped, status = True, None
                 outcome = CLEAN if index in clean else DIRTY
                 outcome = GONE if reaped else outcome
                 actions = ledger.settle(lease.epoch, outcome)
@@ -900,8 +999,12 @@ class WorldPool:
             return self._ledger.snapshot()
 
     def worker_pids(self) -> List[int]:
+        """The pool's own workers (a one-shot has no control pipe)."""
         with self._lock:
-            return [worker.pid for worker in self._ledger.procs()]
+            return [
+                proc.pid for proc in self._ledger.procs()
+                if proc.ctrl_fd is not None
+            ]
 
     def owned_slabs(self) -> List[ShmSlab]:
         """The segments the pool holds a claim on right now: the live
@@ -1151,6 +1254,27 @@ def _worker_main(ctrl_fd: int, result_fd: int, board, slot: int) -> None:
         _serve_lease(message, result_fd, world, told, wake)
 
 
+def _one_shot_main(
+    task, write_fd: int, start: float, pre_fault: Optional[Tuple],
+    ship_fault: Optional[Tuple], slab: Optional[ShmSlab],
+) -> None:
+    """A one-shot arm: below its coordinator, a bell token of its own,
+    then :func:`run_arm <repro.core.backends.process.run_arm>`."""
+    lower_arm_priority()
+    context = task.context
+    if getattr(context, "token", None) is not None:
+        # The child's copy of the context; the handler cancels only it.
+        token = context.token = _BellToken(*bell_pipe())
+        signal.signal(signal.SIGTERM, lambda signum, frame: token.cancel())
+    # SIGTERM was blocked across the fork: one that raced this child's
+    # start is delivered now, to the bell.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+    arm = SimpleNamespace(
+        run=task.run, space=getattr(context, "space", None), slab=slab
+    )
+    os._exit(run_arm(task.index, arm, write_fd, start, pre_fault, ship_fault))
+
+
 def _serve_lease(
     message: dict, result_fd: int, world: _WorkerWorld, told,
     wake: Tuple[int, int],
@@ -1182,10 +1306,12 @@ def _serve_lease(
 
 
 # ----------------------------------------------------------------------
-# the process-wide default pool (the REPRO_WORLD_POOL=1 path)
+# the process-wide pools: the default one (the REPRO_WORLD_POOL=1 path),
+# and the one a ProcessBackend without a pool leases every arm from
 
 _default_pool: Optional[WorldPool] = None
 _default_lock = threading.Lock()
+_fork_pool: Tuple[int, Optional[WorldPool]] = (0, None)
 
 
 def default_pool() -> WorldPool:
@@ -1195,6 +1321,18 @@ def default_pool() -> WorldPool:
         if _default_pool is None or _default_pool._ledger.closed:
             _default_pool = WorldPool()
         return _default_pool
+
+
+def fork_pool() -> WorldPool:
+    """The process-wide pool of no parked workers: a one-shot per arm.
+    Made again in a forked child, without a lock (one held across the
+    fork would wedge it); two made by racing first uses cost nothing."""
+    global _fork_pool
+    pid, pool = _fork_pool
+    if pid != os.getpid() or pool is None or pool._ledger.closed:
+        pool = WorldPool(0)
+        _fork_pool = (os.getpid(), pool)
+    return pool
 
 
 def shutdown_default_pool() -> None:

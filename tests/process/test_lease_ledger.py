@@ -6,15 +6,17 @@ interleavings with real processes this file enumerates all of them --
 two workers, three lease epochs, arenas of two slots with one rotation
 -- the way a Petri net's reachable markings are enumerated and mutual
 exclusion asserted on each.  From every state it tries every event the
-pool's shell can drive (grant, lend, publish, cancel, detach, settle
-clean / dirty / gone, reclaim, the drainer's take, hearing, silence past
-the deadline and release, an heir's birth or failed fork, close,
-shutdown) and every event of the world around the pool (a race dropping
-its slab handle, a winner's world adopting the slab, a world exiting).
-Each invariant of the ledger is asserted on every state and on every
-action the ledger asks for; then one mutant per invariant -- plus the
-window where a lease found nobody parked while a worker was on its way
-back and forked -- shows the enumeration notices it broken.
+pool's shell can drive (grant, a one-shot's birth, lend, publish,
+cancel, detach, settle clean / dirty / gone, reclaim, the drainer's
+take, hearing, silence past the deadline and release, an heir's or a
+one-shot's birth or failed fork, close, shutdown) and every event of the
+world around the pool (a race dropping its slab handle, a winner's world
+adopting the slab, a world exiting).  Each invariant of the ledger is
+asserted on every state and on every action the ledger asks for; then
+one mutant per invariant -- plus the window where a lease found nobody
+parked while a worker was on its way back and forked, a one-shot given
+an heir, and a one-shot parked and leased again -- shows the
+enumeration notices it broken.
 
 Pure: no process, no pipe, no clock.  Not ``slow``.
 """
@@ -71,15 +73,16 @@ SOLE = INVARIANTS[4]
 
 
 class Probe(LeaseLedger):
-    """The ledger, counting what each epoch's settles returned."""
+    """The ledger, counting each epoch's settles that found its lease."""
 
     def __init__(self):
         super().__init__(WORKERS, SPARES)
         self.settled = {}
 
     def settle(self, epoch, outcome, detached=False):
+        held = self.holder(epoch, DRAINING if detached else LEASED)
         actions = super().settle(epoch, outcome, detached)
-        if actions:
+        if held is not None:
             self.settled[epoch] = self.settled.get(epoch, 0) + 1
         return actions
 
@@ -156,11 +159,15 @@ def perform(ledger, world, actions):
     for action in actions or ():
         verb, args = action[0], action[1:]
         if verb == "respawn":
+            if args[0] not in range(WORKERS):  # a one-shot's heir
+                world.broken.add("fork only when every worker is the race's")
             world.due.add(args[0])
         elif verb == "bell":
             proc, slot, epoch = args
             worker = ledger.epochs(LEASED).get(epoch)
-            if worker is None or (worker.proc, worker.slot) != (proc, slot):
+            if worker is None or (worker.proc, worker.slot) != (
+                proc, worker.slot if slot is not None else -epoch
+            ) or (slot is None) != worker.one_shot:
                 world.broken.add("no double lease")
         elif verb == "dispose":
             thing = args[0]
@@ -193,16 +200,25 @@ def new_arena(ledger, world):
 # -- moves: what may happen next ------------------------------------------
 
 
-def lease(transport):
-    """``WorldPool.lease``: a grant; then, on shared memory, a lent slab
-    and the world published -- ``"fresh"`` needs a new slot (a rotation
-    when the arena is full), ``"shown"`` only pins the arena that holds
-    its page already."""
+def lease(transport, parked=True):
+    """``WorldPool.lease``: a grant -- or, with nobody parked and nobody
+    on the way back, or for an arm no parked worker may take, a one-shot
+    born leased; then, on shared memory, a lent slab and, for a parked
+    worker, the world published -- ``"fresh"`` needs a new slot (a
+    rotation when the arena is full), ``"shown"`` only pins the arena
+    that holds its page already."""
     def apply(ledger, world):
         refs = world.refs(ledger)
-        epoch = ledger.grant(0.0, GEOMETRY, refs.__getitem__)
-        if epoch is None or transport == "pipe":
-            return  # nobody parked: the lease waits or forks
+        epoch = None
+        if parked:
+            epoch = ledger.grant(0.0, GEOMETRY, refs.__getitem__)
+            if epoch is None and ledger.settling() and not ledger.closed:
+                return  # somebody is on the way back: the lease waits
+        if epoch is None:
+            epoch = ledger.one_shot(0.0)
+            world.due.add(-epoch)  # its process is forked next
+        if transport == "pipe":
+            return
         slab, actions = ledger.lend(epoch, GEOMETRY, refs.__getitem__)
         perform(ledger, world, actions)
         if slab is None:
@@ -216,6 +232,8 @@ def lease(transport):
         ):
             world.broken.add(SOLE)
         world.race[epoch] = Handle(slab.name, epoch)
+        if ledger.holder(epoch).one_shot:
+            return  # it runs its arm from memory: no world to publish
         if ledger.arena is None:
             new_arena(ledger, world)
         if transport == "fresh":
@@ -287,6 +305,8 @@ def moves(ledger, world):
         shown = ("shown",) if ledger.arena is not None else ()
         for transport in ("pipe", "fresh") + shown:
             yield f"lease {transport}", lease(transport)
+        if ledger.count(PARKED):  # an arm no parked worker may take
+            yield "one-shot", lease("pipe", parked=False)
     for epoch, record in leased.items():
         if record.deadline is None:
             yield f"cancel {epoch}", call("cancel", epoch, 0.0, 1.0)
@@ -352,6 +372,10 @@ def violations(ledger, world):
         or granted - set(held) - set(ledger.settled)
     ):
         broken.add("no double lease")
+    # ... and a one-shot carries the one lease it was born for.
+    for slot, worker in ledger.workers.items():
+        if slot < 0 and (worker.state != LEASED or worker.epoch != -slot):
+            broken.add("no double lease")
     # 2. a settled epoch is gone for good; at the end, every epoch was.
     for epoch, count in ledger.settled.items():
         if count != 1 or epoch in held:
@@ -492,6 +516,26 @@ class TwoDrainers(Probe):
         return True
 
 
+class ParksAOneShot(Probe):
+    """A one-shot that settles clean parks like a worker of the pool, to
+    be leased again."""
+
+    def settle(self, epoch, outcome, detached=False):
+        worker = self.holder(epoch, DRAINING if detached else LEASED)
+        if worker is not None and outcome == CLEAN:
+            worker.one_shot = False
+        return super().settle(epoch, outcome, detached)
+
+
+class GivesAOneShotAnHeir(Probe):
+    def settle(self, epoch, outcome, detached=False):
+        worker = self.holder(epoch, DRAINING if detached else LEASED)
+        actions = super().settle(epoch, outcome, detached)
+        if worker is not None and worker.one_shot:
+            actions.append(("respawn", worker.slot))
+        return actions
+
+
 class ForgetsTheHeir(Probe):
     """A worker between its settle and its heir's birth is in no hand:
     a lease that looks then forks instead of waiting."""
@@ -510,6 +554,8 @@ class ForgetsTheHeir(Probe):
     (SparesADetachedSlab, "detached lease untouched until settled"),
     (TwoDrainers, "at most one drainer"),
     (ForgetsTheHeir, "fork only when every worker is the race's"),
+    (ParksAOneShot, "no double lease"),
+    (GivesAOneShotAnHeir, "fork only when every worker is the race's"),
 ])
 def test_the_enumeration_catches_each_mutant(mutant, invariant):
     assert invariant in INVARIANTS

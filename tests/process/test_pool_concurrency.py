@@ -183,13 +183,18 @@ class TestLeaseLedger:
         assert all(lease is not None for lease in held)
         pids = {lease.pid for lease in held}
         assert len(pids) == pool.size  # every lease on a distinct worker
-        # Exhausted: the next lease must fall back, never double-book.
+        # Exhausted: the next lease must fall back to a one-shot worker
+        # of its own, never double-book.
         fallbacks = pool.fallbacks
-        assert pool.lease(_handmade_task(9), start) is None
+        extra = pool.lease(_handmade_task(9), start)
+        assert extra.one_shot and extra.pid not in pids
+        assert extra.pid not in pool.worker_pids()
         assert pool.fallbacks == fallbacks + 1
-        for i, lease in enumerate(held):
+        assert pool.inflight == pool.size + 1
+        for i, lease in enumerate(held + [extra]):
             pool.finish({i: lease}, clean=set())
-        assert pool.parked == pool.size
+        assert pool.parked == pool.size and pool.inflight == 0
+        assert len(pool._ledger.workers) == pool.size  # the one-shot went
 
     def test_a_lease_waits_for_the_worker_a_drainer_is_settling(self):
         """The drainer has settled a worker and its heir is being forked:

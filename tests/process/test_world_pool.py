@@ -7,6 +7,7 @@ injected worker deaths, and clean fallback to direct forks whenever a
 lease cannot be transparent.
 """
 
+import errno
 import hashlib
 import os
 import pickle
@@ -258,6 +259,31 @@ class TestPoolCrashDiscipline:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         pool.shutdown()  # idempotent
+
+    def test_a_failed_fork_while_filling_the_pool_leaks_no_worker(
+        self, monkeypatch
+    ):
+        """The second worker's fork is refused (EAGAIN): the pool is not
+        made, and the worker forked before it is killed and reaped, not
+        left parked on a pipe nothing will close."""
+        forked = []
+        fork = pool_module.fork_child
+
+        def second_fails(body):
+            if forked:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            forked.append(fork(body))
+            return forked[-1]
+
+        shutdown_default_pool()  # REPRO_WORLD_POOL=1 left one parked
+        monkeypatch.setattr(pool_module, "fork_child", second_fails)
+        with pytest.raises(BlockingIOError):
+            WorldPool(2)
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_parked_workers_ignore_sigterm(self, pool):
         for pid in pool.worker_pids():

@@ -137,7 +137,7 @@ class TestEndToEndEveryOffset:
         delivers the fast record intact, the fast arm wins, and the
         sweep has, by construction, cut at every byte of the frame.
         """
-        from repro.core.backends.process import _orphan_pids
+        from repro.process.pool import fork_pool
 
         offset = 0
         while offset < self.OFFSET_CAP:
@@ -156,7 +156,9 @@ class TestEndToEndEveryOffset:
         assert offset >= wire.FRAME.size  # cuts covered the whole header
         assert parent.space.get("who") == "trunc"
         parent.space.release()
-        assert not _orphan_pids
+        census = fork_pool()
+        assert census.inflight == 0
+        assert not any(w.one_shot for w in census._ledger.workers.values())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

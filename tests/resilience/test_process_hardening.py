@@ -9,11 +9,7 @@ import pytest
 
 from repro.core.alternative import Alternative
 from repro.core.backends import ProcessBackend
-from repro.core.backends.process import (
-    _orphan_pids,
-    _register_orphan,
-    sweep_orphans,
-)
+from repro.core.backends.base import ArmTask
 from repro.core.backends.wire import (
     FRAME as _FRAME,
     MAGIC as _MAGIC,
@@ -23,7 +19,7 @@ from repro.core.backends.wire import (
 from repro.core.concurrent import ConcurrentExecutor
 from repro.errors import AltBlockFailure
 from repro.pages.shm import shm_available
-from repro.process.pool import WorldPool
+from repro.process.pool import WorldPool, fork_pool
 from repro.resilience import FaultInjector, injected
 
 pytestmark = [
@@ -33,9 +29,16 @@ pytestmark = [
 ]
 
 
+def assert_no_arm_left(pool):
+    """Every lease of ``pool`` is settled: none in flight, no one-shot
+    left in its ledger."""
+    assert pool.stats()["inflight"] == 0
+    assert not any(w.one_shot for w in pool._ledger.workers.values())
+
+
 def assert_no_unreaped_children():
-    """Every forked child must be reaped by the time a race returns."""
-    assert not _orphan_pids
+    """Every forked arm must be reaped by the time a race returns."""
+    assert_no_arm_left(fork_pool())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -145,16 +148,23 @@ class TestWinnerPromotion:
 
 
 class TestReaping:
-    def test_sweep_orphans_reclaims_leaked_children(self):
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child exits immediately below
-            time.sleep(60)
-            os._exit(0)
-        _register_orphan(pid)
-        assert sweep_orphans() == 1
+    def test_reclaim_abandoned_reaps_an_unfinished_one_shot(self):
+        """A race that dies between ``lease`` and ``finish`` leaves its
+        one-shot running; the reclaim sweep kills and reaps it."""
+        pool = fork_pool()
+        task = ArmTask(
+            index=0, name="sleeper",
+            run=lambda: (time.sleep(60), (True, None, ""))[1],
+        )
+        lease = pool.lease(task, time.perf_counter())
+        assert lease.one_shot and pool.inflight == 1
+        assert pool.reclaim_abandoned(older_than=0.0) == 1
         with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-        assert pid not in _orphan_pids
+            os.waitpid(lease.pid, os.WNOHANG)
+        assert_no_arm_left(pool)
+        # A late finish from the dead race's cleanup is a no-op.
+        assert pool.finish({0: lease}, clean=set()) == {}
+        assert_no_unreaped_children()
 
     def test_race_leaves_no_children_behind(self, fault_seed):
         injector = (
@@ -255,6 +265,7 @@ class TestArmSourcePins:
             if pool is not None:
                 assert pool.fallbacks == 1
                 assert pool.drain(timeout=10.0)
+                assert_no_arm_left(pool)
         finally:
             if pool is not None:
                 pool.shutdown()

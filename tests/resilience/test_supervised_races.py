@@ -23,6 +23,13 @@ pytestmark = [
 ]
 
 
+def assert_no_arm_left(pool):
+    """Every lease of ``pool`` is settled: none in flight, no one-shot
+    left in its ledger."""
+    assert pool.stats()["inflight"] == 0
+    assert not any(w.one_shot for w in pool._ledger.workers.values())
+
+
 def quick_supervisor(**overrides):
     defaults = dict(max_retries=1, backoff_base=0.01, backoff_cap=0.05)
     defaults.update(overrides)
@@ -233,7 +240,7 @@ class TestAcceptanceKillEveryArm:
         return [make(i) for i in range(4)]
 
     def run_case(self, fault_seed, **supervisor_overrides):
-        from repro.core.backends.process import _orphan_pids
+        from repro.process.pool import fork_pool
 
         executor = ConcurrentExecutor(
             backend=ProcessBackend(kill_grace=0.3),
@@ -249,7 +256,7 @@ class TestAcceptanceKillEveryArm:
                 outcome = executor.run(self.writing_block(), parent=parent)
             except AltBlockFailure as exc:
                 error = exc
-        assert not _orphan_pids
+        assert_no_arm_left(fork_pool())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         return outcome, error, parent, snapshot
@@ -298,7 +305,6 @@ class TestAcceptanceKillEveryArm:
         no surviving child process and not one orphaned ``/dev/shm``
         segment beyond what was pinned before the test.
         """
-        from repro.core.backends.process import _orphan_pids
         from repro.pages.shm import orphaned_segments
         from repro.process.pool import WorldPool
 
@@ -319,6 +325,8 @@ class TestAcceptanceKillEveryArm:
             with injected(self.hostile_injector(fault_seed)):
                 with pytest.raises(AltBlockFailure) as info:
                     executor.run(arms, parent=parent)
+            assert pool.drain(timeout=30.0)
+            assert_no_arm_left(pool)
         finally:
             pool.shutdown()
         autopsy = info.value.autopsy
@@ -329,7 +337,6 @@ class TestAcceptanceKillEveryArm:
         # parent's world is untouched and nothing leaked.
         assert parent.space.read(0, parent.space.size) == snapshot
         assert parent.space.get("precious") == "untouched"
-        assert not _orphan_pids
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         parent.space.release()

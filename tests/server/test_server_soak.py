@@ -160,6 +160,10 @@ def _run_soak(tenants, blocks_per_tenant, kills, kill_interval):
             stop_chaos.set()
             chaos.join(timeout=10.0)
             server.shutdown()
+        # Every lease settled: none in flight, and every fallback arm's
+        # one-shot reaped and gone from the ledger.
+        assert pool.stats()["inflight"] == 0
+        assert not any(w.one_shot for w in pool._ledger.workers.values())
     finally:
         pool_pids = pool.worker_pids()
         pool.shutdown()
@@ -183,15 +187,11 @@ def _run_soak(tenants, blocks_per_tenant, kills, kill_interval):
     assert threading.active_count() <= thread_baseline, (
         f"leaked threads: {[t.name for t in threading.enumerate()]}"
     )
-    # Every pool worker is dead and every fork-fallback child was reaped
-    # (a leaked one would still be registered in the orphan ledger, its
-    # race scope dead, and the sweep would reclaim -- i.e. count -- it).
+    # Every pool worker is dead (every one-shot was reaped at its
+    # settle, checked above).
     for pid in pool_pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
-    from repro.core.backends.process import sweep_orphans
-
-    assert sweep_orphans() == 0, "run left unreaped forked children"
     return kill_count[0]
 
 
