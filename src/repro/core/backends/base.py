@@ -77,7 +77,7 @@ class ArmTask:
     when the executor can expose it.  A pre-warmed world pool ships this
     (by value, when picklable) to a parked worker instead of forking; a
     ``None`` or unpicklable alternative makes the arm fall back to a
-    direct fork."""
+    one-shot worker forked for it."""
 
     rng_seed: Optional[int] = None
     """Seed of the context's deterministic RNG, so a pooled worker can

@@ -95,10 +95,11 @@ class Worker:
 
     Its ``state``; its ``proc``, the shell's handle on the process (while
     dead, the one last reaped; ``None`` before the first is born); the
-    response ``slab`` it keeps; whether it is a ``one_shot``.  While it is leased or draining, the
-    record of its lease: the ``epoch``, when it was granted, the grace and
-    deadline :meth:`LeaseLedger.cancel` set, the arena it pins, and, once
-    detached, the lent slab ``handle`` and the drainer's ``reader``.
+    response ``slab`` it keeps; whether it is a ``one_shot``.  While it is
+    leased or draining, the record of its lease: the ``epoch``, when it
+    was granted, the grace and deadline :meth:`LeaseLedger.cancel` set,
+    the arena it pins, and, once detached, the lent slab ``handle`` and
+    the drainer's ``reader``.
     """
 
     def __init__(self, slot: int) -> None:

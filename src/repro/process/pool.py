@@ -512,7 +512,7 @@ class WorldPool:
             # The injected stale world: this worker's state is declared
             # unusable, so it is recycled and the arm gets a one-shot.
             return self._fall_back(epoch, None, DIRTY, arm)
-        slab, slab_reused = self._lend_slab(epoch, want, space.num_pages)
+        slab, slab_reused = self._lend_slab(epoch, want)
         # A response slab means shared memory works for this arm, so its
         # world goes out through the arena too.
         arena, snapshot, published, shown = self._publish(
@@ -594,9 +594,7 @@ class WorldPool:
         slab lent or bound before the fork."""
         with self._lock:
             epoch = self._ledger.one_shot(time.monotonic())
-        space = getattr(task.context, "space", None)
-        pages = 0 if space is None else space.num_pages
-        slab = self._lend_slab(epoch, want, pages)[0]
+        slab = self._lend_slab(epoch, want)[0]
         read_fd, write_fd = os.pipe()
 
         def arm() -> None:
@@ -620,14 +618,14 @@ class WorldPool:
         return Lease(task.index, pid, read_fd, epoch, slab, one_shot=True)
 
     def _lend_slab(
-        self, epoch: int, want: Optional[Tuple[int, int]], pages: int
+        self, epoch: int, want: Optional[Tuple[int, int]]
     ) -> Tuple[Optional[ShmSlab], bool]:
         """A handle on the response slab of ``epoch``'s worker for this
         lease alone: ``(handle, reused)``, or ``(None, False)`` when the
         arm ships over the pipe -- no shared memory wanted, a space of no
         pages, or shared memory refuses.  The ledger picks the slab; a
         fresh one is made here when it has none that can go out."""
-        if want is None or not pages:
+        if want is None or not want[0]:
             return None, False
         with self._lock:
             slab, actions = self._ledger.lend(epoch, want, _refs)

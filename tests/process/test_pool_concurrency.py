@@ -5,9 +5,10 @@ ledger must hold up when callers overlap: no worker ever double-leased,
 ``finish`` idempotent (a late finish after a reclaim sweep, or two
 finishes of the same lease, must be no-ops), and a caller that crashes
 between ``lease`` and ``finish`` must not leak its worker forever
-(``reclaim_abandoned``).  The concurrent-race tests also pin the orphan
-registry's race scoping: a second race entering ``run_arms`` used to
-sweep -- i.e. SIGKILL -- the first race's still-live forked children.
+(``reclaim_abandoned``).  The concurrent-race tests also pin that races
+sharing one process never touch each other's forked arms: a second race
+entering ``run_arms`` once swept -- i.e. SIGKILLed -- the first race's
+still-live forked children.
 """
 
 import random

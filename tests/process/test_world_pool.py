@@ -3,8 +3,8 @@
 Pooling is a pure optimization: every test here pins some facet of
 'a pooled race is indistinguishable from a forked race' -- identical
 outcomes across the canonical corpus, identical failure handling under
-injected worker deaths, and clean fallback to direct forks whenever a
-lease cannot be transparent.
+injected worker deaths, and clean fallback to one-shot workers whenever
+a parked worker cannot take the arm transparently.
 """
 
 import errno

@@ -18,6 +18,8 @@ from repro.core.backends.wire import (
 )
 from repro.core.concurrent import ConcurrentExecutor
 from repro.errors import AltBlockFailure
+from repro.obs import events as ev
+from repro.obs.tracer import Tracer, tracing
 from repro.pages.shm import shm_available
 from repro.process.pool import WorldPool, fork_pool
 from repro.resilience import FaultInjector, injected
@@ -270,3 +272,30 @@ class TestArmSourcePins:
             if pool is not None:
                 pool.shutdown()
         assert_no_unreaped_children()
+
+    @pytest.mark.parametrize("source", ["forked", "pooled"])
+    def test_a_fallback_arm_traces_as_a_forked_one(self, source):
+        """Every arm traces its slab (``shm-map``); only an arm a parked
+        worker took traces a ``pool-lease``."""
+        pool = WorldPool(2) if source == "pooled" else None
+        tracer = Tracer()
+        try:
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=0.3, pool=pool)
+            )
+            block = [
+                Alternative(f"arm{i}", body=_Arm(seconds, f"v{i}"))
+                for i, seconds in enumerate((0.0, 0.3, 1.0))
+            ]
+            with tracing(tracer):
+                assert executor.run(block).value == "v0"
+        finally:
+            if pool is not None:
+                pool.shutdown()
+
+        def arms(kind):
+            return sorted(e.arm for e in tracer.events
+                          if e.kind == kind)
+
+        assert arms(ev.SHM_MAP) == ([0, 1, 2] if shm_available() else [])
+        assert arms(ev.POOL_LEASE) == ([0, 1] if pool is not None else [])
