@@ -48,19 +48,21 @@ class AltContext:
     ``space`` is this alternative's private COW address space (shared
     variables live there via :meth:`get`/:meth:`put`); ``charge`` accrues
     simulated execution time for bodies whose cost is data-dependent.
+    ``rng`` is a :class:`random.Random` or the seed of one (default 0),
+    built the first time a body reads :attr:`rng`.
     """
 
     def __init__(
         self,
         space: AddressSpace,
-        rng: Optional[random.Random] = None,
+        rng: Union[random.Random, int, None] = None,
         alt_index: int = 0,
         name: str = "",
         process: Any = None,
         token: Any = None,
     ) -> None:
         self.space = space
-        self.rng = rng if rng is not None else random.Random(0)
+        self._rng = rng
         self.alt_index = alt_index
         self.name = name
         self.process = process
@@ -75,6 +77,14 @@ class AltContext:
         (a sequential block).  Under the cost model the bodies run one at
         a time before any kill, so the token never fires mid-body."""
         self._charged = 0.0
+
+    @property
+    def rng(self) -> random.Random:
+        """This alternative's RNG, seeded on first use."""
+        rng = self._rng
+        if rng is None or isinstance(rng, int):
+            rng = self._rng = random.Random(rng or 0)
+        return rng
 
     def charge(self, seconds: float) -> None:
         """Accrue ``seconds`` of simulated execution time."""

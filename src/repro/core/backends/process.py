@@ -31,11 +31,11 @@ reality: losers first receive the termination instruction through
 :meth:`WorldPool.cancel <repro.process.pool.WorldPool.cancel>`, whose
 ``SIGTERM`` handler cancels the arm's signal-safe :class:`_BellToken` so
 the body stops at its next cooperative checkpoint and reports how much
-work it did; any arm still alive after ``kill_grace`` seconds is
-``SIGKILL``-ed (the asynchronous hard kill of section 3.2.1) and its
-report is synthesized.  Selection ends at the commit: once a winner is
-chosen and every sibling still racing has been told, ``run_arms``
-returns.  A one-shot is waited for (it is this race's child); a parked
+work it did; any arm the race still waits for after ``kill_grace``
+seconds is ``SIGKILL``-ed (the asynchronous hard kill of section 3.2.1)
+and its report is synthesized.  Selection ends at the commit: once a
+winner is chosen and every sibling still racing has been told,
+``run_arms`` returns.  A one-shot is waited for (it is this race's child); a parked
 worker's lease this race has not read a byte from is *detached* --
 reported ``cancelled`` with the work it burned until told, and left to
 the pool, which hears it out and enforces the same deadline.
@@ -336,6 +336,10 @@ class ProcessBackend(ExecutionBackend):
                         bytes=slab.size,
                     )
             launched = time.perf_counter() - start
+            # Every arm is running: hear the losers earlier races left to
+            # the pool now, off the launch path, so their workers park
+            # again before the next block leases.
+            pool.poll()
             race = self._collect(
                 tasks, pool, leases, start, timeout, seen, clean_leases,
                 detached, collect_all,
@@ -461,6 +465,16 @@ class ProcessBackend(ExecutionBackend):
         bail_deadline: Optional[float] = None
         issued_at = 0.0
 
+        def waits_for(index: int) -> bool:
+            """Whether the race reads arm ``index`` to its end.  Selection
+            ends at the commit: once a winner is chosen, a parked worker's
+            lease this race has not read one byte from is the pool's to
+            hear out; a one-shot is this race's child and is waited for."""
+            if winner_index is None or collect_all:
+                return True
+            reader = readers[index]
+            return leases[index].one_shot or reader.pending or reader.corrupt
+
         def signal_racing(sig: int) -> None:
             nonlocal issued_at
             for index, lease in leases.items():
@@ -469,6 +483,8 @@ class ProcessBackend(ExecutionBackend):
                 if sig == signal.SIGTERM:
                     pool.cancel(lease, self.kill_grace)
                     continue
+                if not waits_for(index):
+                    continue  # the pool enforces the same deadline
                 try:
                     os.kill(lease.pid, sig)
                 except ProcessLookupError:
@@ -477,19 +493,9 @@ class ProcessBackend(ExecutionBackend):
                 issued_at = time.perf_counter() - start
 
         def only_detachable_left() -> bool:
-            """Selection ends at the commit: a winner is chosen, every
-            sibling still racing has been told, and what is left open is
-            parked workers' leases this race has not read one byte from.
-            Those are the pool's to hear out; a one-shot is this race's
-            child and is waited for."""
-            if winner_index is None or collect_all:
-                return False
-            for fd in open_fds:
-                index = fd_to_index[fd]
-                reader = readers[index]
-                if leases[index].one_shot or reader.pending or reader.corrupt:
-                    return False
-            return True
+            """Every sibling still racing has been told, and none of those
+            left open is one the race waits for."""
+            return not any(waits_for(fd_to_index[fd]) for fd in open_fds)
 
         def conclude_abnormal(index: int, detail: str) -> None:
             """An arm died without an intact record: demote it."""

@@ -293,9 +293,10 @@ class ConcurrentExecutor:
         tasks: List[ArmTask] = []
         for index, child in zip(spawnable, children):
             arm = alternatives[index]
+            seed = self.seed * 1000003 + index
             context = AltContext(
                 child.space,
-                rng=random.Random(self.seed * 1000003 + index),
+                rng=seed,
                 alt_index=index + 1,
                 name=arm.name,
                 process=child,
@@ -326,7 +327,7 @@ class ConcurrentExecutor:
                     # parked worker; the seed lets the worker rebuild an
                     # RNG identical to this context's.
                     alternative=to_run,
-                    rng_seed=self.seed * 1000003 + index,
+                    rng_seed=seed,
                 )
             )
         return tasks

@@ -64,13 +64,17 @@ told leases it has not heard from back with :meth:`WorldPool.finish` as
 its worker, arena pin, lent handle and deadline in the pool's custody --
 until a drainer has heard the worker out: one intact record echoing the
 lease's epoch and nothing after it parks the worker; anything else, or
-silence past the deadline, recycles it.  A drain turn runs without
-waiting at the top of :meth:`WorldPool.lease`, :meth:`~WorldPool.finish`,
-:attr:`~WorldPool.parked` and :meth:`~WorldPool.reclaim_abandoned`, and
-waits -- until the earliest deadline at most -- in :meth:`WorldPool.drain`,
-in :meth:`WorldPool.shutdown`, and in a lease that finds nobody parked
-but somebody on the way back (draining, or an heir being forked).  One
-drainer at a time, and the role goes back after every turn: a lease
+silence past the deadline, recycles it.  Hearing losers is selection
+work, so it stays off the launch path: a drain turn runs without waiting
+in :meth:`WorldPool.poll` -- which :class:`ProcessBackend` calls once a
+block's last lease is written, so the last block's losers are heard while
+this block's arms run -- and at the top of :attr:`~WorldPool.parked` and
+:meth:`~WorldPool.reclaim_abandoned`; it waits -- until the earliest
+deadline at most -- in :meth:`WorldPool.drain`, in
+:meth:`WorldPool.shutdown`, and in a lease that finds nobody parked but
+somebody on the way back (draining, or an heir being forked).  A lease
+that finds a worker parked, and :meth:`~WorldPool.finish`, take none.
+One drainer at a time, and the role goes back after every turn: a lease
 takes the first worker that parks and does not queue behind a drain.
 The deadline is for silence: a worker part of whose record has been
 read gets ``kill_grace`` again from that byte.
@@ -142,7 +146,6 @@ import atexit
 import mmap
 import os
 import pickle
-import random
 import select
 import signal
 import struct
@@ -476,10 +479,11 @@ class WorldPool:
         alternative that does not pickle, a context without a space, or
         an injected ``pool-worker-stale`` fault.  Workers on their way
         back are waited for instead, so a pool as wide as its caller
-        never forks one.  With ``shm`` the lease carries a response slab
-        and a pooled arm's world goes out through the arena; without it,
-        or when shared memory refuses, pages travel both ways on the
-        pipes.
+        never forks one; only such a lease takes a drain turn, never one
+        that a parked worker can grant.  With ``shm`` the lease carries a
+        response slab and a pooled arm's world goes out through the
+        arena; without it, or when shared memory refuses, pages travel
+        both ways on the pipes.
         """
         ledger = self._ledger
         space = getattr(task.context, "space", None)
@@ -489,7 +493,6 @@ class WorldPool:
         arm = (task, start, pre_fault, ship_fault, want)
         if task.alternative is None or space is None:
             return self._one_shot(*arm)
-        self._poll()
         while True:
             # Selection, the epoch draw and the ledger entry are ONE
             # transition: concurrent callers can interleave here
@@ -827,9 +830,9 @@ class WorldPool:
         one-shot is reaped, killed first if it has not exited.  Settling
         goes by epoch, never by pid, so a lease settled already is
         skipped.  Returns wait statuses for workers that died, keyed by
-        arm index, for exit-status annotation.
+        arm index, for exit-status annotation.  Takes no drain turn: the
+        losers detached here are heard by the next :meth:`poll`.
         """
-        self._poll()
         ledger = self._ledger
         statuses: Dict[int, Optional[int]] = {}
         given_up: List[ShmSlab] = []
@@ -871,9 +874,9 @@ class WorldPool:
         give_up_at = None if timeout is None else time.monotonic() + timeout
         return self._drain_until(self._ledger.settled, give_up_at)
 
-    def _poll(self) -> None:
-        """Settle whoever has reported already, without waiting; a
-        drainer already at work is left to it."""
+    def poll(self) -> None:
+        """One drain turn without waiting: settle whoever has reported
+        already; a drainer already at work is left to it."""
         with self._lock:
             taken = self._ledger.take_drain()
         if taken:
@@ -962,7 +965,7 @@ class WorldPool:
         Every lease older than ``older_than`` seconds goes; a late
         ``finish`` is then a no-op.  A detached lease is not abandoned:
         the drainer enforces its deadline.  Returns how many went."""
-        self._poll()
+        self.poll()
         with self._lock:
             reclaimed, actions = self._ledger.reclaim(
                 time.monotonic(), older_than
@@ -985,7 +988,7 @@ class WorldPool:
     @property
     def parked(self) -> int:
         """Workers currently free to take a lease (after a drain turn)."""
-        self._poll()
+        self.poll()
         with self._lock:
             return self._ledger.count(PARKED)
 
@@ -1078,7 +1081,7 @@ class _WorkerWorld:
                 lease["slab_slot_size"],
             )
         context = AltContext(
-            self.space, rng=random.Random(lease["rng_seed"]),
+            self.space, rng=lease["rng_seed"],
             alt_index=lease["index"] + 1, name=lease["name"], token=self.token,
         )
         context.trace_block = lease["trace_block"]

@@ -36,6 +36,24 @@ class TestAltContext:
         with pytest.raises(GuardFailure, match="too slow"):
             make_context().fail("too slow")
 
+    def test_a_seed_draws_the_stream_of_its_random(self):
+        space = AddressSpace(PageStore(), 4096)
+        for seed in (0, 1, 7 * 1000003 + 2):
+            drawn = AltContext(space, rng=seed).rng
+            expected = random.Random(seed)
+            assert [drawn.random() for _ in range(5)] == [
+                expected.random() for _ in range(5)
+            ]
+        default = make_context().rng
+        assert default.random() == random.Random(0).random()
+
+    def test_the_rng_is_built_once_and_a_given_one_is_kept(self):
+        given = random.Random(3)
+        context = AltContext(AddressSpace(PageStore(), 4096), rng=given)
+        assert context.rng is given
+        seeded = AltContext(AddressSpace(PageStore(), 4096), rng=5)
+        assert seeded.rng is seeded.rng
+
 
 class TestAlternativeCost:
     def test_constant_cost(self):

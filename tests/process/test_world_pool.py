@@ -1552,6 +1552,176 @@ class TestDetachedLeases:
             pool.shutdown()
 
 
+def parked_pids(pool):
+    return {
+        worker.proc.pid for worker in pool._ledger.workers.values()
+        if worker.state == PARKED
+    }
+
+
+def record_turns(pool, monkeypatch):
+    """Every drain turn the pool takes from here on, as its patience."""
+    turns = []
+    hear_out = pool._hear_out
+
+    def recording(patience):
+        turns.append(patience)
+        hear_out(patience)
+
+    monkeypatch.setattr(pool, "_hear_out", recording)
+    return turns
+
+
+class _Returns:
+    """Picklable arm that writes nothing, so no world pins its slab: it
+    closes at once with ``closed``, or sleeps and returns ``value``."""
+
+    def __init__(self, seconds, value=None, closed=False):
+        self.seconds = seconds
+        self.value = value
+        self.closed = closed
+
+    def __call__(self, ctx):
+        if self.closed:
+            ctx.fail("closed")
+        ctx.sleep(self.seconds)
+        return self.value
+
+
+class _DrawsRng:
+    """Picklable arm that returns the first draw of its context's RNG."""
+
+    def __call__(self, ctx):
+        return ctx.rng.random()
+
+
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+class TestDrainPlacement:
+    """Hearing the last block's losers is selection work: a lease that a
+    parked worker can grant takes no drain turn, ``finish`` takes none,
+    and the race takes one without waiting once its arms are running."""
+
+    def test_losers_are_heard_after_the_launch_not_before_it(
+        self, monkeypatch
+    ):
+        pool = WorldPool(size=4)
+        try:
+            space = AddressSpace(PageStore(PAGE), 16 * PAGE)
+            old = {
+                index: pool.lease(
+                    handmade_task(
+                        space.fork(), _WritesThenReturns("old", 30.0), index
+                    ),
+                    time.perf_counter(), shm=True,
+                )
+                for index in (0, 1)
+            }
+            for lease in old.values():
+                assert pool.cancel(lease, grace=10.0)
+            pool.finish(old, set(), detached=set(old))
+            losers = {lease.pid for lease in old.values()}
+            # Both losers have written their records; nobody heard them.
+            pending = {lease.result_fd for lease in old.values()}
+            while pending:
+                ready, _, _ = select.select(list(pending), [], [], 10.0)
+                assert ready, "a told loser never reported"
+                pending.difference_update(ready)
+            assert len(draining_workers(pool)) == 2
+
+            events = []
+            write_all, finish = wire.write_all, pool.finish
+            hear_out = pool._hear_out
+
+            def writing(fd, data):
+                events.append("write")
+                return write_all(fd, data)
+
+            def hearing(patience):
+                events.append("turn")
+                hear_out(patience)
+
+            def finishing(*args, **kwargs):
+                events.append("finish")
+                try:
+                    return finish(*args, **kwargs)
+                finally:
+                    events.append("finished")
+
+            monkeypatch.setattr(wire, "write_all", writing)
+            monkeypatch.setattr(pool, "_hear_out", hearing)
+            monkeypatch.setattr(pool, "finish", finishing)
+            block = [
+                Alternative("slow", body=_Sleeper("slow", 5.0, "S")),
+                Alternative("slower", body=_Sleeper("slower", 5.0, "T")),
+                Alternative("quick", body=_Sleeper("quick", 0.0, "Q")),
+            ]
+            assert pooled_executor(pool).run(block).value == "Q"
+            # Two parked workers take the first two arms with no turn;
+            # the third finds nobody parked and hears both old losers.
+            assert events == [
+                "write", "write", "turn", "write", "finish", "finished",
+            ]
+            assert losers <= parked_pids(pool)
+            assert pool.drained_parked == 2
+            assert (pool.respawns, pool.fallbacks) == (0, 0)
+        finally:
+            pool.shutdown()
+
+    def test_a_wide_pool_never_waits_and_reuses_a_few_warm_workers(
+        self, monkeypatch
+    ):
+        """Eight workers, 3-arm blocks back to back, each leaving one
+        loser to the pool: it is heard by the next race without a waiting
+        turn, in time to be leased again by the one after, so a handful
+        of warm workers serve every lease.  A pool that heard its losers
+        only when it ran out of parked workers would rotate through all
+        eight."""
+        pool = WorldPool(size=8)
+        try:
+            executor = pooled_executor(pool)
+            block = [
+                Alternative("closed", body=_Returns(0.0, closed=True)),
+                Alternative("quick", body=_Returns(0.01, "Q")),
+                Alternative("slow", body=_Returns(5.0, "S")),
+            ]
+            turns = record_turns(pool, monkeypatch)
+            granted = record_leases(pool, monkeypatch)
+            for _ in range(40):
+                assert executor.run(block).value == "Q"
+            assert set(turns) <= {0.0}
+            warm = {lease.pid for _, lease in granted[3 * 10:]}
+            assert len(warm) <= 4, len(warm)
+            assert (pool.respawns, pool.fallbacks) == (0, 0)
+        finally:
+            pool.shutdown()
+
+    def test_a_pooled_race_builds_no_rng_in_the_coordinator(
+        self, pool, monkeypatch
+    ):
+        built = []
+
+        class Counting(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        assert pooled_executor(pool).run(sleeper_block()).value == "Q"
+        assert pool.fallbacks == 0
+        assert built == []
+
+    def test_a_pooled_body_draws_the_executor_seeded_stream(self, pool):
+        """The worker builds the arm's RNG from the lease's seed, the
+        stream the coordinator's context would have drawn."""
+        executor = ConcurrentExecutor(
+            backend=ProcessBackend(kill_grace=0.5, pool=pool),
+            space_size=SPACE, seed=7,
+        )
+        value = executor.run([Alternative("draws", body=_DrawsRng())]).value
+        assert pool.fallbacks == 0
+        assert value == random.Random(7 * 1000003).random()
+
+
 class ResponseSlabMachine(RuleBasedStateMachine):
     """Lease / win / lose / kill / detach / drain / deadline-expires /
     exit-parent / shutdown in any order on a real pool: *never issued

@@ -1,7 +1,12 @@
 """Tests for the recovery block construct and sequential execution."""
 
+import random
+
 import pytest
 
+from repro.core.alternative import Alternative
+from repro.core.backends import SerialBackend
+from repro.core.concurrent import ConcurrentExecutor
 from repro.errors import AltBlockFailure
 from repro.recovery.block import RecoveryAlternate, RecoveryBlock
 from repro.recovery.faults import accept_if, always_accept, flaky_body, scripted_body
@@ -110,6 +115,22 @@ class TestFaultHelpers:
         first = SequentialRecoveryExecutor(seed=1).run(block).winner.name
         second = SequentialRecoveryExecutor(seed=1).run(block).winner.name
         assert first == second
+
+    def test_flaky_body_draws_the_executor_seeded_stream(self):
+        """A concurrent executor seeds arm ``i``'s RNG with
+        ``seed * 1000003 + i``; the failure decision is its first draw."""
+        failed = []
+        for seed in range(12):
+            executor = ConcurrentExecutor(backend=SerialBackend(), seed=seed)
+            block = [
+                Alternative("p", body=flaky_body("v", 0.5)),
+                Alternative("b", body=lambda ctx: "backup"),
+            ]
+            executor.run(block)
+            fired = not executor._last_race.report(0).succeeded
+            assert fired == (random.Random(seed * 1000003).random() < 0.5)
+            failed.append(fired)
+        assert any(failed) and not all(failed)
 
     def test_flaky_probability_extremes(self):
         never = flaky_body("v", 0.0)

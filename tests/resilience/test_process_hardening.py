@@ -203,13 +203,16 @@ RAISED = (False, False, True, None, None)
 # (fault, faulted arms, winner, forked reports, pooled reports).  In the
 # pooled race arms 0 and 1 lease the two workers and arm 2 falls back.
 # A leased arm still deaf at the commit is left to the pool (told, not
-# abnormal); a forked one is waited for and killed at the grace.
+# abnormal), even while the race waits for a deaf one-shot: the grace
+# kill goes only to arms the race waits for.  A forked one is waited for
+# and killed at the grace.
 WON = object()
 ARM_SOURCE_PINS = [
     (None, (), 0, (WON, TOLD, TOLD), (WON, TOLD, TOLD)),
     ("arm-sigkill", (0, 2), 1, (DIED, WON, DIED), (DIED, WON, DIED)),
     ("arm-hang", (0,), 1, (DIED, WON, TOLD), (TOLD, WON, TOLD)),
     ("arm-hang", (2,), 0, (WON, TOLD, DIED), (WON, TOLD, DIED)),
+    ("arm-hang", (0, 2), 1, (DIED, WON, DIED), (TOLD, WON, DIED)),
     ("arm-raise", (0, 2), 1, (RAISED, WON, RAISED), (RAISED, WON, RAISED)),
     ("pipe-truncate", (0, 2), 1,
      (MANGLED, WON, MANGLED), (MANGLED, WON, MANGLED)),
@@ -217,6 +220,49 @@ ARM_SOURCE_PINS = [
      (MANGLED, WON, MANGLED), (MANGLED, WON, MANGLED)),
     ("shm-attach-fail", (0, 2), 0, (WON, TOLD, TOLD), (WON, TOLD, TOLD)),
 ]
+
+
+def assert_arm_reports(source, fault, arms, winner, expected, fault_seed):
+    """Race the pinned 3-arm block with ``fault`` on ``arms``, forked or
+    on a 2-worker pool, and check each arm's report against ``expected``
+    and that no arm is left behind."""
+    transport = "shm" if shm_available() else "pipe"
+    if fault == "shm-attach-fail":
+        transport = "pipe"
+    won = (True, False, False, None, transport)
+    injector = FaultInjector(seed=fault_seed)
+    if fault is not None:
+        injector.add(fault, arms=arms, times=None)
+    pool = WorldPool(2) if source == "pooled" else None
+    try:
+        executor = ConcurrentExecutor(
+            backend=ProcessBackend(kill_grace=0.3, pool=pool)
+        )
+        block = [
+            Alternative(f"arm{i}", body=_Arm(seconds, f"v{i}"))
+            for i, seconds in enumerate((0.0, 0.3, 1.0))
+        ]
+        with injected(injector):
+            result = executor.run(block)
+        assert result.winner.name == f"arm{winner}"
+        assert result.value == f"v{winner}"
+        reports = [executor._last_race.report(i) for i in range(3)]
+        seen = [
+            (r.succeeded, r.cancelled, r.abnormal, r.exit_signal,
+             r.page_transport)
+            for r in reports
+        ]
+        assert seen == [
+            won if pin is WON else pin for pin in expected
+        ], [r.detail for r in reports]
+        if pool is not None:
+            assert pool.fallbacks == 1
+            assert pool.drain(timeout=10.0)
+            assert_no_arm_left(pool)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    assert_no_unreaped_children()
 
 
 class TestArmSourcePins:
@@ -235,43 +281,19 @@ class TestArmSourcePins:
         self, source, fault, arms, winner, forked, pooled, fault_seed
     ):
         expected = forked if source == "forked" else pooled
-        transport = "shm" if shm_available() else "pipe"
-        if fault == "shm-attach-fail":
-            transport = "pipe"
-        won = (True, False, False, None, transport)
-        injector = FaultInjector(seed=fault_seed)
-        if fault is not None:
-            injector.add(fault, arms=arms, times=None)
-        pool = WorldPool(2) if source == "pooled" else None
-        try:
-            executor = ConcurrentExecutor(
-                backend=ProcessBackend(kill_grace=0.3, pool=pool)
+        assert_arm_reports(source, fault, arms, winner, expected, fault_seed)
+
+    def test_a_deaf_leased_arm_beside_a_deaf_one_shot_is_always_told(
+        self, fault_seed
+    ):
+        """The grace kill goes to the deaf one-shot alone, so the deaf
+        leased arm is left to the pool whichever pipe ``select`` returns
+        first: the same report on every run."""
+        for _ in range(10):
+            assert_arm_reports(
+                "pooled", "arm-hang", (0, 2), 1, (TOLD, WON, DIED),
+                fault_seed,
             )
-            block = [
-                Alternative(f"arm{i}", body=_Arm(seconds, f"v{i}"))
-                for i, seconds in enumerate((0.0, 0.3, 1.0))
-            ]
-            with injected(injector):
-                result = executor.run(block)
-            assert result.winner.name == f"arm{winner}"
-            assert result.value == f"v{winner}"
-            reports = [executor._last_race.report(i) for i in range(3)]
-            seen = [
-                (r.succeeded, r.cancelled, r.abnormal, r.exit_signal,
-                 r.page_transport)
-                for r in reports
-            ]
-            assert seen == [
-                won if pin is WON else pin for pin in expected
-            ], [r.detail for r in reports]
-            if pool is not None:
-                assert pool.fallbacks == 1
-                assert pool.drain(timeout=10.0)
-                assert_no_arm_left(pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        assert_no_unreaped_children()
 
     @pytest.mark.parametrize("source", ["forked", "pooled"])
     def test_a_fallback_arm_traces_as_a_forked_one(self, source):
