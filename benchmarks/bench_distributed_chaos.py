@@ -105,7 +105,7 @@ def race(seed, injector=None, warden=None):
             result = dist.run(make_arms())
     else:
         result = dist.run(make_arms())
-    return result, net
+    return result, dist
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +154,8 @@ def make_wire_arms():
 
 
 def _wire_race(seed, loss_plan=None, crash_arm=None):
-    """One real-socket race; returns (result, warden, wire_counters)."""
+    """One real-socket race; returns (result, executor, wall seconds,
+    wire counters)."""
     import time as _time
 
     from repro.cluster.daemon import WorkerDaemon
@@ -201,7 +202,7 @@ def _wire_race(seed, loss_plan=None, crash_arm=None):
             "frames_dropped": impair.drops if impair is not None else 0,
             "frames_duplicated": impair.dups if impair is not None else 0,
         }
-        return result, warden, wall, counters
+        return result, executor, wall, counters
     finally:
         for proxy in proxies:
             proxy.stop()
@@ -212,23 +213,23 @@ def _wire_race(seed, loss_plan=None, crash_arm=None):
 def measure_wire_failover(seed):
     """Crash the winning arm's first incarnation on the real wire and
     time lease-expiry -> respawn-grant on the wall clock."""
-    result, warden, wall, _ = _wire_race(seed, crash_arm=2)
-    crashed = [l for l in warden.table.leases if l.arm == 2 and l.epoch == 1]
-    respawned = [l for l in warden.table.leases if l.arm == 2 and l.epoch == 2]
+    result, executor, wall, _ = _wire_race(seed, crash_arm=2)
+    crashed = [l for l in executor.leases if l.index == 2 and l.epoch == 1]
+    respawned = [l for l in executor.leases if l.index == 2 and l.epoch == 2]
     assert crashed and crashed[0].state in ("expired",), "crash never fired"
     assert respawned, "no respawn was granted"
-    latency = respawned[0].granted_at - crashed[0].ended_at
+    latency = respawned[0].started - crashed[0].ended_at
     return {
         "winner": result.winner.name,
         "elapsed_wall_seconds": round(wall, 4),
         "failover_latency_wall_seconds": round(latency, 4),
-        "all_leases_settled": warden.table.all_settled,
+        "all_leases_settled": executor.all_settled,
     }
 
 
 def run_wire_suite(seed):
-    clean, clean_warden, clean_wall, _ = _wire_race(seed)
-    lossy, lossy_warden, lossy_wall, counters = _wire_race(
+    clean, clean_executor, clean_wall, _ = _wire_race(seed)
+    lossy, lossy_executor, lossy_wall, counters = _wire_race(
         seed, loss_plan=NetFaultPlan(loss=LOSS_RATE)
     )
     failover = measure_wire_failover(seed)
@@ -242,7 +243,7 @@ def run_wire_suite(seed):
             "winner": lossy.winner.name,
             "elapsed_wall_seconds": round(lossy_wall, 4),
             "frames_dropped": counters["frames_dropped"],
-            "all_leases_settled": lossy_warden.table.all_settled,
+            "all_leases_settled": lossy_executor.all_settled,
         },
         "failover": failover,
         "criteria": {
@@ -252,8 +253,8 @@ def run_wire_suite(seed):
                 failover["failover_latency_wall_seconds"] > 0
             ),
             "no_leaked_leases": (
-                clean_warden.table.all_settled
-                and lossy_warden.table.all_settled
+                clean_executor.all_settled
+                and lossy_executor.all_settled
                 and failover["all_leases_settled"]
             ),
         },
@@ -374,17 +375,18 @@ def _p99(samples):
     return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)]
 
 
-def _failover_samples(warden):
-    """Wall-clock lease-expiry -> respawn-grant gaps, one per handoff."""
+def _failover_samples(executor):
+    """Wall-clock lease-expiry -> respawn-grant gaps, one per handoff
+    of the executor's last block."""
     by_arm = {}
-    for lease in warden.table.leases:
-        by_arm.setdefault(lease.arm, []).append(lease)
+    for lease in executor.leases:
+        by_arm.setdefault(lease.index, []).append(lease)
     gaps = []
     for leases in by_arm.values():
         leases.sort(key=lambda l: l.epoch)
         for prev, nxt in zip(leases, leases[1:]):
-            if prev.ended_at is not None and nxt.granted_at is not None:
-                gaps.append(nxt.granted_at - prev.ended_at)
+            if prev.ended_at is not None:
+                gaps.append(nxt.started - prev.ended_at)
     return gaps
 
 
@@ -457,7 +459,7 @@ def run_sustained_suite(seed, blocks):
             if assassin is not None:
                 assassin.join()
             winners.append(result.winner.name)
-            failovers.extend(_failover_samples(executor.warden))
+            failovers.extend(_failover_samples(executor))
             # The serial reference: replay the winning arm alone on the
             # sequential substrate and demand the same answer.
             serial = SequentialExecutor(seed=seed)
@@ -511,33 +513,31 @@ def run_sustained_suite(seed, blocks):
 
 def measure_failover(seed):
     """Crash the fastest arm's first incarnation; time the re-grant."""
-    warden = RaceWarden()
     injector = FaultInjector(seed=seed).worker_crash(
         arms=[2], duration=0.05  # arm 2 = "cache", the would-be winner
     )
-    result, _ = race(seed, injector=injector, warden=warden)
-    crashed = [l for l in warden.table.leases if l.arm == 2 and l.epoch == 1]
-    respawned = [l for l in warden.table.leases if l.arm == 2 and l.epoch == 2]
+    result, dist = race(seed, injector=injector, warden=RaceWarden())
+    crashed = [l for l in dist.leases if l.index == 2 and l.epoch == 1]
+    respawned = [l for l in dist.leases if l.index == 2 and l.epoch == 2]
     assert crashed and crashed[0].state == "expired", "crash never fired"
     assert respawned, "no respawn was granted"
-    latency = respawned[0].granted_at - crashed[0].ended_at
+    latency = respawned[0].started - crashed[0].ended_at
     return {
         "winner": result.winner.name,
         "elapsed_sim_seconds": round(result.elapsed, 6),
         "lease_expiry_sim_time": round(crashed[0].ended_at, 6),
-        "respawn_grant_sim_time": round(respawned[0].granted_at, 6),
+        "respawn_grant_sim_time": round(respawned[0].started, 6),
         "failover_latency_sim_seconds": round(latency, 6),
-        "all_leases_settled": warden.table.all_settled,
+        "all_leases_settled": dist.all_settled,
     }
 
 
 def run_suite(quick=False, seed=0):
     clean, _ = race(seed, warden=RaceWarden())
-    lossy_warden = RaceWarden()
-    lossy, lossy_net = race(
+    lossy, lossy_dist = race(
         seed,
         injector=NetFaultPlan(loss=LOSS_RATE).injector(seed=seed),
-        warden=lossy_warden,
+        warden=RaceWarden(),
     )
     failover = measure_failover(seed)
     real_wire = run_wire_suite(seed)
@@ -558,8 +558,8 @@ def run_suite(quick=False, seed=0):
             "winner": lossy.winner.name,
             "elapsed_sim_seconds": round(lossy.elapsed, 6),
             "wasted_work_sim_seconds": round(lossy.wasted_work, 6),
-            "messages_dropped": lossy_net.drops,
-            "all_leases_settled": lossy_warden.table.all_settled,
+            "messages_dropped": lossy_dist.network.drops,
+            "all_leases_settled": lossy_dist.all_settled,
         },
         "lossy_vs_clean_elapsed": round(slowdown, 4),
         "failover": failover,
@@ -581,7 +581,7 @@ def run_suite(quick=False, seed=0):
                 failover["failover_latency_sim_seconds"] > 0
             ),
             "no_leaked_leases": (
-                lossy_warden.table.all_settled
+                lossy_dist.all_settled
                 and failover["all_leases_settled"]
             ),
         },

@@ -151,9 +151,9 @@ def run_scenario(
     recorder = ScheduleRecorder()
     controller = CheckController(recorder=recorder, forced_faults=forced)
     network = make_net()
-    warden = RaceWarden()
     dist = DistributedAltExecutor(
-        network, home="home", workers=list(WORKERS), seed=seed, warden=warden
+        network, home="home", workers=list(WORKERS), seed=seed,
+        warden=RaceWarden(),
     )
     parent = dist.new_parent()
     injector = chaos_injector(
@@ -174,7 +174,7 @@ def run_scenario(
     run.variables = {
         name: parent.space.get(name) for name in parent.space.names()
     }
-    run.lease_states = [lease.state for lease in warden.table.leases]
+    run.lease_states = [lease.state for lease in dist.leases]
     run.schedule = recorder.snapshot(
         scenario=scenario, seed=seed, kind="chaos"
     )
@@ -194,7 +194,7 @@ def run_scenario(
             )
         if run.space_bytes != ref_bytes:
             run.problems.append("parent space bytes diverge from serial")
-        if not warden.table.all_settled:
+        if not dist.all_settled:
             run.problems.append(
                 f"leaked leases: states {run.lease_states!r}"
             )

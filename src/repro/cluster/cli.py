@@ -167,7 +167,7 @@ def demo_main(args: argparse.Namespace) -> int:
               f"result={parent.space.get('result')}")
         print(f"      elapsed {result.elapsed:.3f}s, "
               f"all leases settled: "
-              f"{executor.warden.table.all_settled}")
+              f"{executor.all_settled}")
         for t, label in result.timeline:
             print(f"        {t:8.3f}  {label}")
 

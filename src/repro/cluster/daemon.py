@@ -60,8 +60,8 @@ Robustness contract (the reason this module exists):
 - a client that vanishes mid-race (half-open connection, EPIPE on a
   heartbeat) orphans every arm on the connection: the bodies are
   cancelled, the worlds released and the shm audit run once -- the
-  worker-side lease-lapse self-termination of :mod:`repro.net.lease`,
-  enforced by the wire itself.  An injected soft ``crash_after`` drops
+  worker-side lease-lapse self-termination of the home-node ladder's
+  leases (:mod:`repro.net.distributed`), enforced by the wire itself.  An injected soft ``crash_after`` drops
   the whole session the same way, which is what a SIGKILL does;
 - a shipment that dies mid-frame is detected by the stream's reader and
   closes the conversation; the daemon never acts on a torn record.

@@ -411,6 +411,7 @@ class ClusterExecutor(HomeLadder):
             raise ValueError(
                 "need at least one worker endpoint or a membership table"
             )
+        super().__init__()
         self.endpoints = list(endpoints)
         self.seed = seed
         self.membership = membership

@@ -9,7 +9,7 @@ when the wire turns hostile.
 """
 
 from repro.net.distributed import DistributedAltExecutor
-from repro.net.lease import LEASE_STATES, Lease, LeaseTable, RaceWarden
+from repro.net.lease import RaceWarden
 from repro.net.network import (
     Delivery,
     FaultyLink,
@@ -24,9 +24,6 @@ __all__ = [
     "Delivery",
     "DistributedAltExecutor",
     "FaultyLink",
-    "LEASE_STATES",
-    "Lease",
-    "LeaseTable",
     "NetFaultPlan",
     "NetNode",
     "Network",

@@ -16,8 +16,15 @@ climbs:
 3. on each ``result``: the arm's verdict, then the epoch fence, then the
    optional majority semaphore;
 4. commit the winner's dirty pages;
-5. cancel the losers and settle every lease;
+5. cancel the losers and settle every incarnation;
 6. if nothing can commit: degrade to a serial replay at home, or raise.
+
+One record, :class:`_Assignment`, is an incarnation's whole lease: its
+epoch, deadline, renewals and lifecycle state.  The ladder keeps each
+arm's epoch counter for its life, and each race keeps the incarnations
+it granted and settles them once (``HomeLadder.leases`` reads the last
+race's).  That record guarantees what both transports rely on: one
+settle per incarnation, and a fenced epoch never commits.
 
 The ladder consumes time-stamped events from a *transport*, and the two
 transports are two interleaving strategies for that one process
@@ -35,8 +42,8 @@ transports are two interleaving strategies for that one process
   TCP sessions on the wall clock.
 
 Without a :class:`~repro.net.lease.RaceWarden` the simulated race is
-unsupervised: no leases, no reroute, no respawn, no degrade -- an arm
-lives and dies with its round-robin node.
+unsupervised: no epochs, no deadlines, no reroute, no respawn, no
+degrade -- an arm lives and dies with its round-robin node.
 
 Every random decision is drawn from a *keyed* RNG --
 ``Random(f"{seed}:{purpose}:{arm}")``, the convention of the
@@ -53,6 +60,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.check.runtime import checkpoint as _checkpoint
 from repro.consensus.majority import MajorityConsensusSemaphore
 from repro.consensus.node import ConsensusNode
 from repro.core.alternative import AltContext, Alternative
@@ -60,7 +68,7 @@ from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
 from repro.core.selection import OrderedPolicy
 from repro.core.sequential import SequentialExecutor, _run_body
 from repro.errors import AltBlockFailure, ConsensusUnavailable, NetworkError
-from repro.net.lease import Lease, RaceWarden
+from repro.net.lease import RaceWarden
 from repro.net.network import Network
 from repro.net.rfork import remote_fork
 from repro.obs import events as _ev
@@ -71,13 +79,21 @@ from repro.resilience.injector import active as _active_injector, suppressed
 #: Size of one heartbeat message on the wire (control traffic).
 HEARTBEAT_BYTES = 64
 
-#: Verdicts the epoch fence gives a stale incarnation's result.
-_FENCED = ("stale-epoch-fence", "lease-expired")
+#: The verdict the epoch fence gives a fenced incarnation's result.
+_FENCED = "stale-epoch-fence"
 
 
-@dataclass
+@dataclass(eq=False)
 class _Assignment:
-    """One incarnation of one arm shipped to one worker."""
+    """One incarnation of one arm shipped to one worker: the race's only
+    record of it, lease and all.
+
+    ``state`` is ``active`` until it turns, once, ``committed`` (it
+    won), ``eliminated`` (a sibling won, or the race gave up) or
+    ``expired`` (its lease lapsed, or its connection or its ship
+    failed); a terminal state is sticky.  An expired incarnation is
+    fenced: a zombie's late result still arrives, and cannot commit.
+    """
 
     index: int
     arm: Alternative
@@ -94,7 +110,20 @@ class _Assignment:
     """When the body began (simulated) or the ship left home (wall)."""
 
     epoch: int = 0
-    lease: Optional[Lease] = None
+    """The arm's incarnation epoch (0 when unsupervised)."""
+
+    deadline: Optional[float] = None
+    """When the lease lapses absent a renewal (``None`` when
+    unsupervised).  The same deadline governs both sides: the warden
+    declares the worker dead at it, and an orphaned worker
+    self-terminates at it -- neither needs the other to agree."""
+
+    renewals: int = 0
+    state: str = "active"
+    ended_at: Optional[float] = None
+    heard: bool = False
+    """Its result arrived (a zombie's too)."""
+
     crash_after: Optional[float] = None
     """The injected ``worker-crash`` instant, relative to ``started``."""
 
@@ -108,12 +137,52 @@ class _Assignment:
     duration: Optional[float] = None
     pages: int = 0
     pid: Optional[int] = None
-    stale: bool = False
-    """The warden gave up on this incarnation (lease lapsed or its
-    connection dropped).  A zombie's late result still arrives -- and
-    is fenced."""
 
-    finished: bool = False
+    def renew(self, at: float, timeout: float, block=None) -> None:
+        """A heartbeat of this epoch arrived at ``at``: the lease runs
+        to ``at + timeout``, and a reordered old beat never shortens it."""
+        _checkpoint("lease-renew", f"{self.name}:{self.index}")
+        self._require_active("renew")
+        self.deadline = max(self.deadline, at + timeout)
+        self.renewals += 1
+        tracer = _active_tracer()
+        if tracer.enabled:
+            tracer.emit(
+                _ev.LEASE_RENEW,
+                block=block,
+                arm=self.index,
+                name=self.name,
+                epoch=self.epoch,
+                at=at,
+                deadline=self.deadline,
+            )
+
+    def expire(self, at: float, block=None) -> None:
+        """The warden gave up on this incarnation: the grant is void."""
+        self.settle("expired", at)
+        tracer = _active_tracer()
+        if self.deadline is not None and tracer.enabled:
+            tracer.emit(
+                _ev.LEASE_EXPIRE,
+                block=block,
+                arm=self.index,
+                name=self.name,
+                epoch=self.epoch,
+                at=at,
+                renewals=self.renewals,
+            )
+
+    def settle(self, state: str, at: float) -> None:
+        """Turn terminal: ``committed``, ``eliminated`` or ``expired``."""
+        self._require_active(f"turn {state}")
+        self.state, self.ended_at = state, at
+
+    def _require_active(self, verb: str) -> None:
+        if self.state != "active":
+            raise ValueError(
+                f"lease of arm {self.index} epoch {self.epoch} is already "
+                f"{self.state}; cannot {verb}"
+            )
 
 
 class HomeLadder:
@@ -140,6 +209,23 @@ class HomeLadder:
     """
 
     backend = ""
+
+    def __init__(self) -> None:
+        self._epochs: Dict[int, int] = {}
+        """Each arm's last granted epoch, kept for the ladder's life: an
+        arm's epoch never repeats, across races too."""
+        self._book: List[_Assignment] = []
+
+    @property
+    def leases(self) -> Tuple[_Assignment, ...]:
+        """The incarnations the last race granted, in grant order; they
+        stay readable until the next race grants one."""
+        return tuple(self._book)
+
+    @property
+    def all_settled(self) -> bool:
+        """True when every incarnation of the last race is terminal."""
+        return all(lease.state != "active" for lease in self._book)
 
     def new_parent(self, space_size: int = 64 * 1024) -> SimProcess:
         """A fresh parent world on the home node."""
@@ -186,19 +272,15 @@ class HomeLadder:
 
     def _commit_check(self, assignment: _Assignment,
                       msg: dict) -> Tuple[bool, str]:
-        """The arm's own verdict, then the incarnation-epoch fence."""
+        """The arm's own verdict, then the epoch fence: only the arm's
+        current, active incarnation, echoing its own epoch, may commit.
+        An arm gets a fresh incarnation only once its last one expired,
+        so an active incarnation is its arm's current one."""
         if not msg.get("ok"):
             return False, "arm-failed"
-        if assignment.lease is None:
-            return True, ""
-        if assignment.lease.terminal:
-            return False, "lease-expired"
-        if msg.get("epoch") != assignment.epoch:
-            return False, "stale-epoch-fence"
-        if assignment.epoch != self.warden.table.current_epoch(
-                assignment.index):
-            # A newer incarnation superseded this one mid-flight.
-            return False, "stale-epoch-fence"
+        if (assignment.state != "active"
+                or msg.get("epoch") != assignment.epoch):
+            return False, _FENCED
         return True, ""
 
 
@@ -219,26 +301,34 @@ class _Race:
             AltOutcome(index=i, name=a.name, status="untried")
             for i, a in enumerate(alternatives)
         ]
+        self.granted: List[_Assignment] = []
+        """Every incarnation admitted, in grant order: the race's book,
+        settled once at its end."""
         self.shipped: List[_Assignment] = []
-        self.live: List[_Assignment] = []
-        """Incarnations whose lease (or verdict) still governs the race."""
-        self.latest: Dict[int, _Assignment] = {}
-        self.tried: Dict[int, List[str]] = {
-            i: [] for i in range(len(alternatives))
-        }
-        self.attempts: Dict[int, int] = dict.fromkeys(self.tried, 0)
+        """The granted incarnations that reached their worker."""
         self.dead: Set[str] = set()
         self.starved = False
+
+    def live(self) -> List[_Assignment]:
+        """Shipped incarnations still active and not yet heard from:
+        those whose lease (or verdict) still governs the race."""
+        return [a for a in self.shipped if a.state == "active" and not a.heard]
+
+    def _lapsed_nodes(self, index: int) -> List[str]:
+        """The nodes arm ``index``'s lapsed incarnations ran on: one per
+        respawn it asked for."""
+        return [str(a.node) for a in self.shipped
+                if a.index == index and a.state == "expired"]
 
     def run(self) -> AltResult:
         for index, arm in enumerate(self.alternatives):
             self._ship(index, arm)
         wire = self.wire
         now = wire.now()
-        while self.live and now < wire.deadline:
+        live = self.live()
+        while live and now < wire.deadline:
             until = min(
-                [a.lease.deadline for a in self.live
-                 if a.lease is not None and not a.finished]
+                [a.deadline for a in live if a.deadline is not None]
                 + [wire.deadline]
             )
             event = wire.next_event(until)
@@ -247,10 +337,11 @@ class _Race:
                 kind, assignment, msg = event
                 if kind == "hb":
                     wire.heard(assignment)
-                    lease = assignment.lease
-                    if (lease is not None and not lease.terminal
+                    if (assignment.deadline is not None
+                            and assignment.state == "active"
                             and msg.get("epoch") == assignment.epoch):
-                        lease.renew(now)
+                        assignment.renew(now, self.warden.lease_timeout,
+                                         self.block)
                 elif kind == "result":
                     ship_home = self._verdict(assignment, msg, now)
                     if ship_home is not None:
@@ -258,12 +349,14 @@ class _Race:
                 else:
                     self._dropped(assignment, msg, now)
             self._sweep(now)
+            live = self.live()
         return self._give_up(wire.now())
 
     # -- 1. ship ---------------------------------------------------------
 
-    def _ship(self, index: int, arm: Alternative) -> None:
-        """Ship one incarnation of ``arm``, rotating past failed nodes."""
+    def _ship(self, index: int, arm: Alternative) -> Optional[_Assignment]:
+        """Ship one incarnation of ``arm``, rotating past failed nodes;
+        the incarnation that reached a worker, or ``None``."""
         while True:
             node = self._pick_node(index)
             if node is None:
@@ -272,15 +365,15 @@ class _Race:
                 self.timeline.append(
                     (self.wire.now(), f"{arm.name}: no reachable worker node")
                 )
-                return
+                return None
             assignment = _Assignment(
                 index, arm, node, getattr(node, "name", node)
             )
             shipped, text = self.wire.ship(assignment, self._admit)
             if not shipped:
-                assignment.stale = True
-                if assignment.lease is not None:
-                    assignment.lease.expire(self.wire.now())
+                # Admitted or not, it never ran; an admitted one keeps
+                # its burnt epoch in the book, expired.
+                assignment.expire(self.wire.now(), self.block)
                 self.dead.add(str(node))
                 self.timeline.append((
                     self.wire.now(),
@@ -295,21 +388,19 @@ class _Race:
                 outcome.pages_written = assignment.pages
             self.timeline.append((assignment.started, text))
             self.shipped.append(assignment)
-            self.live.append(assignment)
-            self.latest[index] = assignment
-            return
+            return assignment
 
     def _admit(self, assignment: _Assignment) -> None:
-        """Lease the incarnation from ``started`` and draw its crash;
-        the transport calls this once the arm has somewhere to run."""
+        """Book the incarnation; under a warden, grant it the arm's next
+        epoch and a lease from ``started``, and draw its crash.  The
+        transport calls this once the arm has somewhere to run."""
+        self.granted.append(assignment)
+        self.ladder._book = self.granted
         if self.warden is None:
             return
-        lease = self.warden.table.grant(
-            assignment.name, assignment.index, at=assignment.started,
-            interval=self.warden.lease_interval,
-            timeout=self.warden.lease_timeout,
-        )
-        assignment.lease, assignment.epoch = lease, lease.epoch
+        epochs, index = self.ladder._epochs, assignment.index
+        assignment.epoch = epochs[index] = epochs.get(index, 0) + 1
+        assignment.deadline = assignment.started + self.warden.lease_timeout
         injector = _active_injector()
         rule = (
             injector.draw("worker-crash", assignment.index)
@@ -328,10 +419,10 @@ class _Race:
         rotation = everyone[start:] + everyone[:start]
         if self.warden is None:
             rotation = rotation[:1]
+        tried = self._lapsed_nodes(index)
         candidates = [
             node for node in rotation
-            if str(node) not in self.tried[index]
-            and str(node) not in self.dead
+            if str(node) not in tried and str(node) not in self.dead
         ]
         for node in candidates:
             if self.wire.healthy(node):
@@ -342,51 +433,41 @@ class _Race:
 
     def _sweep(self, now: float) -> None:
         """Silence past a lease's deadline is death."""
-        for assignment in list(self.live):
-            lease = assignment.lease
-            if lease is None or lease.terminal or assignment.finished:
-                continue
-            if now >= lease.deadline:
+        for assignment in self.live():
+            if assignment.deadline is not None and now >= assignment.deadline:
                 self.timeline.append((
                     now,
                     f"lease of {assignment.arm.name}@{assignment.name} "
                     f"expired (epoch {assignment.epoch})",
                 ))
-                self._lapse(assignment, now)
+                assignment.expire(now, self.block)
                 self.wire.lapsed(assignment)
                 self._respawn(assignment, now)
 
     def _dropped(self, assignment: _Assignment, exc, now: float) -> None:
         """The connection under a running ship died."""
-        if assignment.stale or assignment.finished:
+        if assignment.state != "active" or assignment.heard:
             return
         torn = "torn" if getattr(exc, "torn", False) else "closed"
         self.timeline.append(
             (now, f"connection to {assignment.name} dropped ({torn})")
         )
-        self._lapse(assignment, now)
+        assignment.expire(now, self.block)
         self.dead.add(str(assignment.node))
         self.wire.blame(assignment.node, f"conn-drop: {exc}")
         self._respawn(assignment, now)
 
-    def _lapse(self, assignment: _Assignment, now: float) -> None:
-        assignment.stale = True
-        if assignment.lease is not None and not assignment.lease.terminal:
-            assignment.lease.expire(now)
-        self.live.remove(assignment)
-
     def _respawn(self, lapsed: _Assignment, now: float) -> None:
         """A fresh incarnation on the next node, if respawns remain."""
         index = lapsed.index
-        self.tried[index].append(str(lapsed.node))
-        self.attempts[index] += 1
-        if not self.warden.respawns_left(self.attempts[index]):
+        if not self.warden.respawns_left(len(self._lapsed_nodes(index))):
             self.outcomes[index].status = "failed"
             self.outcomes[index].detail = (
                 f"lease expired (epoch {lapsed.epoch}); respawns exhausted"
             )
             return
-        if self.tracer.enabled:
+        fresh = self._ship(index, lapsed.arm)
+        if fresh is not None and self.tracer.enabled:
             self.tracer.emit(
                 _ev.WORKER_RESPAWN,
                 block=self.block,
@@ -395,10 +476,9 @@ class _Race:
                 dead_worker=lapsed.name,
                 dead_epoch=lapsed.epoch,
                 dead_ship=lapsed.ship,
-                epoch=lapsed.epoch + 1,
+                epoch=fresh.epoch,
                 at=now,
             )
-        self._ship(index, lapsed.arm)
 
     # -- 3. verdict, fence, semaphore --------------------------------------
 
@@ -406,7 +486,7 @@ class _Race:
                  now: float) -> Optional[float]:
         """How long the pages take to come home when ``assignment`` may
         commit; ``None`` (and the reason recorded) when it may not."""
-        assignment.finished = True
+        assignment.heard = True
         assignment.duration = float(msg.get("duration") or 0.0)
         self.wire.heard(assignment)
         ok, reason = self.ladder._commit_check(assignment, msg)
@@ -418,9 +498,6 @@ class _Race:
             except NetworkError as exc:
                 ok, reason = False, f"unreachable at winner-commit: {exc}"
         self._reject(assignment, msg, reason, now)
-        if not assignment.stale:
-            # Definitive: the arm is done, its lease settles with the race.
-            self.live.remove(assignment)
         return None
 
     def _vote(self, assignment: _Assignment, now: float) -> Tuple[bool, str]:
@@ -436,7 +513,7 @@ class _Race:
                 now: float) -> None:
         name = assignment.arm.name
         outcome = self.outcomes[assignment.index]
-        if reason in _FENCED:
+        if reason == _FENCED:
             self.timeline.append((
                 now,
                 f"zombie {name}@{assignment.name} fenced at winner-commit "
@@ -448,7 +525,7 @@ class _Race:
             self.timeline.append(
                 (now, f"{name} reached sync but was not granted ({reason})")
             )
-        elif not assignment.stale:
+        elif assignment.state == "active":
             outcome.status = "failed"
             outcome.finished_at = now
             outcome.cpu_consumed = assignment.duration
@@ -512,9 +589,11 @@ class _Race:
         outcome.pages_written = pages
         wire.end(winner, cancel=False)
 
+        # An arm is respawned only once its last incarnation expired, so
+        # the active incarnations are each arm's latest.
         losers = sorted(
-            (a for a in self.latest.values()
-             if a is not winner and not a.stale),
+            (a for a in self.shipped
+             if a is not winner and a.state == "active"),
             key=lambda a: a.index,
         )
         wasted = 0.0
@@ -534,13 +613,12 @@ class _Race:
             loser_outcome.cpu_consumed = _consumed(loser, kill_at)
             wasted += loser_outcome.cpu_consumed
         for assignment in self.shipped:
-            if assignment.stale:
+            if assignment.state == "expired":
                 # A zombie or a lapsed incarnation burned until now.
                 wasted += _consumed(assignment, resume_at)
             if assignment is not winner:
-                wire.end(assignment, cancel=not assignment.finished)
-        if self.warden is not None:
-            self.warden.table.settle(at=resume_at, winner_arm=winner.index)
+                wire.end(assignment, cancel=not assignment.heard)
+        self._settle(resume_at, winner)
         return AltResult(
             value=msg.get("value"),
             winner=outcome,
@@ -551,6 +629,15 @@ class _Race:
             timeline=sorted(self.timeline, key=lambda pair: pair[0]),
             page_transport=wire.page_transport,
         )
+
+    def _settle(self, at: float, winner: Optional[_Assignment] = None) -> None:
+        """Settle the book once: the winner commits, every other active
+        incarnation is eliminated, an expired one stays expired."""
+        for assignment in self.granted:
+            if assignment.state == "active":
+                assignment.settle(
+                    "committed" if assignment is winner else "eliminated", at
+                )
 
     @staticmethod
     def _apply_pages(parent: SimProcess, dirty: Dict[int, bytes]) -> None:
@@ -566,10 +653,10 @@ class _Race:
     # -- 6. degrade or raise ---------------------------------------------
 
     def _give_up(self, now: float) -> AltResult:
-        """Nothing committed: cancel what runs, settle every lease, then
+        """Nothing committed: cancel what runs, settle the book, then
         replay serially at home -- or fail the block."""
         for assignment in self.shipped:
-            self.wire.end(assignment, cancel=not assignment.finished)
+            self.wire.end(assignment, cancel=not assignment.heard)
         if self.starved:
             reason = "consensus quorum unreachable"
         elif now >= self.wire.deadline:
@@ -578,10 +665,9 @@ class _Race:
             reason = "no worker node was reachable"
         else:
             reason = "all remote alternatives failed"
-        if self.warden is not None:
-            self.warden.table.settle(at=now, winner_arm=None)
-            if self.warden.degrade_to_serial:
-                return self._degrade_serial(reason, now)
+        self._settle(now)
+        if self.warden is not None and self.warden.degrade_to_serial:
+            return self._degrade_serial(reason, now)
         error = AltBlockFailure(reason)
         error.outcomes = self.outcomes
         error.elapsed = now
@@ -755,9 +841,9 @@ class _SimulatedWire:
                 } if succeeded else {},
             })
         assignment.carrier = alive_until
-        if assignment.lease is not None:
+        if assignment.deadline is not None:
             self._push(
-                assignment.lease.granted_at + assignment.lease.interval,
+                assignment.started + self.executor.warden.lease_interval,
                 self._SEND, "beat", assignment, None,
             )
         return True, f"rfork {arm.name} onto {node}"
@@ -780,17 +866,17 @@ class _SimulatedWire:
 
     def _beat(self, assignment: _Assignment, at: float) -> None:
         """One heartbeat over the faulty wire while the body runs."""
-        if assignment.stale or at > assignment.carrier + 1e-12:
+        if assignment.state != "active" or at > assignment.carrier + 1e-12:
             return
-        lease = assignment.lease
         for delivery in self.network.transmit(
             assignment.node, self.executor.home,
-            ("hb", lease.arm, lease.epoch),
+            ("hb", assignment.index, assignment.epoch),
             nbytes=HEARTBEAT_BYTES, at=at,
         ):
             self._push(delivery.arrive_at, self._HB, "hb", assignment,
-                       {"epoch": lease.epoch})
-        self._push(at + lease.interval, self._SEND, "beat", assignment, None)
+                       {"epoch": assignment.epoch})
+        self._push(at + self.executor.warden.lease_interval, self._SEND,
+                   "beat", assignment, None)
 
     def heard(self, assignment: _Assignment) -> None:
         pass
@@ -851,6 +937,7 @@ class DistributedAltExecutor(HomeLadder):
     ) -> None:
         if not workers:
             raise ValueError("need at least one worker node")
+        super().__init__()
         self.network = network
         self.home = home
         self.workers = list(workers)

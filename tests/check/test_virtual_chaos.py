@@ -15,7 +15,9 @@ from repro.check.chaos import (
     scenario_names,
     serial_reference,
 )
+from repro.net.distributed import _Race
 from repro.resilience.chaos import CHAOS_SCENARIOS
+from tests.net.test_scripted_wire import _settle_skips_the_last
 
 
 def test_scenario_vocabulary_matches_the_chaos_registry():
@@ -39,6 +41,16 @@ def test_every_scenario_converges_to_serial(scenario):
         state in ("committed", "eliminated", "expired")
         for state in run.lease_states
     )
+
+
+def test_a_leaked_lease_is_reported(monkeypatch):
+    """The leak check fires: a settle that leaves the race's last
+    granted incarnation active is a problem of the run."""
+    monkeypatch.setattr(_Race, "_settle", _settle_skips_the_last)
+    run = run_scenario("loss", seed=0)
+    assert run.error is None
+    assert run.lease_states.count("active") == 1
+    assert run.problems == [f"leaked leases: states {run.lease_states!r}"]
 
 
 def test_chaos_runs_record_fault_decisions():

@@ -129,7 +129,7 @@ class TestSigkillSurvival:
             parent.space.read(0, parent.space.size)
             == ref_parent.space.read(0, ref_parent.space.size)
         )
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         assert not worker_trio[victim].alive
         parent.space.release()
         ref_parent.space.release()
@@ -148,7 +148,7 @@ class TestSigkillSurvival:
         with injected(injector):
             result = executor.run(one_success_block(), parent=parent)
         assert result.value == 42
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         # The victim really died: exactly the arms-home worker is gone.
         assert any(not handle.alive for handle in worker_trio)
         parent.space.release()

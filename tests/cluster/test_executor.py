@@ -106,7 +106,7 @@ class TestCleanRace:
             parent.space.read(0, parent.space.size)
             == ref_parent.space.read(0, ref_parent.space.size)
         )
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         parent.space.release()
         ref_parent.space.release()
 
@@ -166,7 +166,7 @@ class TestFailurePaths:
         ]
         with pytest.raises(AltBlockFailure):
             executor.run(block, parent=parent)
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         parent.space.release()
 
     def test_degradation_replays_serially_and_wins(self, cluster):
@@ -200,7 +200,7 @@ class TestFailurePaths:
         parent = executor.new_parent()
         with pytest.raises(AltBlockFailure):
             executor.run(one_success_block(), parent=parent)
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         parent.space.release()
 
     def test_dead_endpoint_rotates_to_a_healthy_one(self, cluster):
@@ -212,7 +212,7 @@ class TestFailurePaths:
         result = executor.run(one_success_block(), parent=parent)
         assert result.winner.name == "the-answer"
         assert result.value == 42
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         parent.space.release()
 
 

@@ -103,7 +103,7 @@ def run_impaired_race(scenario, seed):
             "result": result,
             "bytes": parent_bytes,
             "variable": parent_result,
-            "settled": executor.warden.table.all_settled,
+            "settled": executor.all_settled,
             "impair": impair,
             "proxies": proxies,
             "events": [event.kind for event in tracer.events],

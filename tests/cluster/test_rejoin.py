@@ -103,8 +103,8 @@ class TestInProcessRejoin:
             )
             assert result2.winner.name == "block-2"
             assert parent.space.get("result") == 99
-            leases = executor.warden.table.leases
-            assert leases and all(l.worker == "solo" for l in leases)
+            leases = executor.leases
+            assert leases and all(l.name == "solo" for l in leases)
         finally:
             executor.close()
             if second is not None:
@@ -220,8 +220,8 @@ class TestSubprocessRejoin:
             )
             assert result2.winner.name == "after-heal"
             assert parent.space.get("result") == 99
-            leases = executor.warden.table.leases
-            assert leases and all(l.worker == "rj0" for l in leases)
+            leases = executor.leases
+            assert leases and all(l.name == "rj0" for l in leases)
             executor.close()
         finally:
             server.stop()

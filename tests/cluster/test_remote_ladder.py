@@ -179,7 +179,7 @@ class TestRemoteLadder:
         assert result.winner.name == "the-answer"
         assert result.value == 42
         assert parent.space.get("result") == 42
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         times = [at for at, _ in result.timeline]
         assert times == sorted(times)
         kinds = [event.kind for event in tracer.events]
@@ -203,7 +203,7 @@ class TestRemoteLadder:
         assert parent.space.get("result") == "fast"
         # Only the loser's worker died, and after the winner was done.
         assert result.elapsed < transport.crash_after
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         parent.space.release()
 
     def test_a_zombie_is_fenced_at_commit(self, transport):
@@ -223,11 +223,11 @@ class TestRemoteLadder:
         ]
         assert respawns and respawns[0].attrs["epoch"] == 2
         (committed,) = [
-            lease for lease in executor.warden.table.leases
+            lease for lease in executor.leases
             if lease.state == "committed"
         ]
         assert committed.epoch == 2
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
 
     def test_a_consensus_denial_concludes_without_waiting(
             self, transport, monkeypatch):
@@ -250,7 +250,7 @@ class TestRemoteLadder:
         (denied,) = stamp(result.timeline, "not granted (consensus-denied)")
         assert denied <= degraded < denied + 0.5
         assert waited < 2.0
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         parent.space.release()
 
     def test_the_degrade_is_stamped_after_the_last_verdict(self, transport):
@@ -270,4 +270,4 @@ class TestRemoteLadder:
         if transport.name == "sim":
             # Both arms ran for real in the replay, one after the other.
             assert exc.elapsed >= max(aborts) + 0.8
-        assert executor.warden.table.all_settled
+        assert executor.all_settled

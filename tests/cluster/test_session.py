@@ -191,7 +191,7 @@ class TestOneSessionManyBlocks:
             result = executor.run(evolving_block(), parent=parent)
             reference = twin.run(evolving_block())
             assert twin.agrees_with(result, parent, reference), n
-            assert executor.warden.table.all_settled
+            assert executor.all_settled
             # Every daemon got one ship, and each was sent exactly the
             # frames it had not been shown: after block 1, the pages
             # committed since.
@@ -324,7 +324,7 @@ class TestDismissedShip:
             assert executor.stats()["late_records"] == 1
             assert executor.stats()["dials"] == 1
             assert parent.space.read(0, parent.space.size) == serial
-            assert executor.warden.table.all_settled
+            assert executor.all_settled
             parent.space.release()
         finally:
             executor.close()
@@ -413,7 +413,7 @@ class TestLostShipRecord:
             )
             assert result.winner.name == "retry"
             assert twin.agrees_with(result, parent, twin.run(block))
-            assert executor.warden.table.all_settled
+            assert executor.all_settled
 
             # Block 3 probes "behind" with a fresh dial whose shown-set
             # is empty: everything it names is shipped again.
@@ -620,7 +620,7 @@ class TestChaosSoak:
                 if not twin.agrees_with(
                         result, parent, twin.run(patient_block())):
                     diverged.append(n)
-                assert executor.warden.table.all_settled, n
+                assert executor.all_settled, n
                 assert executor.stats()["sessions"] <= len(endpoints)
                 if n in (10, self.BLOCKS):
                     # Hang-ups are asynchronous (proxy pumps, daemon

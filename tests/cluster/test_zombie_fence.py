@@ -129,7 +129,7 @@ class TestZombieFence:
         assert result.winner.name == "the-answer"
         assert result.value == 42
         assert parent.space.get("result") == 42
-        assert executor.warden.table.current_epoch(0) == 2
+        assert [l.epoch for l in executor.leases if l.index == 0] == [1, 2]
 
         # The poison never touched the parent: page 0 still holds the
         # variable-table bytes the serial world would have.
@@ -157,7 +157,7 @@ class TestZombieFence:
             if event.kind == _ev.WORKER_RESPAWN
         ]
         assert respawns and respawns[0].attrs.get("epoch") == 2
-        assert executor.warden.table.all_settled
+        assert executor.all_settled
         parent.space.release()
 
     def test_zombie_that_heals_after_commit_cannot_resurrect(self):
@@ -188,7 +188,7 @@ class TestZombieFence:
             zombie.sent_late_winner.wait(timeout=5.0)
             time.sleep(0.1)
             assert parent.space.get("result") == committed
-            assert executor.warden.table.all_settled
+            assert executor.all_settled
             parent.space.release()
         finally:
             executor.close()

@@ -14,8 +14,8 @@ from repro.core.alternative import Alternative
 from repro.core.selection import OrderedPolicy
 from repro.core.sequential import SequentialExecutor
 from repro.errors import AltBlockFailure, NetworkError
-from repro.net.distributed import DistributedAltExecutor
-from repro.net.lease import Lease, LeaseTable, RaceWarden
+from repro.net.distributed import DistributedAltExecutor, _Assignment
+from repro.net.lease import RaceWarden
 from repro.net.network import Network, link_key
 from repro.obs import events as _ev
 from repro.obs.tracer import tracing
@@ -166,80 +166,107 @@ class TestTimedPartitions:
 
 
 # ----------------------------------------------------------------------
-# leases
+# leases: the ladder's incarnation record and its book
 
 
 class TestLease:
     def lease(self, **kw):
         defaults = dict(
-            worker="w1", arm=0, epoch=1, granted_at=0.0,
-            interval=0.02, timeout=0.08,
+            index=0, arm=ok("a", 1, 0.1), node="w1", name="w1", epoch=1,
+            started=0.0, deadline=0.08,
         )
         defaults.update(kw)
-        return Lease(**defaults)
+        return _Assignment(**defaults)
 
     def test_deadline_follows_renewals(self):
         lease = self.lease()
         assert lease.deadline == pytest.approx(0.08)
-        lease.renew(0.05)
+        lease.renew(0.05, timeout=0.08)
         assert lease.deadline == pytest.approx(0.13)
         assert lease.renewals == 1
 
     def test_stale_renewal_never_moves_deadline_back(self):
         lease = self.lease()
-        lease.renew(0.05)
-        lease.renew(0.01)  # a reordered old heartbeat
+        lease.renew(0.05, timeout=0.08)
+        lease.renew(0.01, timeout=0.08)  # a reordered old heartbeat
         assert lease.deadline == pytest.approx(0.13)
 
     def test_terminal_states_are_sticky(self):
         lease = self.lease()
         lease.expire(0.09)
-        assert lease.terminal and lease.state == "expired"
+        assert lease.state == "expired"
         with pytest.raises(ValueError):
-            lease.renew(0.1)
+            lease.renew(0.1, timeout=0.08)
         with pytest.raises(ValueError):
-            lease.commit(0.1)
+            lease.settle("committed", 0.1)
+        for state in ("committed", "eliminated"):
+            settled = self.lease()
+            settled.settle(state, 0.1)
+            with pytest.raises(ValueError):
+                settled.expire(0.2)
+            assert settled.state == state
 
     def test_timeout_must_exceed_interval(self):
-        with pytest.raises(ValueError):
-            self.lease(timeout=0.01)
+        for timeout in (0.01, 0.02):
+            with pytest.raises(ValueError):
+                RaceWarden(lease_interval=0.02, lease_timeout=timeout)
 
     def test_renew_and_expire_are_traced(self):
         with tracing() as tracer:
             lease = self.lease()
-            lease.renew(0.05)
-            lease.expire(0.13)
+            lease.renew(0.05, timeout=0.08, block=4)
+            lease.expire(0.13, block=4)
         kinds = [e.kind for e in tracer.events]
         assert kinds == [_ev.LEASE_RENEW, _ev.LEASE_EXPIRE]
+        renew, expire = tracer.events
+        assert renew.attrs == {"epoch": 1, "at": 0.05, "deadline": 0.13}
+        assert expire.attrs == {"epoch": 1, "at": 0.13, "renewals": 1}
+        assert [(e.block, e.arm, e.name) for e in tracer.events] == [
+            (4, 0, "w1"), (4, 0, "w1")
+        ]
 
 
 class TestLeaseTable:
-    def test_epochs_increment_per_arm(self):
-        table = LeaseTable()
-        first = table.grant("w1", 0, at=0.0, interval=0.02, timeout=0.08)
-        second = table.grant("w2", 0, at=1.0, interval=0.02, timeout=0.08)
-        other = table.grant("w3", 1, at=0.0, interval=0.02, timeout=0.08)
-        assert (first.epoch, second.epoch, other.epoch) == (1, 2, 1)
-        assert table.current_epoch(0) == 2
-        assert table.current_epoch(7) == 0
+    """What the lease table held is the ladder's book now: the epochs
+    per arm for the ladder's life, the last race's incarnations."""
 
-    def test_settle_commits_winner_and_eliminates_rest(self):
-        table = LeaseTable()
-        stale = table.grant("w1", 0, at=0.0, interval=0.02, timeout=0.08)
-        stale.expire(0.1)
-        fresh = table.grant("w2", 0, at=0.1, interval=0.02, timeout=0.08)
-        loser = table.grant("w3", 1, at=0.0, interval=0.02, timeout=0.08)
-        table.settle(at=2.0, winner_arm=0)
-        assert fresh.state == "committed"
-        assert loser.state == "eliminated"
-        assert stale.state == "expired"  # untouched
-        assert table.all_settled
+    def crash_race(self, dist):
+        """Arm 0's first incarnation crashes and is respawned."""
+        injector = FaultInjector(seed=0).worker_crash(
+            arms=[0], duration=0.05
+        )
+        with injected(injector):
+            return dist.run([ok("phoenix", 1, 0.5), ok("slow", 2, 2.0)])
+
+    def test_epochs_increment_per_arm(self, net):
+        dist = executor(net, warden=RaceWarden())
+        self.crash_race(dist)
+        assert [(l.index, l.epoch) for l in dist.leases] == [
+            (0, 1), (1, 1), (0, 2)
+        ]
+        dist.run([ok("phoenix", 1, 0.5), ok("slow", 2, 2.0)])
+        assert [(l.index, l.epoch) for l in dist.leases] == [(0, 3), (1, 2)]
+
+    def test_settle_commits_winner_and_eliminates_rest(self, net):
+        dist = executor(net, warden=RaceWarden())
+        result = self.crash_race(dist)
+        assert result.winner.name == "phoenix"
+        assert [l.state for l in dist.leases] == [
+            "expired",  # untouched by the settle
+            "eliminated",
+            "committed",
+        ]
+        assert dist.all_settled
 
     def test_warden_validation(self):
         with pytest.raises(ValueError):
             RaceWarden(lease_interval=0.1, lease_timeout=0.05)
         with pytest.raises(ValueError):
             RaceWarden(max_respawns=-1)
+        warden = RaceWarden()
+        with pytest.raises(AttributeError):
+            warden.max_respawns = 5  # frozen: only its terms, fixed
+        assert not hasattr(warden, "table")
 
 
 # ----------------------------------------------------------------------
@@ -248,13 +275,11 @@ class TestLeaseTable:
 
 class TestSupervisedRace:
     def test_clean_race_settles_every_lease(self, net):
-        warden = RaceWarden()
-        result = executor(net, warden=warden).run(
-            [ok("fast", 1, 0.2), ok("slow", 2, 1.0)]
-        )
+        dist = executor(net, warden=RaceWarden())
+        result = dist.run([ok("fast", 1, 0.2), ok("slow", 2, 1.0)])
         assert result.value == 1
-        assert warden.table.all_settled
-        states = sorted(l.state for l in warden.table.leases)
+        assert dist.all_settled
+        states = sorted(l.state for l in dist.leases)
         assert states == ["committed", "eliminated"]
 
     def test_crashed_worker_respawns_and_still_wins(self, net):
@@ -262,20 +287,57 @@ class TestSupervisedRace:
         injector = FaultInjector(seed=0).worker_crash(
             arms=[0], duration=0.05
         )
+        dist = executor(net, warden=warden, seed=3)
         with tracing() as tracer, injected(injector):
-            result = executor(net, warden=warden, seed=3).run(
-                [ok("phoenix", "rises", 0.5)]
-            )
+            result = dist.run([ok("phoenix", "rises", 0.5)])
         assert result.value == "rises"
         assert result.winner.name == "phoenix"
         kinds = [e.kind for e in tracer.events]
         assert _ev.LEASE_EXPIRE in kinds
         assert _ev.WORKER_RESPAWN in kinds
-        assert warden.table.all_settled
+        assert dist.all_settled
         # two incarnations: the crashed one expired, the respawn committed
-        states = [l.state for l in warden.table.leases]
+        states = [l.state for l in dist.leases]
         assert states == ["expired", "committed"]
-        assert warden.table.leases[1].epoch == 2
+        assert dist.leases[1].epoch == 2
+
+    def test_lease_events_belong_to_their_block(self, net):
+        injector = FaultInjector(seed=0).worker_crash(
+            arms=[0], duration=0.05
+        )
+        with tracing() as tracer, injected(injector):
+            executor(net, warden=RaceWarden()).run([ok("phoenix", 1, 0.5)])
+        (begin,) = [e for e in tracer.events if e.kind == _ev.BLOCK_BEGIN]
+        kinds = [e.kind for e in tracer.block_events(begin.block)]
+        assert _ev.LEASE_EXPIRE in kinds
+        assert _ev.LEASE_RENEW in kinds
+        leases = [e for e in tracer.events
+                  if e.kind in (_ev.LEASE_RENEW, _ev.LEASE_EXPIRE)]
+        assert {e.block for e in leases} == {begin.block}
+
+    def test_a_respawn_that_finds_no_node_emits_no_respawn(self):
+        """One worker, crashing every incarnation: the lapsed arm has
+        nowhere left to go, so no fresh incarnation is granted and no
+        ``worker-respawn`` names one."""
+        network = Network(cost_model=FAST_LAN)
+        network.add_node("home")
+        network.add_node("w1")
+        network.connect("home", "w1")
+        dist = DistributedAltExecutor(
+            network, home="home", workers=["w1"],
+            warden=RaceWarden(max_respawns=2, degrade_to_serial=False),
+        )
+        injector = FaultInjector(seed=0).worker_crash(
+            times=None, duration=0.05
+        )
+        with tracing() as tracer, injected(injector):
+            with pytest.raises(AltBlockFailure) as caught:
+                dist.run([ok("alone", 1, 0.5)])
+        assert [(l.epoch, l.state) for l in dist.leases] == [(1, "expired")]
+        assert caught.value.outcomes[0].detail == "no reachable worker node"
+        kinds = [e.kind for e in tracer.events]
+        assert _ev.LEASE_EXPIRE in kinds
+        assert _ev.WORKER_RESPAWN not in kinds
 
     def test_zombie_winner_fenced_by_epoch(self, net):
         """Heartbeats all lost: home declares the worker dead though its
@@ -285,16 +347,15 @@ class TestSupervisedRace:
         injector = FaultInjector(seed=0).net_drop(
             times=None, arms=[link_key("home", "w1")]
         )
+        dist = executor(net, warden=warden)
         with tracing() as tracer, injected(injector):
-            result = executor(net, warden=warden).run(
-                [ok("zombie-then-won", 9, 0.5)]
-            )
+            result = dist.run([ok("zombie-then-won", 9, 0.5)])
         assert result.value == 9
         # the winning lease is the second incarnation, on a healthy node
-        committed = [l for l in warden.table.leases if l.state == "committed"]
+        committed = [l for l in dist.leases if l.state == "committed"]
         assert len(committed) == 1
         assert committed[0].epoch == 2
-        assert committed[0].worker != "w1"
+        assert committed[0].name != "w1"
         fence = [
             e for e in tracer.events
             if e.kind == _ev.LOSER_ELIMINATE
@@ -303,22 +364,21 @@ class TestSupervisedRace:
         assert len(fence) == 1
         labels = " ".join(label for _, label in result.timeline)
         assert "fenced at winner-commit" in labels
-        assert warden.table.all_settled
+        assert dist.all_settled
 
     def test_respawn_exhaustion_degrades_to_serial(self, net):
         warden = RaceWarden(max_respawns=0)
         injector = FaultInjector(seed=0).worker_crash(
             times=None, duration=0.01
         )
+        dist = executor(net, warden=warden)
         with tracing() as tracer, injected(injector):
-            result = executor(net, warden=warden).run(
-                [ok("only-hope", "serial-value", 0.5)]
-            )
+            result = dist.run([ok("only-hope", "serial-value", 0.5)])
         assert result.value == "serial-value"
         assert result.winner.status == "won"
         kinds = [e.kind for e in tracer.events]
         assert _ev.DEGRADE in kinds
-        assert warden.table.all_settled
+        assert dist.all_settled
         labels = " ".join(label for _, label in result.timeline)
         assert "degrading to serial replay" in labels
         assert "[replay]" in labels
@@ -328,15 +388,17 @@ class TestSupervisedRace:
         injector = FaultInjector(seed=0).worker_crash(
             times=None, duration=0.01
         )
+        dist = executor(net, warden=warden)
         with injected(injector):
             with pytest.raises(AltBlockFailure):
-                executor(net, warden=warden).run([ok("doomed", 1, 0.5)])
-        assert warden.table.all_settled  # failure settles leases too
+                dist.run([ok("doomed", 1, 0.5)])
+        assert dist.all_settled  # failure settles leases too
 
     def test_heartbeats_renew_over_clean_wire(self, net):
         warden = RaceWarden(lease_interval=0.02, lease_timeout=0.08)
-        executor(net, warden=warden).run([ok("steady", 1, 0.3)])
-        (lease,) = warden.table.leases
+        dist = executor(net, warden=warden)
+        dist.run([ok("steady", 1, 0.3)])
+        (lease,) = dist.leases
         assert lease.renewals >= 10  # ~0.3s of 0.02s beats
 
 
@@ -382,8 +444,7 @@ class TestMidRacePartition:
 class TestDeterminism:
     def scenario_run(self, scenario, seed):
         net = make_net()
-        warden = RaceWarden()
-        dist = executor(net, warden=warden, seed=seed)
+        dist = executor(net, warden=RaceWarden(), seed=seed)
         with injected(chaos_injector(scenario, seed=seed)):
             result = dist.run(
                 [ok("a", 1, 0.4), ok("b", 2, 0.6), bad("c", 0.3)]
@@ -393,7 +454,7 @@ class TestDeterminism:
             result.value,
             result.elapsed,
             result.timeline,
-            [l.state for l in warden.table.leases],
+            [l.state for l in dist.leases],
         )
 
     @pytest.mark.parametrize("scenario", sorted(CHAOS_SCENARIOS))
@@ -434,8 +495,7 @@ def soak_once(scenario, seed):
     ref, ref_parent = serial_reference(seed)
 
     net = make_net()
-    warden = RaceWarden()
-    dist = executor(net, warden=warden, seed=seed)
+    dist = executor(net, warden=RaceWarden(), seed=seed)
     parent = dist.new_parent()
     with injected(chaos_injector(scenario, seed=seed)):
         result = dist.run(one_success_block(), parent=parent)
@@ -447,8 +507,8 @@ def soak_once(scenario, seed):
         0, ref_parent.space.size
     )
     # zero leaked workers: every lease committed/eliminated/expired
-    assert warden.table.all_settled
-    for lease in warden.table.leases:
+    assert dist.all_settled
+    for lease in dist.leases:
         assert lease.state in ("committed", "eliminated", "expired")
 
 

@@ -1,75 +1,95 @@
-"""The lease table forgets a settled race.
+"""The ladder forgets a settled race.
 
-A long-lived executor races thousands of blocks on one table; the table
-used to keep every lease it had ever granted and walk all of them twice
-per block (``settle`` plus ``all_settled``), so the executor got slower
-and larger with age.
+A long-lived executor races thousands of blocks on one ladder; a book
+of every lease it ever granted, walked twice per block (settle plus
+``all_settled``), would make the executor slower and larger with age.
+Each race keeps and settles only the incarnations it granted; the
+ladder keeps each arm's epoch counter and the last race's book.
 """
 
-from repro.net.lease import Lease, LeaseTable
+from repro.net.distributed import _Race
+from repro.net.lease import RaceWarden
+from tests.net.test_scripted_wire import TERMS, ByLabel, ScriptedLadder, block
 
-ARMS = 3
+ARMS = 2
 RACES = 2000
 
+CLEAN = ["ship", "ship", "ok a"]
+LAPSE = ["ship", "ship", "hb a", "lapse", "ship", "ok a"]
+"""Arm ``b``'s first incarnation lapses and is respawned; ``a`` wins."""
 
-def race(table, at, lapse_arm=None):
-    """One race: a grant per arm, optionally a lapse and a respawn."""
-    for arm in range(ARMS):
-        table.grant(f"w{arm}", arm, at=at, interval=0.02, timeout=0.08)
-    if lapse_arm is not None:
-        table.leases[lapse_arm].expire(at + 0.1)
-        table.grant("spare", lapse_arm, at=at + 0.1, interval=0.02,
-                    timeout=0.08)
-    table.settle(at=at + 0.2, winner_arm=0)
+
+def make_ladder():
+    ladder = ScriptedLadder(None, RaceWarden(max_respawns=1, **TERMS))
+    return ladder, ladder.new_parent(space_size=8192)
+
+
+def race(ladder, parent, script):
+    ladder.chooser = ByLabel(script)
+    assert ladder._race(block(), parent).value == "a-remote"
 
 
 class TestSettledRaceIsForgotten:
     def test_table_holds_the_last_race_only(self):
-        table = LeaseTable()
+        """The ladder's table of incarnations is the last race's."""
+        ladder, parent = make_ladder()
         for n in range(RACES):
-            race(table, at=float(n), lapse_arm=1 if n % 7 == 0 else None)
-            assert table.all_settled
-        race(table, at=float(RACES))
-        assert len(table.leases) == ARMS
-        assert [lease.state for lease in table.leases] == [
-            "committed", "eliminated", "eliminated"
+            race(ladder, parent, LAPSE if n % 7 == 0 else CLEAN)
+            assert ladder.all_settled
+        race(ladder, parent, CLEAN)
+        assert len(ladder.leases) == ARMS
+        assert [lease.state for lease in ladder.leases] == [
+            "committed", "eliminated"
         ]
 
     def test_settle_touches_only_the_current_race(self, monkeypatch):
-        table = LeaseTable()
+        ladder, parent = make_ladder()
         for n in range(RACES):
-            race(table, at=float(n))
+            race(ladder, parent, CLEAN)
         touched = []
-        terminal = Lease.terminal.fget
-        monkeypatch.setattr(
-            Lease, "terminal",
-            property(lambda lease: touched.append(lease) or terminal(lease)),
-        )
-        for arm in range(ARMS):
-            table.grant(f"w{arm}", arm, at=0.0, interval=0.02, timeout=0.08)
-        current = list(table.leases)
-        table.settle(at=1.0, winner_arm=2)
-        assert table.all_settled
-        assert {id(lease) for lease in touched} == {
-            id(lease) for lease in current
-        }
+        settle = _Race._settle
+
+        def spy(self, at, winner=None):
+            touched.extend(self.granted)
+            settle(self, at, winner)
+
+        monkeypatch.setattr(_Race, "_settle", spy)
+        race(ladder, parent, CLEAN)
+        assert ladder.all_settled
+        assert [id(lease) for lease in touched] == [
+            id(lease) for lease in ladder.leases
+        ]
+        assert len(touched) == ARMS
 
     def test_epochs_stay_monotone_per_arm_across_races(self):
-        table = LeaseTable()
+        ladder, parent = make_ladder()
         seen = {arm: [] for arm in range(ARMS)}
         for n in range(50):
-            race(table, at=float(n), lapse_arm=2 if n % 5 == 0 else None)
-            for lease in table.leases:
-                seen[lease.arm].append(lease.epoch)
+            race(ladder, parent, LAPSE if n % 5 == 0 else CLEAN)
+            for lease in ladder.leases:
+                seen[lease.index].append(lease.epoch)
         for arm, epochs in seen.items():
             assert epochs == sorted(set(epochs)), arm
-            assert table.current_epoch(arm) == epochs[-1]
+            assert ladder._epochs[arm] == epochs[-1]
+
+    def test_epochs_survive_a_new_warden(self):
+        ladder, parent = make_ladder()
+        race(ladder, parent, LAPSE)
+        ladder.warden = RaceWarden(max_respawns=1, **TERMS)
+        race(ladder, parent, CLEAN)
+        assert [(l.index, l.epoch) for l in ladder.leases] == [(0, 2), (1, 3)]
 
     def test_a_settled_race_stays_readable_until_the_next_grant(self):
-        table = LeaseTable()
-        race(table, at=0.0, lapse_arm=1)
-        kept = table.leases
-        assert [lease.epoch for lease in kept if lease.arm == 1] == [1, 2]
-        table.grant("w0", 0, at=5.0, interval=0.02, timeout=0.08)
-        assert len(table.leases) == 1
-        assert len(kept) == ARMS + 1  # whoever held the old list keeps it
+        ladder, parent = make_ladder()
+        race(ladder, parent, LAPSE)
+        kept = ladder.leases
+        assert [lease.epoch for lease in kept if lease.index == 1] == [1, 2]
+        ladder.nodes = ()  # a race that grants nothing: no node to run on
+        ladder.chooser = ByLabel([])
+        degraded = ladder._race(block(), parent)
+        assert degraded.value == "b-serial"
+        assert ladder.leases == kept
+        ladder.nodes = ("n0", "n1")
+        race(ladder, parent, CLEAN)
+        assert len(ladder.leases) == ARMS
+        assert len(kept) == ARMS + 1  # whoever held the old book keeps it

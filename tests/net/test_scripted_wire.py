@@ -24,10 +24,9 @@ and at each ship, ``ship`` or ``ship-fails`` (after ``admit``).  Once
 Every terminal is checked against five invariants (:func:`violations`)
 and folded into one digest (``DIGEST``) of the winner, the value, each
 outcome's status and detail, each incarnation's ``(arm, epoch, state)``,
-the timeline and the raised error type.  The digest was recorded before
-the lease records were folded into the ladder's incarnations; the
-rewrite reproduces it.  Each invariant has an adequacy mutant, and each
-mutant is caught.
+the timeline and the raised error type, so a change to the ladder that
+moves any terminal shows here.  Each invariant has an adequacy mutant,
+and each mutant is caught.
 """
 
 import hashlib
@@ -38,8 +37,10 @@ import pytest
 from repro.core.alternative import Alternative
 from repro.core.result import OverheadBreakdown
 from repro.errors import AltBlockFailure
-from repro.net.distributed import HomeLadder
+from repro.net.distributed import HomeLadder, _Race
 from repro.net.lease import RaceWarden
+from repro.obs import events as _ev
+from repro.obs.tracer import tracing
 from repro.pages.store import PageStore
 from repro.process.primitives import ProcessManager
 
@@ -85,7 +86,8 @@ class Chooser:
 
 
 class ByLabel:
-    """Answers every choice point by label, from a fixed script."""
+    """Answers every choice point by label, from a fixed script whose
+    labels leave the epoch out (``ok a`` picks ``ok a#3``)."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -94,7 +96,7 @@ class ByLabel:
     def choose(self, labels):
         label = self.script.pop(0)
         self.trail.append(label)
-        return labels.index(label)
+        return [option.split("#")[0] for option in labels].index(label)
 
 
 def _tag(assignment):
@@ -117,8 +119,9 @@ class ScriptedWire:
         """Shipped incarnations that may still send: ``[assignment,
         lapsed]`` pairs until a result or a drop is sent."""
         self.commits = []
-        """``(assignment, state, latest epoch of its arm)`` at each
-        ``bring_home``: the moment an incarnation commits."""
+        """``(assignment, its state, its arm's latest epoch, the epoch
+        its result echoed)`` at each ``bring_home``: the moment an
+        incarnation commits."""
         self.zombies = []
 
     def now(self):
@@ -137,8 +140,8 @@ class ScriptedWire:
         if self.chooser.choose(["ship", "ship-fails"]):
             return False, "ship-send-failed"
         self.running.append([assignment, False])
-        return True, f"ship {assignment.arm.name} onto {assignment.name} " \
-                     f"(epoch {assignment.epoch})"
+        return True, (f"ship {assignment.arm.name} onto {assignment.name} "
+                      f"(epoch {assignment.epoch})")
 
     def next_event(self, until):
         options = []
@@ -201,7 +204,7 @@ class ScriptedWire:
             epoch for arm, epoch, _ in book(self.ladder)
             if arm == assignment.index
         )
-        self.commits.append((assignment, state_of(assignment), latest,
+        self.commits.append((assignment, assignment.state, latest,
                              msg.get("epoch")))
         return 0.0
 
@@ -238,14 +241,7 @@ class ScriptedLadder(HomeLadder):
 
 def book(ladder):
     """``(arm, epoch, state)`` of every incarnation of the last race."""
-    return [
-        (lease.arm, lease.epoch, lease.state)
-        for lease in ladder.warden.table.leases
-    ]
-
-
-def state_of(assignment):
-    return assignment.lease.state
+    return [(lease.index, lease.epoch, lease.state) for lease in ladder.leases]
 
 
 # -- one race ----------------------------------------------------------------
@@ -295,7 +291,7 @@ def violations(record, ladder):
         if committed != [(winner.index, latest, "committed")]:
             broken.append("the winner's latest epoch is not the commit")
     elif committed:
-        broken.append("a commit without a winner")
+        broken.append("the winner's latest epoch is not the commit")
     for arm in {arm for arm, _, _ in incarnations}:
         epochs = [e for a, e, _ in incarnations if a == arm]
         if epochs != sorted(set(epochs)):
@@ -310,9 +306,9 @@ CONFIGS = [
 ]
 
 
-def explore(max_respawns, degrade, stop_at_violation=False):
+def explore(max_respawns, degrade, stop_at=None):
     """Every script up to ``BOUND``: the terminals' records in DFS order
-    and the violations found."""
+    and the violations found -- up to the first of ``stop_at``."""
     records, broken = [], []
     prefix = []
     while prefix is not None:
@@ -322,7 +318,7 @@ def explore(max_respawns, degrade, stop_at_violation=False):
         found = violations(record, ladder)
         if found:
             broken.append((list(prefix), found))
-            if stop_at_violation:
+            if stop_at in found:
                 break
         prefix = None
         trail = chooser.trail
@@ -359,3 +355,93 @@ def test_every_script_keeps_the_invariants_and_the_digest(
     records, broken = explore(max_respawns, degrade)
     assert broken == []
     assert (len(records), digest(records)) == DIGEST[max_respawns, degrade]
+
+
+# -- adequacy: one mutant per invariant ----------------------------------------
+
+def _settle_commits_every_active(race, at, winner=None):
+    for assignment in race.granted:
+        if assignment.state == "active":
+            assignment.settle("committed", at)
+
+
+def _settle_skips_the_last(race, at, winner=None):
+    for assignment in race.granted[:-1]:
+        if assignment.state == "active":
+            assignment.settle(
+                "committed" if assignment is winner else "eliminated", at
+            )
+
+
+def _settle_forgets_the_winner(race, at, winner=None):
+    for assignment in race.granted:
+        if assignment.state == "active":
+            assignment.settle("eliminated", at)
+
+
+def _no_epoch_fence(ladder, assignment, msg):
+    return (True, "") if msg.get("ok") else (False, "arm-failed")
+
+
+class _Forgetful(dict):
+    """An epoch counter that never records a grant."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+_ladder_init = HomeLadder.__init__
+
+
+def _epochs_never_advance(ladder):
+    _ladder_init(ladder)
+    ladder._epochs = _Forgetful()
+
+
+MUTANTS = {
+    "more than one commit": (_Race, "_settle", _settle_commits_every_active),
+    "a fenced or expired incarnation committed": (
+        HomeLadder, "_commit_check", _no_epoch_fence
+    ),
+    "an incarnation is left active": (
+        _Race, "_settle", _settle_skips_the_last
+    ),
+    "the winner's latest epoch is not the commit": (
+        _Race, "_settle", _settle_forgets_the_winner
+    ),
+    "epochs are not monotone per arm": (
+        HomeLadder, "__init__", _epochs_never_advance
+    ),
+}
+
+
+@pytest.mark.parametrize("invariant", sorted(MUTANTS))
+def test_each_invariant_catches_its_mutant(invariant, monkeypatch):
+    owner, name, mutant = MUTANTS[invariant]
+    monkeypatch.setattr(owner, name, mutant)
+    caught = set()
+    for max_respawns, degrade in CONFIGS:
+        _, broken = explore(max_respawns, degrade, stop_at=invariant)
+        caught.update(found for _, violated in broken for found in violated)
+        if invariant in caught:
+            break
+    assert invariant in caught
+
+
+# -- the respawn event names the incarnation that ran ---------------------------
+
+def test_a_respawn_past_a_failed_ship_names_the_epoch_that_ran():
+    """Arm ``a`` lapses; its respawn is admitted on ``n1`` (epoch 2),
+    whose ship fails, then runs on ``n2`` (epoch 3) and wins."""
+    script = ["ship", "ship", "hb b", "lapse", "ship-fails", "ship", "ok a"]
+    with tracing() as tracer:
+        record, ladder = race(ByLabel(script), max_respawns=1, degrade=False,
+                              nodes=("n0", "n1", "n2"))
+    assert record["value"] == "a-remote"
+    assert record["incarnations"] == [
+        (0, 1, "expired"), (1, 1, "eliminated"),
+        (0, 2, "expired"), (0, 3, "committed"),
+    ]
+    (respawn,) = [e for e in tracer.events if e.kind == _ev.WORKER_RESPAWN]
+    assert respawn.attrs["dead_epoch"] == 1
+    assert respawn.attrs["epoch"] == 3
